@@ -27,7 +27,7 @@ from .instr import (
     psize,
     render,
 )
-from .lab import SearchSpec, TruthTable, shortest_sequence_search, tables_equal, truth_table
+from .lab import SearchSpec, TruthTable, shortest_sequence_search, truth_table
 from .services import (
     Deadlocked,
     Divergent,

@@ -199,12 +199,11 @@ def _cmd_reduce_plsis(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    target = args.target
-    size = len(target)
+    values = services.parse_input_bits(args.target)
+    size = len(values)
     arity = size.bit_length() - 1
     if 2**arity != size:
         raise ValueError("target table length must be a power of two")
-    values = tuple(ch in "T1" for ch in target)
     spec = lab.SearchSpec(
         target=lab.TruthTable(arity, values),
         max_length=args.max_length,

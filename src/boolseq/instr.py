@@ -8,15 +8,17 @@ Basic instructions address named Boolean registers (``in:i``, ``aux:i``,
 Boolean parameter (``split:p``, ``reply:p``).
 
 Everything here is immutable and purely syntactic: parsing, canonical
-rendering, length, and classification of a sequence into the register-only
-vocabularies used elsewhere in the package.
+rendering, length, classification of a sequence into the register-only
+vocabularies used elsewhere in the package, and ``decode``, which gives each
+position's successor after each reply.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import cached_property
+from typing import Iterator, NamedTuple, Union
 
 GET = "get"
 SET_TRUE = "set:T"
@@ -110,20 +112,30 @@ BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
 
 # --- primitive instructions ------------------------------------------------
 
+# Each primitive instruction has ``offsets``: how far control moves on after
+# a True and after a False reply (None for ``!``).  This is the one place the
+# rule is written; ``decode`` and everything else that needs a successor use it.
+
 
 @dataclass(frozen=True)
 class Plain:
     basic: BasicInstruction
+
+    offsets = (1, 1)
 
 
 @dataclass(frozen=True)
 class PosTest:
     basic: BasicInstruction
 
+    offsets = (1, 2)
+
 
 @dataclass(frozen=True)
 class NegTest:
     basic: BasicInstruction
+
+    offsets = (2, 1)
 
 
 @dataclass(frozen=True)
@@ -136,10 +148,16 @@ class Jump:
         if self.distance < 0:
             raise ValueError("jump distance must be a natural number")
 
+    @property
+    def offsets(self) -> tuple[int, int]:
+        return self.distance, self.distance
+
 
 @dataclass(frozen=True)
 class Term:
     """The termination instruction ``!``."""
+
+    offsets = None
 
 
 TERM = Term()
@@ -171,6 +189,16 @@ class InstructionSequence:
 
     def __str__(self) -> str:
         return render(self)
+
+    # Sequences are immutable, so each is classified and decoded at most once.
+
+    @cached_property
+    def _profile(self) -> "ClassProfile":
+        return _classify(self)
+
+    @cached_property
+    def _rows(self) -> tuple["Row", ...]:
+        return _decode(self)
 
 
 def seq(*items: PrimitiveInstruction) -> InstructionSequence:
@@ -215,7 +243,11 @@ def _basics(x: InstructionSequence) -> Iterator[BasicInstruction]:
 
 
 def classify(x: InstructionSequence) -> ClassProfile:
-    """Compute the syntactic class profile of ``x``."""
+    """The syntactic class profile of ``x``, worked out on the first call and kept on ``x``."""
+    return x._profile
+
+
+def _classify(x: InstructionSequence) -> ClassProfile:
     is_isbr = True
     is_isbrna = True
     is_sisbr = True
@@ -267,6 +299,75 @@ def classify(x: InstructionSequence) -> ClassProfile:
         term_count=term_count,
         has_out_set_false=has_out_set_false,
     )
+
+
+# --- decoded control flow ----------------------------------------------------
+
+
+# Decoded kinds.  The register kinds come first, so that a register kind
+# indexes a list of register banks.
+KIND_IN = 0
+KIND_AUX = 1
+KIND_OUT = 2
+KIND_SPLIT = 3
+KIND_REPLY = 4
+KIND_JUMP = 5
+KIND_TERM = 6
+
+
+class Row(NamedTuple):
+    """One decoded position: what it does and which position comes next.
+
+    ``slot`` is the register index (0 for ``out``) or the parameter of a
+    split or reply, 0 otherwise; ``method`` is the register method, None
+    otherwise.  ``on_true`` and ``on_false`` are the positions reached after
+    a True and after a False reply, 0 where control deadlocks (``#0``, or a
+    move past the end).  A jump has its target in both, ``!`` has 0 in both.
+    """
+
+    kind: int
+    slot: int
+    method: str | None
+    on_true: int
+    on_false: int
+
+
+_FOCUS_KINDS = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
+_TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
+
+
+def decode(x: InstructionSequence) -> tuple[Row, ...]:
+    """The rows of ``x``: ``decode(x)[i - 1]`` describes position i.
+
+    Worked out on the first call and kept on ``x``.
+    """
+    return x._rows
+
+
+def _decode(x: InstructionSequence) -> tuple[Row, ...]:
+    items = x.items
+    k = len(items)
+    positions = list(range(k + 1))  # one int per position, shared by the rows leading there
+    rows = []
+    for pos, u in enumerate(items, start=1):
+        offsets = u.offsets
+        if offsets is None:
+            rows.append(_TERM_ROW)
+            continue
+        on_true = positions[pos + offsets[0]] if 0 < offsets[0] <= k - pos else 0
+        on_false = positions[pos + offsets[1]] if 0 < offsets[1] <= k - pos else 0
+        if isinstance(u, Jump):
+            rows.append(Row(KIND_JUMP, 0, None, on_true, on_false))
+            continue
+        b = u.basic
+        if isinstance(b, RegisterOp):
+            f = b.focus
+            slot = 0 if isinstance(f, OutReg) else f.index
+            rows.append(Row(_FOCUS_KINDS[type(f)], slot, b.method, on_true, on_false))
+        else:
+            kind = KIND_SPLIT if isinstance(b, SplitOp) else KIND_REPLY
+            rows.append(Row(kind, b.param, None, on_true, on_false))
+    return tuple(rows)
 
 
 # --- rendering --------------------------------------------------------------

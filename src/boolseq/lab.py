@@ -33,8 +33,8 @@ from .instr import (
     TERM,
     Term,
 )
-from .services import Terminated, run
-from .splitting import run_splitting
+from .services import Terminated, runner
+from .splitting import splitting_runner
 
 _SEARCH_STATE_CAP = 3_000_000
 _NAIVE_CAP = 5_000_000
@@ -81,20 +81,18 @@ class TruthTable:
         return TruthTable(arity, tuple(values))
 
 
-def tables_equal(a: TruthTable, b: TruthTable) -> bool:
-    return a.arity == b.arity and a.values == b.values
-
-
 def truth_table(x: InstructionSequence, n: int, splitting: bool = False) -> TruthTable:
     """Tabulate the sequence over all 2^n input vectors.
 
     Non-terminating entries (deadlock or divergence) are recorded as None.
     """
-    runner = run_splitting if splitting else run
+    if n < 0:
+        raise ValueError(f"arity must be >= 0, got {n}")
+    execute = splitting_runner(x) if splitting else runner(x)
     values = []
     for idx in range(2**n):
         vector = tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n))
-        outcome = runner(x, vector)
+        outcome, _ = execute(vector)
         values.append(outcome.registers.out if isinstance(outcome, Terminated) else None)
     return TruthTable(n, tuple(values))
 
@@ -184,7 +182,7 @@ def _naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
                 continue
             x = InstructionSequence(combo)
             table = truth_table(x, spec.target.arity, splitting=spec.splitting_mode)
-            if tables_equal(table, spec.target):
+            if table == spec.target:
                 return x
     return None
 
@@ -221,14 +219,13 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
                 for a in range(shift):
                     out[base + a] = code
             return bytes(out)
+        on_true, on_false = u.offsets
         if isinstance(u, Jump):
-            if u.distance == 0:
-                return bytes(out)
-            return window[u.distance - 1]
+            return window[on_true - 1] if on_true else bytes(out)
         basic = u.basic
         assert isinstance(basic, RegisterOp)
         focus, method = basic.focus, basic.method
-        b0, b1 = window[0], window[1]
+        after_true, after_false = window[on_true - 1], window[on_false - 1]
         for s in range(2**reg_bits):
             base = s * shift
             for a in range(shift):
@@ -247,12 +244,7 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
                     reply, s2 = 1, (s | bit if bit else s)
                 else:
                     reply, s2 = 0, (s & ~bit if bit else s)
-                if isinstance(u, Plain):
-                    nxt = b0
-                elif isinstance(u, PosTest):
-                    nxt = b0 if reply else b1
-                else:
-                    nxt = b1 if reply else b0
+                nxt = after_true if reply else after_false
                 out[base + a] = nxt[s2 * shift + a]
         return bytes(out)
 

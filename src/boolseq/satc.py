@@ -37,21 +37,22 @@ from .instr import (
     SET_TRUE,
     BasicInstruction,
     InReg,
+    KIND_IN,
+    KIND_OUT,
     InstructionSequence,
-    Jump,
-    NegTest,
     OUT,
     Plain,
     PosTest,
     RegisterOp,
     ReplyOp,
+    Row,
     SplitOp,
     TERM,
-    Term,
     classify,
+    decode,
     psize,
 )
-from .services import Terminated, run
+from .services import Terminated, runner
 
 MAX_GUESSED_VARS = 20
 
@@ -267,38 +268,22 @@ def build_satc_splitter(n: int) -> InstructionSequence:
 # --- reachability reduction ----------------------------------------------------------
 
 
-def _successors(u, pos: int, k: int, inputs: tuple[bool, ...]) -> list[int]:
-    """Positions execution may reach right after executing ``u`` at ``pos``.
+def _successors(row: Row, inputs: tuple[bool, ...]) -> list[int]:
+    """Positions execution may reach right after the decoded ``row``.
 
     Input reads are resolved by the given bits, writes of True reply True,
     fork and reply instructions contribute the successors of both replies.
     Successors past the end are dropped (those paths deadlock).
     """
-    if isinstance(u, Term):
-        return []
-    if isinstance(u, Jump):
-        if u.distance == 0 or pos + u.distance > k:
-            return []
-        return [pos + u.distance]
-
-    def by_reply(reply: bool) -> int:
-        if isinstance(u, Plain):
-            return pos + 1
-        if isinstance(u, PosTest):
-            return pos + 1 if reply else pos + 2
-        return pos + 2 if reply else pos + 1
-
-    basic = u.basic
-    if isinstance(basic, RegisterOp):
-        if isinstance(basic.focus, InReg):
-            if basic.focus.index > len(inputs):
-                raise ValueError(f"input register in:{basic.focus.index} beyond the given arity")
-            replies = [inputs[basic.focus.index - 1]]
-        else:  # out.set:T always replies True
-            replies = [True]
-    else:  # SplitOp / ReplyOp: both replies possible
-        replies = [True, False]
-    return sorted({s for r in replies for s in (by_reply(r),) if s <= k})
+    if row.kind == KIND_IN:
+        if row.slot > len(inputs):
+            raise ValueError(f"input register in:{row.slot} beyond the given arity")
+        replies: tuple[bool, ...] = (inputs[row.slot - 1],)
+    elif row.kind == KIND_OUT:  # out.set:T always replies True
+        replies = (True,)
+    else:  # split, reply, and the reply-independent jump and termination
+        replies = (True, False)
+    return sorted({row.on_true if r else row.on_false for r in replies} - {0})
 
 
 def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> BoolFormula:
@@ -315,12 +300,9 @@ def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list
     if not profile.is_sisbr:
         raise ValueError("reachability_formula requires a split/reply vocabulary sequence")
     inputs = tuple(inputs)
-    k = psize(x)
-    accepts = [
-        pos
-        for pos in range(1, k + 1)
-        if _is_out_set_true(x.items[pos - 1])
-    ]
+    rows = decode(x)
+    k = len(rows)
+    accepts = [pos for pos, row in enumerate(rows, start=1) if row.kind == KIND_OUT and row.method == SET_TRUE]
     if len(accepts) != 1:
         raise ValueError(
             f"reachability_formula requires exactly one out.set:T occurrence, found {len(accepts)}"
@@ -328,8 +310,8 @@ def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list
     accept_pos = accepts[0]
 
     predecessors: dict[int, list[int]] = {i: [] for i in range(2, k + 1)}
-    for pos in range(1, k + 1):
-        for succ in _successors(x.items[pos - 1], pos, k, inputs):
+    for pos, row in enumerate(rows, start=1):
+        for succ in _successors(row, inputs):
             predecessors[succ].append(pos)
 
     conjuncts: list[BoolFormula] = [FVar(1), FVar(accept_pos)]
@@ -347,15 +329,6 @@ def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list
     for c in reversed(conjuncts[:-1]):
         phi = And(c, phi)
     return phi
-
-
-def _is_out_set_true(u) -> bool:
-    return (
-        isinstance(u, (Plain, PosTest, NegTest))
-        and isinstance(u.basic, RegisterOp)
-        and u.basic.focus == OUT
-        and u.basic.method == SET_TRUE
-    )
 
 
 def reachability_satisfiable(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> bool:
@@ -383,8 +356,9 @@ def check_length_reduction(f_table, g_table, helpers: list[InstructionSequence],
     helper_values: list[list[bool]] = []
     for h in helpers:
         values = []
+        execute = runner(h)
         for idx in range(2**n):
-            outcome = run(h, f_table.vector(idx))
+            outcome, _ = execute(f_table.vector(idx))
             if not isinstance(outcome, Terminated):
                 return False
             values.append(outcome.registers.out)

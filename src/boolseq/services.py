@@ -15,26 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 from .instr import (
     GET,
+    KIND_IN,
+    KIND_JUMP,
+    KIND_TERM,
     SET_FALSE,
     SET_TRUE,
-    AuxReg,
     Focus,
-    InReg,
     InstructionSequence,
-    Jump,
-    NegTest,
-    Plain,
-    PosTest,
     RegisterOp,
-    ReplyOp,
-    SplitOp,
-    Term,
     classify,
-    render_focus,
+    decode,
 )
 from .threads import DEAD, Dead, PostCond, Stop, Tau, Thread
 
@@ -63,12 +57,6 @@ def register_step(state: RegState, method: str) -> tuple[RegState, RegState]:
     if method == SET_FALSE:
         return RegState.FALSE, RegState.FALSE
     return state, state
-
-
-def _bool_step(value: bool, method: str) -> tuple[bool, bool]:
-    """Register transaction on a known-live register, in plain booleans."""
-    new, reply = register_step(RegState.of(value), method)
-    return new is RegState.TRUE, reply is RegState.TRUE
 
 
 # --- service values ----------------------------------------------------------
@@ -181,58 +169,47 @@ class Divergent:
 RunOutcome = Union[Terminated, Deadlocked, Divergent]
 
 
-def _reject_split_reply(x: InstructionSequence) -> None:
-    for u in x.items:
-        if isinstance(u, (Plain, PosTest, NegTest)) and isinstance(u.basic, (SplitOp, ReplyOp)):
-            raise ValueError("sequence contains split/reply instructions; use run_splitting")
+Runner = Callable[[tuple[bool, ...]], tuple[RunOutcome, int]]
 
 
-def _execute(x: InstructionSequence, inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-    """Run ``x`` on the given inputs; returns (outcome, executed instruction count)."""
-    k = len(x)
-    n = len(inputs)
-    in_regs = list(inputs)
-    max_aux = classify(x).max_aux_index
-    aux_regs = {j: False for j in range(1, max_aux + 1)}
-    out_reg = False
-    pc = 1
-    steps = 0
+def runner(x: InstructionSequence) -> Runner:
+    """Decode ``x`` once for runs on many input vectors.
 
-    def snapshot() -> RegisterFile:
-        return RegisterFile(tuple(in_regs), dict(aux_regs), out_reg)
+    The result maps an input vector to ``(outcome, executed instruction
+    count)`` with the semantics of ``run``.  Raises ``ValueError`` if ``x``
+    holds split/reply instructions.
+    """
+    profile = classify(x)
+    if profile.max_param_index:
+        raise ValueError("sequence contains split/reply instructions; use run_splitting")
+    max_aux = profile.max_aux_index
+    rows = decode(x)
 
-    while True:
-        if pc > k:
-            return Deadlocked(), steps
-        u = x.items[pc - 1]
-        steps += 1
-        if isinstance(u, Term):
-            return Terminated(snapshot()), steps
-        if isinstance(u, Jump):
-            if u.distance == 0 or pc + u.distance > k:
-                return Deadlocked(), steps
-            pc += u.distance
-            continue
-        op = u.basic
-        assert isinstance(op, RegisterOp)
-        f = op.focus
-        if isinstance(f, InReg):
-            if f.index > n:
-                return Divergent(f"unserved focus {render_focus(f)}"), steps
-            value, reply = _bool_step(in_regs[f.index - 1], op.method)
-            in_regs[f.index - 1] = value
-        elif isinstance(f, AuxReg):
-            value, reply = _bool_step(aux_regs.get(f.index, False), op.method)
-            aux_regs[f.index] = value
-        else:
-            value, reply = _bool_step(out_reg, op.method)
-            out_reg = value
-        if isinstance(u, Plain):
-            pc += 1
-        elif isinstance(u, PosTest):
-            pc += 1 if reply else 2
-        else:
-            pc += 2 if reply else 1
+    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
+        n = len(inputs)
+        # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
+        banks = [[False, *inputs], [False] * (max_aux + 1), [False]]
+        pc = 1
+        steps = 0
+        while pc:
+            kind, slot, method, on_true, on_false = rows[pc - 1]
+            steps += 1
+            if kind == KIND_TERM:
+                ins, aux, out = banks
+                return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
+            if kind == KIND_JUMP:
+                pc = on_true
+                continue
+            if kind == KIND_IN and slot > n:
+                return Divergent(f"unserved focus in:{slot}"), steps
+            bank = banks[kind]
+            # A register's new contents is also its reply.
+            reply = bank[slot] if method == GET else method == SET_TRUE
+            bank[slot] = reply
+            pc = on_true if reply else on_false
+        return Deadlocked(), steps
+
+    return execute
 
 
 def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
@@ -244,15 +221,13 @@ def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOut
     diverges; the termination instruction terminates with the final
     registers.
     """
-    _reject_split_reply(x)
-    outcome, _ = _execute(x, tuple(inputs))
+    outcome, _ = run_with_steps(x, inputs)
     return outcome
 
 
 def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[RunOutcome, int]:
     """Like ``run`` but also reports the executed instruction count."""
-    _reject_split_reply(x)
-    return _execute(x, tuple(inputs))
+    return runner(x)(tuple(inputs))
 
 
 def check_computes(x: InstructionSequence, table) -> bool:
@@ -267,9 +242,9 @@ def check_computes(x: InstructionSequence, table) -> bool:
         raise ValueError("check_computes requires a register-only sequence over in/aux/out")
     if any(v is None for v in table.values):
         raise ValueError("target table has undefined entries; not a total function")
+    execute = runner(x)
     for idx, expected in enumerate(table.values):
-        vector = table.vector(idx)
-        outcome = run(x, vector)
+        outcome, _ = execute(table.vector(idx))
         if not isinstance(outcome, Terminated) or outcome.registers.out != expected:
             return False
     return True

@@ -20,27 +20,27 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .instr import (
-    AuxReg,
-    InReg,
+    GET,
+    KIND_IN,
+    KIND_JUMP,
+    KIND_OUT,
+    KIND_REPLY,
+    KIND_SPLIT,
+    KIND_TERM,
+    SET_TRUE,
     InstructionSequence,
-    Jump,
-    NegTest,
-    Plain,
-    PosTest,
-    RegisterOp,
     ReplyOp,
     SplitOp,
-    Term,
     classify,
-    render_focus,
+    decode,
 )
 from .services import (
     Deadlocked,
     Divergent,
     RegisterFile,
+    Runner,
     RunOutcome,
     Terminated,
-    _bool_step,
 )
 from .threads import DEAD, STOP, Dead, PostCond, Stop, Tau, Thread
 
@@ -119,14 +119,6 @@ def csi(vector: ThreadVector) -> Thread:
     return PostCond(a, csi(rest + (head.on_true,)), csi(rest + (head.on_false,)))
 
 
-def _split_count(x: InstructionSequence) -> int:
-    return sum(
-        1
-        for u in x.items
-        if isinstance(u, (Plain, PosTest, NegTest)) and isinstance(u.basic, SplitOp)
-    )
-
-
 def run_splitting(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
     """Execute a fork/reply sequence by round-robin over branch states.
 
@@ -148,105 +140,70 @@ def run_splitting_with_steps(
     x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
 ) -> tuple[RunOutcome, int]:
     """Like ``run_splitting`` but also reports the number of action turns."""
-    profile = classify(x)
-    if not profile.is_sisbr:
+    return splitting_runner(x)(tuple(inputs))
+
+
+def splitting_runner(x: InstructionSequence) -> Runner:
+    """Decode ``x`` once for forking runs on many input vectors.
+
+    The result maps an input vector to ``(outcome, action turns)`` with the
+    semantics of ``run_splitting``.  Raises ``ValueError`` unless ``x`` uses
+    input reads, ``out.set:T``, split and reply only.
+    """
+    if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
-    inputs = tuple(inputs)
-    k = len(x)
-    n = len(inputs)
-    in_regs = list(inputs)
-    out_reg = False
-    dead_flag = False
+    rows = decode(x)
+    k = len(rows)
+    budget = 2 ** sum(1 for row in rows if row.kind == KIND_SPLIT) * k + k
 
-    queue: deque[BranchState] = deque([BranchState(1, {})])
-    budget = (2 ** _split_count(x)) * k + k
-    steps = 0
-
-    while queue:
-        branch = queue.popleft()
-        # Silent resolution: no action happens, so no scheduling turn is spent.
-        alive = True
-        action_instr = None
-        while True:
-            if branch.pc > k:
+    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
+        n = len(inputs)
+        # Banks indexed by register kind, then by slot (inputs from 1, out at
+        # 0); the vocabulary has no auxiliary registers.
+        banks = [[False, *inputs], None, [False]]
+        dead_flag = False
+        queue: deque[BranchState] = deque([BranchState(1, {})])
+        steps = 0
+        while queue:
+            branch = queue.popleft()
+            pc, valuation = branch.pc, branch.valuation
+            # Silent resolution: no action happens, so no scheduling turn is spent.
+            while pc and rows[pc - 1].kind == KIND_JUMP:
+                pc = rows[pc - 1].on_true
+            if not pc:
                 dead_flag = True
-                alive = False
-                break
-            u = x.items[branch.pc - 1]
-            if isinstance(u, Term):
-                alive = False
-                break
-            if isinstance(u, Jump):
-                if u.distance == 0 or branch.pc + u.distance > k:
-                    dead_flag = True
-                    alive = False
-                    break
-                branch.pc += u.distance
                 continue
-            basic = u.basic
-            if isinstance(basic, SplitOp) and basic.param in branch.valuation:
+            kind, slot, method, on_true, on_false = rows[pc - 1]
+            if kind == KIND_TERM:
+                continue
+            if kind == KIND_SPLIT and slot in valuation or kind == KIND_REPLY and slot not in valuation:
                 dead_flag = True
-                alive = False
-                break
-            if isinstance(basic, ReplyOp) and basic.param not in branch.valuation:
-                dead_flag = True
-                alive = False
-                break
-            action_instr = u
-            break
-        if not alive:
-            continue
+                continue
 
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("splitting executor exceeded its step budget")
+            steps += 1
+            if steps > budget:
+                raise RuntimeError("splitting executor exceeded its step budget")
 
-        u = action_instr
-        basic = u.basic
-        pc = branch.pc
-        if isinstance(basic, RegisterOp):
-            f = basic.focus
-            if isinstance(f, InReg):
-                if f.index > n:
-                    return Divergent(f"unserved focus {render_focus(f)}"), steps
-                value, reply = _bool_step(in_regs[f.index - 1], basic.method)
-                in_regs[f.index - 1] = value
-            elif isinstance(f, AuxReg):  # unreachable under the precondition
-                raise ValueError("auxiliary register in splitting executor")
+            if kind == KIND_SPLIT:
+                queue.append(BranchState(on_true, {**valuation, slot: True}))
+                queue.append(BranchState(on_false, {**valuation, slot: False}))
+                continue
+            if kind == KIND_REPLY:  # an internal step on an instantiated parameter
+                reply = valuation[slot]
             else:
-                value, reply = _bool_step(out_reg, basic.method)
-                out_reg = value
-            branch.pc = pc + _advance(u, reply)
-            queue.append(branch)
-        elif isinstance(basic, SplitOp):
-            if isinstance(u, Plain):
-                true_pc, false_pc = pc + 1, pc + 1
-            elif isinstance(u, PosTest):
-                true_pc, false_pc = pc + 1, pc + 2
-            else:
-                true_pc, false_pc = pc + 2, pc + 1
-            true_val = dict(branch.valuation)
-            true_val[basic.param] = True
-            false_val = dict(branch.valuation)
-            false_val[basic.param] = False
-            queue.append(BranchState(true_pc, true_val))
-            queue.append(BranchState(false_pc, false_val))
-        else:  # ReplyOp with an instantiated parameter: internal step
-            reply = branch.valuation[basic.param]
-            branch.pc = pc + _advance(u, reply)
+                if kind == KIND_IN and slot > n:
+                    return Divergent(f"unserved focus in:{slot}"), steps
+                bank = banks[kind]
+                reply = bank[slot] if method == GET else method == SET_TRUE
+                bank[slot] = reply
+            branch.pc = on_true if reply else on_false
             queue.append(branch)
 
-    if dead_flag:
-        return Deadlocked(), steps
-    return Terminated(RegisterFile(tuple(in_regs), {}, out_reg)), steps
+        if dead_flag:
+            return Deadlocked(), steps
+        return Terminated(RegisterFile(tuple(banks[KIND_IN][1:]), {}, banks[KIND_OUT][0])), steps
 
-
-def _advance(u, reply: bool) -> int:
-    if isinstance(u, Plain):
-        return 1
-    if isinstance(u, PosTest):
-        return 1 if reply else 2
-    return 2 if reply else 1
+    return execute
 
 
 def check_splitting_computes(x: InstructionSequence, table) -> bool:
@@ -255,8 +212,9 @@ def check_splitting_computes(x: InstructionSequence, table) -> bool:
         raise ValueError("check_splitting_computes requires a split/reply vocabulary sequence")
     if any(v is None for v in table.values):
         raise ValueError("target table has undefined entries; not a total function")
+    execute = splitting_runner(x)
     for idx, expected in enumerate(table.values):
-        outcome = run_splitting(x, table.vector(idx))
+        outcome, _ = execute(table.vector(idx))
         if not isinstance(outcome, Terminated) or outcome.registers.out != expected:
             return False
     return True

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import Union
 
 from .instr import (
+    KIND_JUMP,
+    KIND_TERM,
     BasicInstruction,
     InstructionSequence,
     Jump,
-    Plain,
-    PosTest,
     PrimitiveInstruction,
-    Term,
+    decode,
     render_basic,
 )
 
@@ -81,52 +81,32 @@ def extract(x: InstructionSequence) -> Thread:
     """Thread of an instruction sequence.
 
     Computed back to front: the thread at a position depends only on the
-    threads at later positions (jumps are forward), with everything past the
-    end a deadlock.  Subtrees are shared, so the in-memory result stays
+    threads at later positions (jumps are forward), with deadlock at the
+    decoded successor 0.  Subtrees are shared, so the in-memory result stays
     linear even when the tree, counted as a tree, is exponential.
     """
-    k = len(x)
-    threads: list[XThread] = [DEAD] * (k + 3)  # 1-based; > k stays Dead
-    for i in range(k, 0, -1):
-        u = x.items[i - 1]
-        threads[i] = _step_thread(u, threads[i + 1], threads[i + 2], threads, i, k)
+    rows = decode(x)
+    threads: list[XThread] = [DEAD] * (len(rows) + 1)  # 1-based; 0 stays Dead
+    for i in range(len(rows), 0, -1):
+        kind, _slot, _method, on_true, on_false = rows[i - 1]
+        if kind == KIND_TERM:
+            threads[i] = STOP
+        elif kind == KIND_JUMP:
+            threads[i] = threads[on_true]
+        else:
+            threads[i] = PostCond(x.items[i - 1].basic, threads[on_true], threads[on_false])
     return threads[1]
-
-
-def _step_thread(
-    u: PrimitiveInstruction,
-    nxt: XThread,
-    skip: XThread,
-    threads: list[XThread],
-    i: int,
-    k: int,
-) -> XThread:
-    if isinstance(u, Term):
-        return STOP
-    if isinstance(u, Jump):
-        if u.distance == 0 or i + u.distance > k:
-            return DEAD
-        return threads[i + u.distance]
-    if isinstance(u, Plain):
-        return PostCond(u.basic, nxt, nxt)
-    if isinstance(u, PosTest):
-        return PostCond(u.basic, nxt, skip)
-    return PostCond(u.basic, skip, nxt)
 
 
 def _rho_prime(i: int, u: PrimitiveInstruction) -> XThread:
     """Compact per-instruction term over position variables."""
-    if isinstance(u, Term):
+    offsets = u.offsets
+    if offsets is None:
         return STOP
+    on_true, on_false = offsets
     if isinstance(u, Jump):
-        if u.distance == 0:
-            return DEAD
-        return Var(i + u.distance)
-    if isinstance(u, Plain):
-        return PostCond(u.basic, Var(i + 1), Var(i + 1))
-    if isinstance(u, PosTest):
-        return PostCond(u.basic, Var(i + 1), Var(i + 2))
-    return PostCond(u.basic, Var(i + 2), Var(i + 1))
+        return Var(i + on_true) if on_true else DEAD
+    return PostCond(u.basic, Var(i + on_true), Var(i + on_false))
 
 
 def extract_compact(x: InstructionSequence) -> XThread:
@@ -198,29 +178,6 @@ def tsize(t: XThread) -> int:
         return val
 
     return sz(t)
-
-
-def node_count(t: XThread) -> int:
-    """Number of nodes of the term read as a tree (shared subtrees recounted)."""
-    memo: dict[int, int] = {}
-
-    def cnt(node: XThread) -> int:
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, (Stop, Dead, Var)):
-            val = 1
-        elif isinstance(node, Tau):
-            val = 1 + cnt(node.next)
-        elif isinstance(node, PostCond):
-            val = 1 + cnt(node.on_true) + cnt(node.on_false)
-        else:
-            val = 1 + cnt(node.bound) + cnt(node.body)
-        memo[key] = val
-        return val
-
-    return cnt(t)
 
 
 def render_thread(t: XThread) -> str:

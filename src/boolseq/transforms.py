@@ -17,6 +17,7 @@ Each rewrite has a ``*_report`` variant returning the rule trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .instr import (
@@ -63,27 +64,84 @@ def _is_reg(u: PrimitiveInstruction, focus_type, method: str | None = None) -> b
     return method is None or b.method == method
 
 
-def _widen_crossing_jumps(items: list, pos: int, extra: int, trace: list, rule: str) -> None:
-    """Lengthen every jump that strictly crosses 1-based position ``pos``."""
-    for i in range(1, len(items) + 1):
-        u = items[i - 1]
-        if isinstance(u, Jump) and u.distance >= 1 and i < pos < i + u.distance:
-            items[i - 1] = Jump(u.distance + extra)
-            trace.append((rule, i))
+def _is_aux_write(u: PrimitiveInstruction) -> bool:
+    return _is_reg(u, AuxReg, SET_TRUE) or _is_reg(u, AuxReg, SET_FALSE)
+
+
+def _is_skipping_aux_write(u: PrimitiveInstruction) -> bool:
+    """``-aux:j.set:T`` or ``+aux:j.set:F``: the reply is forced and always skips."""
+    return (isinstance(u, NegTest) and _is_reg(u, AuxReg, SET_TRUE)) or (
+        isinstance(u, PosTest) and _is_reg(u, AuxReg, SET_FALSE)
+    )
+
+
+def _reach(u: PrimitiveInstruction) -> int:
+    """The farthest offset control can move by from ``u``; 0 for ``!``.
+
+    A write replies the value it writes, so only that reply's offset counts.
+    """
+    offsets = u.offsets
+    if offsets is None:
+        return 0
+    if not isinstance(u, Jump) and isinstance(u.basic, RegisterOp) and u.basic.method != GET:
+        return offsets[0] if u.basic.method == SET_TRUE else offsets[1]
+    return max(offsets)
 
 
 def _can_skip(u: PrimitiveInstruction) -> bool:
-    """Can this instruction transfer control two positions ahead?
+    """Can this instruction, not being a jump, move control two positions ahead?
 
     Write tests have forced replies: a positive test of ``set:T`` and a
     negative test of ``set:F`` always fall through, their mirror images
     always skip, and read tests can go either way.
     """
-    if isinstance(u, PosTest):
-        return not (isinstance(u.basic, RegisterOp) and u.basic.method == SET_TRUE)
-    if isinstance(u, NegTest):
-        return not (isinstance(u.basic, RegisterOp) and u.basic.method == SET_FALSE)
-    return False
+    return not isinstance(u, Jump) and _reach(u) == 2
+
+
+def _splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
+    """Replace each ``items[q - 1]`` by the block of ``blocks[q] = (rule, block)``.
+
+    One pass, with the result of replacing leftmost first, where each
+    replacement lengthens every jump other than ``#0`` that strictly crosses
+    it, a jump inside an earlier block included.  So every jump keeps its
+    target, and a jump to a replaced position lands on its block's first
+    instruction.  The trace is that loop's too: per replaced q, a
+    ``("widen-jump", i)`` for each crossing jump in position order, then
+    ``(rule, new position of q)``.  Replacements to the left are done by
+    then, so every traced position is final.
+    """
+    starts = sorted(blocks)
+    grown = [0]  # grown[i]: the positions added by the blocks before starts[i]
+    for q in starts:
+        grown.append(grown[-1] + len(blocks[q][1]) - 1)
+    out: list = []
+    crossing: list[tuple[int, int]] = []  # (new position, old target) of each jump crossing a block
+    active: list[tuple[int, int]] = []  # those that may cross the next block, in position order
+
+    def track(pos: int, start: int, target: int) -> None:
+        after = bisect_right(starts, start)
+        if after < len(starts) and starts[after] < target:
+            crossing.append((pos, target))
+            active.append(crossing[-1])
+
+    for p, u in enumerate(items, start=1):
+        if p not in blocks:
+            out.append(u)
+            if isinstance(u, Jump) and u.distance:
+                track(len(out), p, p + u.distance)
+            continue
+        rule, block = blocks[p]
+        active = [jump for jump in active if jump[1] > p]
+        trace.extend(("widen-jump", pos) for pos, _target in active)
+        trace.append((rule, len(out) + 1))
+        for offset, v in enumerate(block):
+            out.append(v)
+            # A jump out of the block goes to an old position after p.
+            if isinstance(v, Jump) and v.distance and offset + v.distance >= len(block):
+                track(len(out), p, p + 1 + offset + v.distance - len(block))
+    for pos, target in crossing:
+        out[pos - 1] = Jump(target + grown[bisect_left(starts, target)] - pos)
+    return out
 
 
 # --- output-false elimination -------------------------------------------------
@@ -93,10 +151,10 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
     """Rewrite ``x`` so no form of ``out.set:F`` occurs, preserving its function.
 
     The output focus is renamed to a fresh auxiliary register; then each
-    termination point not already preceded by the inserted write-back is
-    replaced by ``+aux:o.get ; out.set:T ; !``, lengthening jumps that cross
-    the insertion.  If the sequence starts with ``!`` it terminates
-    immediately on every input, so the renamed sequence is already correct.
+    termination instruction after the first position is replaced by
+    ``+aux:o.get ; out.set:T ; !``, lengthening jumps that cross the
+    insertion.  If the sequence starts with ``!`` it terminates immediately
+    on every input, so the renamed sequence is already correct.
 
     A test directly before a termination instruction can skip into the
     middle of the inserted block (a two-position skip cannot be
@@ -125,22 +183,13 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
                 f"{j - 1} can bypass the termination instruction at position {j}"
             )
 
-    write_back = Plain(RegisterOp(OUT, SET_TRUE))
-    rounds = 0
-    while True:
-        j = None
-        for pos in range(2, len(items) + 1):
-            if isinstance(items[pos - 1], Term) and items[pos - 2] != write_back:
-                j = pos
-                break
-        if j is None:
-            break
-        _widen_crossing_jumps(items, j, 2, trace, "widen-jump")
-        items[j - 1 : j] = [PosTest(RegisterOp(AuxReg(fresh), GET)), write_back, TERM]
-        trace.append(("insert-readback", j))
-        rounds += 1
-        assert rounds <= psize(x), "rewrite loop exceeded its bound"
-    return _report(x, items, trace)
+    readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
+    blocks = {
+        pos: ("insert-readback", readback)
+        for pos in range(2, len(items) + 1)
+        if isinstance(items[pos - 1], Term)
+    }
+    return _report(x, _splice(items, blocks, trace), trace)
 
 
 def eliminate_output_false(x: InstructionSequence) -> InstructionSequence:
@@ -148,12 +197,6 @@ def eliminate_output_false(x: InstructionSequence) -> InstructionSequence:
 
 
 # --- skipping-write normalization ----------------------------------------------
-
-
-def _is_skipping_aux_write(u) -> bool:
-    return (isinstance(u, NegTest) and _is_reg(u, AuxReg, SET_TRUE)) or (
-        isinstance(u, PosTest) and _is_reg(u, AuxReg, SET_FALSE)
-    )
 
 
 def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
@@ -176,30 +219,16 @@ def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
                 f"normalize_set_tests precondition violated: the test at position "
                 f"{i - 1} can bypass the write at position {i}"
             )
-    trace: list[tuple[str, int]] = []
-    rounds = 0
-    while True:
-        target = None
-        for pos in range(1, len(items) + 1):
-            u = items[pos - 1]
-            if (isinstance(u, NegTest) and _is_reg(u, AuxReg, SET_TRUE)) or (
-                isinstance(u, PosTest) and _is_reg(u, AuxReg, SET_FALSE)
-            ):
-                target = pos
-                break
-        if target is None:
-            break
-        u = items[target - 1]
-        _widen_crossing_jumps(items, target, 1, trace, "widen-jump")
+    blocks = {}
+    for pos, u in enumerate(items, start=1):
+        if not _is_skipping_aux_write(u):
+            continue
         if isinstance(u, NegTest):
-            items[target - 1 : target] = [PosTest(u.basic), Jump(2)]
-            trace.append(("unskip-set-true", target))
+            blocks[pos] = ("unskip-set-true", [PosTest(u.basic), Jump(2)])
         else:
-            items[target - 1 : target] = [NegTest(u.basic), Jump(2)]
-            trace.append(("unskip-set-false", target))
-        rounds += 1
-        assert rounds <= psize(x), "rewrite loop exceeded its bound"
-    return _report(x, items, trace)
+            blocks[pos] = ("unskip-set-false", [NegTest(u.basic), Jump(2)])
+    trace: list[tuple[str, int]] = []
+    return _report(x, _splice(items, blocks, trace), trace)
 
 
 def normalize_set_tests(x: InstructionSequence) -> InstructionSequence:
@@ -209,14 +238,6 @@ def normalize_set_tests(x: InstructionSequence) -> InstructionSequence:
 # --- splitting rewrite -----------------------------------------------------------
 
 
-def _aux_write_positions(items: list) -> list[int]:
-    return [
-        pos
-        for pos in range(1, len(items) + 1)
-        if _is_reg(items[pos - 1], AuxReg, SET_TRUE) or _is_reg(items[pos - 1], AuxReg, SET_FALSE)
-    ]
-
-
 def check_write_linear(x: InstructionSequence) -> int | None:
     """Position of the first auxiliary write some control transfer can bypass.
 
@@ -224,19 +245,11 @@ def check_write_linear(x: InstructionSequence) -> int | None:
     auxiliary write, which is the domain on which the fork rewrite below is
     function-preserving.
     """
-    items = list(x.items)
-    writes = _aux_write_positions(items)
-    if not writes:
-        return None
-    write_set = set(writes)
-    for i in range(1, len(items) + 1):
-        u = items[i - 1]
-        if isinstance(u, Jump) and u.distance >= 1:
-            for w in writes:
-                if i < w < i + u.distance:
-                    return w
-        elif _can_skip(u) and (i + 1) in write_set:
-            return i + 1
+    writes = [pos for pos, u in enumerate(x.items, start=1) if _is_aux_write(u)]
+    for pos, u in enumerate(x.items, start=1):
+        first = bisect_right(writes, pos)
+        if first < len(writes) and writes[first] < pos + _reach(u):
+            return writes[first]
     return None
 
 
@@ -259,11 +272,8 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
         raise ValueError("to_splitting requires a register-only sequence")
     if profile.has_out_set_false:
         raise ValueError("to_splitting requires out.set:F to be eliminated first")
-    for pos in range(1, len(x) + 1):
-        u = x.items[pos - 1]
-        if (isinstance(u, NegTest) and _is_reg(u, AuxReg, SET_TRUE)) or (
-            isinstance(u, PosTest) and _is_reg(u, AuxReg, SET_FALSE)
-        ):
+    for pos, u in enumerate(x.items, start=1):
+        if _is_skipping_aux_write(u):
             raise ValueError(
                 f"to_splitting requires normalize_set_tests output; "
                 f"skipping write form at position {pos}"
@@ -277,54 +287,47 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
 
     items = list(x.items)
     trace: list[tuple[str, int]] = []
+    writes = [pos for pos, u in enumerate(items, start=1) if _is_aux_write(u)]
 
     # Reads never preceded by a write of the same register always reply False.
     first_write: dict[int, int] = {}
-    for pos in _aux_write_positions(items):
-        j = items[pos - 1].basic.focus.index
-        first_write.setdefault(j, pos)
-    for pos in range(1, len(items) + 1):
+    for pos in writes:
+        first_write.setdefault(items[pos - 1].basic.focus.index, pos)
+    for pos, u in enumerate(items, start=1):
+        if _is_reg(u, AuxReg, GET) and first_write.get(u.basic.focus.index, len(items) + 1) > pos:
+            items[pos - 1] = Jump(u.offsets[1])
+            trace.append(("constant-false-read", pos))
+
+    # Right to left, each write takes the next fresh parameter and the reads
+    # of its register up to that register's next write.  A fork adds one
+    # position, so a read is traced where it stands once its own fork and
+    # those to its right are in.  No jump crosses a write, so none changes.
+    forks: dict[int, list[PrimitiveInstruction]] = {}
+    replies: dict[int, int] = {}
+    unbound: dict[int, list[int]] = {}  # register -> its reads not yet bound, right to left
+    for pos in range(len(items), 0, -1):
         u = items[pos - 1]
         if _is_reg(u, AuxReg, GET):
-            j = u.basic.focus.index
-            if first_write.get(j, len(items) + 1) > pos:
-                items[pos - 1] = Jump(2) if isinstance(u, PosTest) else Jump(1)
-                trace.append(("constant-false-read", pos))
+            unbound.setdefault(u.basic.focus.index, []).append(pos)
+        elif _is_aux_write(u):
+            fresh = len(forks) + 1
+            if u.basic.method == SET_TRUE:
+                forks[pos] = [NegTest(SplitOp(fresh)), TERM]
+                trace.append(("fork-set-true", pos))
+            else:
+                forks[pos] = [PosTest(SplitOp(fresh)), TERM]
+                trace.append(("fork-set-false", pos))
+            for read in reversed(unbound.pop(u.basic.focus.index, [])):
+                replies[read] = fresh
+                trace.append(("rebind-read", read + bisect_left(writes, read) - bisect_left(writes, pos)))
 
-    rounds = 0
-    while True:
-        writes = _aux_write_positions(items)
-        if not writes:
-            break
-        i = writes[-1]
-        u = items[i - 1]
-        j = u.basic.focus.index
-        used_params = {
-            b.param
-            for v in items[i - 1 :]
-            if isinstance(v, (Plain, PosTest, NegTest))
-            for b in [v.basic]
-            if isinstance(b, (SplitOp, ReplyOp))
-        }
-        fresh = 1
-        while fresh in used_params:
-            fresh += 1
-        writes_true = u.basic.method == SET_TRUE
-        _widen_crossing_jumps(items, i, 1, trace, "widen-jump")
-        if writes_true:
-            items[i - 1 : i] = [NegTest(SplitOp(fresh)), TERM]
-            trace.append(("fork-set-true", i))
+    out: list[PrimitiveInstruction] = []
+    for pos, u in enumerate(items, start=1):
+        if pos in forks:
+            out.extend(forks[pos])
         else:
-            items[i - 1 : i] = [PosTest(SplitOp(fresh)), TERM]
-            trace.append(("fork-set-false", i))
-        for pos in range(i + 2, len(items) + 1):
-            v = items[pos - 1]
-            if _is_reg(v, AuxReg, GET) and v.basic.focus.index == j:
-                items[pos - 1] = type(v)(ReplyOp(fresh))
-                trace.append(("rebind-read", pos))
-        rounds += 1
-        assert rounds <= psize(x), "rewrite loop exceeded its bound"
-    return _report(x, items, trace)
+            out.append(type(u)(ReplyOp(replies[pos])) if pos in replies else u)
+    return _report(x, out, trace)
 
 
 def to_splitting(x: InstructionSequence) -> InstructionSequence:

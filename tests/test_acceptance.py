@@ -32,7 +32,7 @@ from boolseq.instr import (
     classify,
     psize,
 )
-from boolseq.lab import SearchSpec, TruthTable, shortest_sequence_search, tables_equal, truth_table
+from boolseq.lab import SearchSpec, TruthTable, shortest_sequence_search, truth_table
 from boolseq.satc import (
     SatcInstance,
     alpha,
@@ -47,7 +47,7 @@ from boolseq.satc import (
 )
 from boolseq.services import Terminated, run
 from boolseq.splitting import check_splitting_computes, run_splitting
-from boolseq.threads import eval_xthread, extract, extract_compact, node_count, tsize
+from boolseq.threads import eval_xthread, extract, extract_compact, tsize
 from boolseq.transforms import (
     behavioural_normalize,
     collapse_jump_chains,
@@ -97,19 +97,19 @@ def test_criterion_01_compiler_soundness():
     for _ in range(167):
         phi = gen_cnf(rng, rng.randint(1, 6), rng.randint(1, 12))
         oracle = TruthTable.tabulate(phi.num_vars, lambda v: eval_formula(phi, v))
-        assert tables_equal(truth_table(compile_cnf(phi), phi.num_vars), oracle)
-        assert tables_equal(truth_table(compile_cnf_jumpfree(phi), phi.num_vars), oracle)
+        assert truth_table(compile_cnf(phi), phi.num_vars) == oracle
+        assert truth_table(compile_cnf_jumpfree(phi), phi.num_vars) == oracle
         checked += 1
     for _ in range(167):
         n = rng.randint(1, 6)
         psi = gen_formula(rng, n, rng.randint(1, 12))
         oracle = TruthTable.tabulate(n, lambda v: eval_formula(psi, v))
-        assert tables_equal(truth_table(compile_formula(psi), n), oracle)
+        assert truth_table(compile_formula(psi), n) == oracle
         checked += 1
     for _ in range(166):
         circuit = gen_circuit(rng, rng.randint(1, 6), rng.randint(1, 12))
         oracle = TruthTable.tabulate(circuit.num_inputs, lambda v: eval_formula(circuit, v))
-        assert tables_equal(truth_table(compile_circuit(circuit), circuit.num_inputs), oracle)
+        assert truth_table(compile_circuit(circuit), circuit.num_inputs) == oracle
         checked += 1
     elapsed = time.time() - started
     assert checked == 500
@@ -154,7 +154,7 @@ def test_criterion_04_output_false_elimination():
         n = classify(x).max_input_index
         assert not classify(y).has_out_set_false
         assert psize(y) < 3 * psize(x)
-        assert tables_equal(truth_table(x, n), truth_table(y, n)), f"{x} vs {y}"
+        assert truth_table(x, n) == truth_table(y, n), f"{x} vs {y}"
     print(
         f"PASS criterion 4: output-false elimination exact on 200 sequences "
         f"({200}/{attempts} sampled inputs inside the rewrite domain)"
@@ -173,9 +173,7 @@ def test_criterion_05_splitting_rewrite():
         n = classify(x).max_input_index
         assert classify(y).is_sisbr
         assert psize(y) <= 3 * psize(x)
-        assert tables_equal(
-            truth_table(x, n), truth_table(y, n, splitting=True)
-        ), f"{x} vs {y}"
+        assert truth_table(x, n) == truth_table(y, n, splitting=True), f"{x} vs {y}"
     print(
         f"PASS criterion 5: fork rewrite preserves 200 truth tables within 3x "
         f"({200}/{attempts} prepared inputs inside the rewrite domain)"
@@ -228,7 +226,7 @@ def test_criterion_07_linear_size_extraction():
     chain = InstructionSequence(
         tuple(PosTest(RegisterOp(InReg(1 + i % 2), GET)) for i in range(20)) + (TERM,)
     )
-    naive_nodes = node_count(extract(chain))
+    naive_nodes = tsize(extract(chain))
     compact_size = tsize(extract_compact(chain))
     assert naive_nodes > 2**10
     assert compact_size <= 4 * 21 + 1
@@ -369,7 +367,7 @@ def test_criterion_11_bounded_negative_result():
     )
     found = shortest_sequence_search(unrestricted)
     assert found is not None and psize(found) <= 14
-    assert tables_equal(truth_table(found, 3), and3)
+    assert truth_table(found, 3) == and3
     phi = Cnf(3, ((Literal(1),), (Literal(2),), (Literal(3),)))
     assert psize(found) <= cnf_compiled_size(phi)
     elapsed = time.time() - started
@@ -386,5 +384,5 @@ def test_criterion_12_congruence_rewrites():
         n = rng.randint(0, 3)
         x = gen_isbr(rng, 10, n)
         assert extract(collapse_jump_chains(x)) == extract(x)
-        assert tables_equal(truth_table(behavioural_normalize(x), n), truth_table(x, n))
+        assert truth_table(behavioural_normalize(x), n) == truth_table(x, n)
     print("PASS criterion 12: jump-chain collapse and reply-aware normalization preserve behaviour")

@@ -183,6 +183,20 @@ def test_search_none(capsys):
     assert out == "none\n"
 
 
+def test_search_rejects_bad_target_bit(capsys):
+    code, out, err = run_cli(capsys, "search", "TXTF", "--max-length", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid input bit 'X'")
+
+
+def test_truthtable_rejects_negative_arity(capsys):
+    code, out, err = run_cli(capsys, "truthtable", "out.set:T ; !", "--n", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: arity must be >= 0")
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "+split:1 ; !", "--inputs", "")
     assert code == 1

@@ -45,7 +45,7 @@ from boolseq.instr import (
     psize,
     render,
 )
-from boolseq.lab import TruthTable, tables_equal, truth_table
+from boolseq.lab import TruthTable, truth_table
 
 from util import gen_circuit, gen_cnf, gen_formula
 
@@ -89,7 +89,7 @@ def test_compile_cnf_matches_oracle():
         phi = gen_cnf(rng, 4, 5)
         compiled = compile_cnf(phi)
         oracle = TruthTable.tabulate(phi.num_vars, lambda v: eval_formula(phi, v))
-        assert tables_equal(truth_table(compiled, phi.num_vars), oracle), render_dimacs(phi)
+        assert truth_table(compiled, phi.num_vars) == oracle, render_dimacs(phi)
         assert psize(compiled) == cnf_compiled_size(phi)
 
 
@@ -124,7 +124,7 @@ def test_compile_cnf_jumpfree_has_no_jumps_and_matches():
         compiled = compile_cnf_jumpfree(phi)
         assert not any(isinstance(u, Jump) for u in compiled.items)
         oracle = TruthTable.tabulate(phi.num_vars, lambda v: eval_formula(phi, v))
-        assert tables_equal(truth_table(compiled, phi.num_vars), oracle), render_dimacs(phi)
+        assert truth_table(compiled, phi.num_vars) == oracle, render_dimacs(phi)
 
 
 def test_compile_formula_goldens():
@@ -159,7 +159,7 @@ def test_compile_formula_matches_oracle():
         phi = gen_formula(rng, n, rng.randint(1, 10))
         compiled = compile_formula(phi)
         oracle = TruthTable.tabulate(n, lambda v: eval_formula(phi, v))
-        assert tables_equal(truth_table(compiled, n), oracle), render_formula(phi)
+        assert truth_table(compiled, n) == oracle, render_formula(phi)
 
 
 def test_compile_circuit_not_gate_golden():
@@ -180,7 +180,7 @@ def test_compile_circuit_shared_fanout():
     circuit = Circuit(1, (NotGate(InputRef(1)), OrGate(GateRef(1), GateRef(1))), 2)
     compiled = compile_circuit(circuit)
     oracle = TruthTable.tabulate(1, lambda v: not v[0])
-    assert tables_equal(truth_table(compiled, 1), oracle)
+    assert truth_table(compiled, 1) == oracle
     # The shared gate is compiled once: exactly one write to its register.
     writes = [
         u
@@ -198,7 +198,7 @@ def test_compile_circuit_sorts_gates():
     circuit = Circuit(1, (NotGate(GateRef(2)), NotGate(InputRef(1))), 1)
     assert topological_gate_order(circuit) == [2, 1]
     oracle = TruthTable.tabulate(1, lambda v: v[0])
-    assert tables_equal(truth_table(compile_circuit(circuit), 1), oracle)
+    assert truth_table(compile_circuit(circuit), 1) == oracle
 
 
 def test_compile_circuit_cycle_rejected():
@@ -219,7 +219,7 @@ def test_compile_circuit_matches_oracle():
         circuit = gen_circuit(rng, 3, 6)
         compiled = compile_circuit(circuit)
         oracle = TruthTable.tabulate(circuit.num_inputs, lambda v: eval_formula(circuit, v))
-        assert tables_equal(truth_table(compiled, circuit.num_inputs), oracle), render_netlist(
+        assert truth_table(compiled, circuit.num_inputs) == oracle, render_netlist(
             circuit
         )
         assert psize(compiled) == circuit_compiled_size(circuit)

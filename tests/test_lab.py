@@ -11,9 +11,12 @@ from boolseq.lab import (
     TruthTable,
     _naive_search,
     shortest_sequence_search,
-    tables_equal,
     truth_table,
 )
+from boolseq.services import Terminated, run
+from boolseq.splitting import run_splitting
+
+from util import gen_isbr, gen_sisbr
 
 
 def test_truth_table_indexing():
@@ -30,11 +33,16 @@ def test_truth_table_tabulate_orders_first_input_most_significant():
     assert table.values == (False, False, True, True)
 
 
-def test_tables_equal():
-    a = TruthTable(1, (True, False))
-    assert tables_equal(a, TruthTable(1, (True, False)))
-    assert not tables_equal(a, TruthTable(1, (True, True)))
-    assert not tables_equal(a, TruthTable(2, (True, False, True, False)))
+@pytest.mark.parametrize("generate, executor, splitting", [(gen_isbr, run, False), (gen_sisbr, run_splitting, True)])
+def test_truth_table_matches_per_vector_runs(generate, executor, splitting):
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(0, 3)
+        x = generate(rng, 12, n)
+        table = truth_table(x, n, splitting=splitting)
+        for idx, value in enumerate(table.values):
+            outcome = executor(x, table.vector(idx))
+            assert value == (outcome.registers.out if isinstance(outcome, Terminated) else None)
 
 
 def test_truth_table_goldens():
@@ -68,7 +76,7 @@ def test_search_constant_true_needs_two_instructions():
 def test_search_identity():
     spec = SearchSpec(target=TruthTable(1, (False, True)), max_length=4)
     result = shortest_sequence_search(spec)
-    assert tables_equal(truth_table(result, 1), spec.target)
+    assert truth_table(result, 1) == spec.target
     assert psize(result) == 3
 
 
@@ -102,7 +110,7 @@ def test_search_agrees_with_naive_enumeration():
 def test_search_with_aux_registers():
     spec = SearchSpec(target=TruthTable(1, (False, True)), max_length=3, allow_aux=True)
     result = shortest_sequence_search(spec)
-    assert tables_equal(truth_table(result, 1), spec.target)
+    assert truth_table(result, 1) == spec.target
 
 
 def test_search_splitting_mode():
@@ -120,7 +128,7 @@ def test_search_result_is_minimal_and_matches():
         result = shortest_sequence_search(spec)
         if result is None:
             continue
-        assert tables_equal(truth_table(result, n), target)
+        assert truth_table(result, n) == target
         if psize(result) > 1:
             shorter = SearchSpec(
                 target=target, max_length=psize(result) - 1, allow_jumps=True, max_jump=3
@@ -150,7 +158,7 @@ def test_search_length_bounded_by_cnf_compilation():
         result = shortest_sequence_search(spec)
         assert result is not None
         assert psize(result) <= cnf_compiled_size(phi)
-        assert tables_equal(truth_table(result, 2), target)
+        assert truth_table(result, 2) == target
 
 
 def test_search_validation():

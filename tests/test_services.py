@@ -11,6 +11,7 @@ from boolseq.services import (
     BoolRegister,
     Deadlocked,
     Divergent,
+    RegisterFile,
     RegState,
     Terminated,
     apply,
@@ -18,6 +19,7 @@ from boolseq.services import (
     parse_input_bits,
     register_step,
     run,
+    run_with_steps,
     use,
 )
 from boolseq.threads import DEAD, STOP, PostCond, Tau
@@ -139,6 +141,25 @@ def test_run_aux_registers_default_false():
     outcome = run(parse("+aux:2.get ; out.set:T ; !"), ())
     assert isinstance(outcome, Terminated) and outcome.registers.out is False
     assert outcome.registers.aux == {1: False, 2: False}
+
+
+@pytest.mark.parametrize(
+    "text, bits, outcome, steps",
+    [
+        ("in:1.get ; out.set:T ; !", "T", Terminated(RegisterFile((True,), {}, True)), 3),
+        ("-in:1.get ; !", "F", Terminated(RegisterFile((False,), {}, False)), 2),
+        # A bad jump is an executed instruction ...
+        ("out.set:T ; #0", "", Deadlocked(), 2),
+        ("out.set:T ; #5 ; !", "", Deadlocked(), 2),
+        ("aux:2.set:T ; #1 ; +aux:2.get ; #0 ; out.set:T ; !", "", Deadlocked(), 4),
+        # ... falling off the end is not.
+        ("out.set:T", "", Deadlocked(), 1),
+        ("+in:1.get ; !", "F", Deadlocked(), 1),
+        ("in:1.get ; in:2.get ; !", "T", Divergent("unserved focus in:2"), 2),
+    ],
+)
+def test_run_with_steps_pinned(text, bits, outcome, steps):
+    assert run_with_steps(parse(text), parse_input_bits(bits)) == (outcome, steps)
 
 
 def test_check_computes_constant_false():

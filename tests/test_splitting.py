@@ -15,8 +15,14 @@ from boolseq.instr import (
     classify,
     parse,
 )
-from boolseq.services import Deadlocked, Divergent, Terminated, run
-from boolseq.splitting import check_splitting_computes, csi, instantiate, run_splitting
+from boolseq.services import Deadlocked, Divergent, RegisterFile, Terminated, parse_input_bits, run
+from boolseq.splitting import (
+    check_splitting_computes,
+    csi,
+    instantiate,
+    run_splitting,
+    run_splitting_with_steps,
+)
 from boolseq.lab import TruthTable
 from boolseq.threads import DEAD, STOP, PostCond, Tau
 
@@ -109,6 +115,30 @@ def test_run_splitting_rejects_aux_vocabulary():
         run_splitting(parse("aux:1.set:T ; !"), ())
     with pytest.raises(ValueError):
         run_splitting(parse("out.set:F ; !"), ())
+
+
+ACCEPTED = Terminated(RegisterFile((), {}, True))
+
+
+@pytest.mark.parametrize(
+    "text, bits, outcome, steps",
+    [
+        ("+split:1 ; ! ; out.set:T ; !", "", ACCEPTED, 2),
+        ("split:1 ; -reply:1 ; #2 ; out.set:T ; !", "", ACCEPTED, 4),
+        ("split:1 ; +reply:1 ; #3 ; split:2 ; #1 ; +in:1.get ; out.set:T ; !", "T",
+         Terminated(RegisterFile((True,), {}, True)), 10),
+        # Jumps, good or bad, and falling off the end take no turn.
+        ("#2 ; #0 ; out.set:T ; !", "", ACCEPTED, 1),
+        ("#0", "", Deadlocked(), 0),
+        ("out.set:T ; #5 ; !", "", Deadlocked(), 1),
+        ("out.set:T", "", Deadlocked(), 1),
+        ("split:1 ; split:1 ; !", "", Deadlocked(), 1),
+        ("reply:1 ; !", "", Deadlocked(), 0),
+        ("split:1 ; in:2.get ; !", "T", Divergent("unserved focus in:2"), 2),
+    ],
+)
+def test_run_splitting_with_steps_pinned(text, bits, outcome, steps):
+    assert run_splitting_with_steps(parse(text), parse_input_bits(bits)) == (outcome, steps)
 
 
 def test_run_splitting_agrees_with_algebraic_chain():

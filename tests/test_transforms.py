@@ -28,6 +28,7 @@ from boolseq.transforms import (
     eliminate_output_false,
     eliminate_output_false_report,
     normalize_set_tests,
+    normalize_set_tests_report,
     to_splitting,
     to_splitting_report,
 )
@@ -351,3 +352,109 @@ def test_reports_count_steps():
     ):
         assert report.steps == len(report.rule_trace)
         assert report.output is not None
+
+
+# --- splicing rewrites: pinned outputs and traces ----------------------------------------
+
+# Outputs and full rule traces of the three splicing rewrites, recorded from the
+# leftmost-first widen-and-restart implementation they replace.
+SPLICE_CASES = [
+    # A jump crossing one insertion and landing on the next one.
+    (
+        eliminate_output_false_report,
+        "+in:1.get ; #4 ; out.set:T ; ! ; in:2.get ; out.set:F ; !",
+        "+in:1.get ; #6 ; aux:1.set:T ; +aux:1.get ; out.set:T ; ! ; in:2.get ; aux:1.set:F ; "
+        "+aux:1.get ; out.set:T ; !",
+        (("rename-out", 3), ("rename-out", 6), ("widen-jump", 2), ("insert-readback", 4),
+         ("insert-readback", 9)),
+    ),
+    # A jump past the end widens at every insertion; #0 never does.
+    (
+        eliminate_output_false_report,
+        "in:1.get ; #9 ; out.set:T ; ! ; #0 ; out.set:F ; !",
+        "in:1.get ; #13 ; aux:1.set:T ; +aux:1.get ; out.set:T ; ! ; #0 ; aux:1.set:F ; "
+        "+aux:1.get ; out.set:T ; !",
+        (("rename-out", 3), ("rename-out", 6), ("widen-jump", 2), ("insert-readback", 4),
+         ("widen-jump", 2), ("insert-readback", 9)),
+    ),
+    (
+        eliminate_output_false_report,
+        "#0 ; +in:1.get ; #5 ; ! ; out.set:T ; ! ; #2 ; !",
+        "#0 ; +in:1.get ; #9 ; +aux:1.get ; out.set:T ; ! ; aux:1.set:T ; +aux:1.get ; out.set:T ; "
+        "! ; #4 ; +aux:1.get ; out.set:T ; !",
+        (("rename-out", 5), ("widen-jump", 3), ("insert-readback", 4), ("widen-jump", 3),
+         ("insert-readback", 8), ("widen-jump", 11), ("insert-readback", 12)),
+    ),
+    # Nested jump spans: each crossing jump is traced in position order.
+    (
+        eliminate_output_false_report,
+        "in:1.get ; #6 ; ! ; #3 ; ! ; out.set:T ; ! ; !",
+        "in:1.get ; #12 ; +aux:1.get ; out.set:T ; ! ; #5 ; +aux:1.get ; out.set:T ; ! ; "
+        "aux:1.set:T ; +aux:1.get ; out.set:T ; ! ; +aux:1.get ; out.set:T ; !",
+        (("rename-out", 6), ("widen-jump", 2), ("insert-readback", 3), ("widen-jump", 2),
+         ("widen-jump", 6), ("insert-readback", 7), ("widen-jump", 2), ("insert-readback", 11),
+         ("insert-readback", 14)),
+    ),
+    # The #2 inserted by one block is widened by the next block.
+    (
+        normalize_set_tests_report,
+        "+aux:2.set:F ; +aux:2.set:F ; !",
+        "-aux:2.set:F ; #3 ; -aux:2.set:F ; #2 ; !",
+        (("unskip-set-false", 1), ("widen-jump", 2), ("unskip-set-false", 3)),
+    ),
+    (
+        normalize_set_tests_report,
+        "-aux:1.set:T ; +aux:2.set:F ; -aux:1.set:T ; out.set:T ; !",
+        "+aux:1.set:T ; #3 ; -aux:2.set:F ; #3 ; +aux:1.set:T ; #2 ; out.set:T ; !",
+        (("unskip-set-true", 1), ("widen-jump", 2), ("unskip-set-false", 3), ("widen-jump", 4),
+         ("unskip-set-true", 5)),
+    ),
+    (
+        normalize_set_tests_report,
+        "in:1.get ; #3 ; -aux:1.set:T ; in:2.get ; #9 ; +aux:1.set:F ; #0 ; !",
+        "in:1.get ; #4 ; +aux:1.set:T ; #2 ; in:2.get ; #10 ; -aux:1.set:F ; #2 ; #0 ; !",
+        (("widen-jump", 2), ("unskip-set-true", 3), ("widen-jump", 6), ("unskip-set-false", 7)),
+    ),
+    (
+        normalize_set_tests_report,
+        "#4 ; -aux:1.set:T ; #2 ; +aux:1.set:F ; +aux:1.get ; out.set:T ; !",
+        "#6 ; +aux:1.set:T ; #2 ; #3 ; -aux:1.set:F ; #2 ; +aux:1.get ; out.set:T ; !",
+        (("widen-jump", 1), ("unskip-set-true", 2), ("widen-jump", 1), ("widen-jump", 4),
+         ("unskip-set-false", 5)),
+    ),
+    # Several writes and reads per register, constant-false reads, and a jump
+    # that lands on a write; rebound reads are traced where they stand once the
+    # forks from their own write rightwards are in.
+    (
+        to_splitting_report,
+        "aux:1.get ; aux:1.set:T ; +aux:1.get ; out.set:T ; aux:1.set:F ; -aux:1.get ; in:1.get ; "
+        "aux:2.set:T ; +aux:2.get ; aux:1.get ; +aux:1.get ; #2 ; out.set:T ; aux:2.set:F ; "
+        "+aux:2.get ; out.set:T ; -aux:3.get ; !",
+        "#1 ; -split:4 ; ! ; +reply:4 ; out.set:T ; +split:3 ; ! ; -reply:3 ; in:1.get ; -split:2 ; "
+        "! ; +reply:2 ; reply:3 ; +reply:3 ; #2 ; out.set:T ; +split:1 ; ! ; +reply:1 ; out.set:T ; "
+        "#1 ; !",
+        (("constant-false-read", 1), ("constant-false-read", 17), ("fork-set-false", 14),
+         ("rebind-read", 16), ("fork-set-true", 8), ("rebind-read", 10), ("fork-set-false", 5),
+         ("rebind-read", 7), ("rebind-read", 12), ("rebind-read", 13), ("fork-set-true", 2),
+         ("rebind-read", 4)),
+    ),
+    (
+        to_splitting_report,
+        "in:1.get ; aux:1.set:T ; #2 ; in:1.get ; aux:2.set:T ; +aux:2.get ; in:2.get ; "
+        "aux:1.set:T ; +aux:1.get ; #9 ; +aux:2.get ; out.set:T ; !",
+        "in:1.get ; -split:3 ; ! ; #2 ; in:1.get ; -split:2 ; ! ; +reply:2 ; in:2.get ; -split:1 ; "
+        "! ; +reply:1 ; #9 ; +reply:2 ; out.set:T ; !",
+        (("fork-set-true", 8), ("rebind-read", 10), ("fork-set-true", 5), ("rebind-read", 7),
+         ("rebind-read", 13), ("fork-set-true", 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("rewrite, source, output, trace", SPLICE_CASES)
+def test_splicing_rewrites_pinned(rewrite, source, output, trace):
+    x = parse(source)
+    report = rewrite(x)
+    assert report.input == x
+    assert render(report.output) == output
+    assert report.rule_trace == trace
+    assert report.steps == len(trace)
