@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Sequence, Union
 
 from .instr import (
@@ -369,21 +370,25 @@ def topological_gate_order(circuit: Circuit) -> list[int]:
                 raise ValueError(f"dangling gate reference g{node.index} in g{k}")
             if isinstance(node, InputRef) and node.index > circuit.num_inputs:
                 raise ValueError(f"dangling input reference in{node.index} in g{k}")
-    placed: set[int] = set()
+    # Kahn's algorithm; a min-heap of the ready gates keeps the lowest first.
+    waiting = [0] * (m + 1)  # per gate, the references to gates not yet placed
+    users: list[list[int]] = [[] for _ in range(m + 1)]
+    for k, gate in enumerate(circuit.gates, start=1):
+        for node in _gate_preds(gate):
+            if isinstance(node, GateRef):
+                waiting[k] += 1
+                users[node.index].append(k)
+    ready = [k for k in range(1, m + 1) if not waiting[k]]
     order: list[int] = []
-    while len(order) < m:
-        progressed = False
-        for k in range(1, m + 1):
-            if k in placed:
-                continue
-            preds = _gate_preds(circuit.gates[k - 1])
-            if all(not isinstance(p, GateRef) or p.index in placed for p in preds):
-                placed.add(k)
-                order.append(k)
-                progressed = True
-                break
-        if not progressed:
-            raise ValueError("cyclic circuit")
+    while ready:
+        k = heappop(ready)
+        order.append(k)
+        for user in users[k]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                heappush(ready, user)
+    if len(order) < m:
+        raise ValueError("cyclic circuit")
     return order
 
 

@@ -33,8 +33,7 @@ from .instr import (
     TERM,
     Term,
 )
-from .services import Terminated, runner
-from .splitting import splitting_runner
+from .services import lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
 _NAIVE_CAP = 5_000_000
@@ -82,19 +81,11 @@ class TruthTable:
 
 
 def truth_table(x: InstructionSequence, n: int, splitting: bool = False) -> TruthTable:
-    """Tabulate the sequence over all 2^n input vectors.
+    """Tabulate the sequence over all 2^n input vectors, by ``lane_values``.
 
     Non-terminating entries (deadlock or divergence) are recorded as None.
     """
-    if n < 0:
-        raise ValueError(f"arity must be >= 0, got {n}")
-    execute = splitting_runner(x) if splitting else runner(x)
-    values = []
-    for idx in range(2**n):
-        vector = tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n))
-        outcome, _ = execute(vector)
-        values.append(outcome.registers.out if isinstance(outcome, Terminated) else None)
-    return TruthTable(n, tuple(values))
+    return TruthTable(n, lane_values(x, n, splitting))
 
 
 # --- shortest-sequence search ------------------------------------------------------

@@ -52,7 +52,7 @@ from .instr import (
     decode,
     psize,
 )
-from .services import Terminated, runner
+from .services import lane_values
 
 MAX_GUESSED_VARS = 20
 
@@ -353,15 +353,11 @@ def check_length_reduction(f_table, g_table, helpers: list[InstructionSequence],
     if any(psize(h) > l for h in helpers):
         return False
     n = f_table.arity
-    helper_values: list[list[bool]] = []
+    helper_values: list[tuple[bool, ...]] = []
     for h in helpers:
-        values = []
-        execute = runner(h)
-        for idx in range(2**n):
-            outcome, _ = execute(f_table.vector(idx))
-            if not isinstance(outcome, Terminated):
-                return False
-            values.append(outcome.registers.out)
+        values = lane_values(h, n)
+        if None in values:
+            return False
         helper_values.append(values)
     for idx in range(2**n):
         image = tuple(helper_values[m][idx] for m in range(len(helpers)))

@@ -8,19 +8,25 @@ and returns the residual thread, ``apply`` returns the residual service.
 
 ``run`` is a program-counter executor over a full register file.  It is
 deliberately independent of the thread-algebra route (extract, use chain,
-apply); the test suite checks the two against each other.
+apply); the test suite checks the two against each other.  ``lane_values``
+tabulates a sequence on every input vector at once, in one forward sweep
+with one bit per vector; it is checked against ``run`` and ``run_splitting``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from operator import add
+from typing import Callable, Optional, Union
 
 from .instr import (
     GET,
     KIND_IN,
     KIND_JUMP,
+    KIND_OUT,
+    KIND_REPLY,
+    KIND_SPLIT,
     KIND_TERM,
     SET_FALSE,
     SET_TRUE,
@@ -230,6 +236,121 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
     return runner(x)(tuple(inputs))
 
 
+# --- lane-parallel execution -------------------------------------------------
+
+# A whole table takes 2^(arity + distinct split parameters) lanes.  At the
+# bound a mask is 2 MB and the table's tuple of 2^24 entries 128 MB.
+MAX_TABLE_ARITY = 24
+
+# (dead, out) bits of one vector -> its table entry.
+_ENTRY = {"00": False, "01": True, "10": None, "11": None}
+
+
+def _lane_mask(bit: int, lanes: int) -> int:
+    """The lanes, out of ``lanes``, whose index has ``bit`` set; built by doubling."""
+    half = 1 << bit
+    mask = ((1 << half) - 1) << half
+    width = 2 * half
+    while width < lanes:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _lane_bits(mask: int, lanes: int, step: int) -> str:
+    """Bits 0, step, 2*step, ... of ``mask`` as a '0'/'1' string, lowest first."""
+    return format(mask, f"0{lanes}b")[::-step]
+
+
+def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
+    """The outcome of ``x`` on all 2^n input vectors, by one forward sweep.
+
+    Entry idx (first input most significant) is the final ``out`` where the
+    run on that vector terminates and None where it deadlocks or diverges,
+    under ``run``, or under ``run_splitting`` when ``splitting`` is set.
+
+    Bit-slicing: a lane is an input vector (times a valuation of the split
+    parameters for forking code), a register or ``at[p]`` (the lanes that
+    reach position p) is an int with one bit per lane.  Control only moves
+    forward, so one sweep over positions 1..k finishes every lane, and an
+    operation at p changes only the bits of lanes at p.  Forking code is
+    exact lane by lane because its vocabulary leaves inputs read-only and
+    ``out`` raise-only, so branch order cannot matter: a vector terminates
+    when all its lanes do, with ``out`` the OR over them.  Raises
+    ``ValueError`` above ``MAX_TABLE_ARITY`` lane bits.
+    """
+    if n < 0:
+        raise ValueError(f"arity must be >= 0, got {n}")
+    profile = classify(x)
+    if splitting and not profile.is_sisbr:
+        raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
+    if not splitting and profile.max_param_index:
+        raise ValueError("sequence contains split/reply instructions; use run_splitting")
+    rows = decode(x)
+    split_params = sorted({row.slot for row in rows if row.kind == KIND_SPLIT})
+    dims = len(split_params)
+    if n + dims > MAX_TABLE_ARITY:
+        raise ValueError(
+            f"resource bound exceeded: {n} inputs and {dims} split parameters "
+            f"need 2^{n + dims} lanes, more than 2^{MAX_TABLE_ARITY}"
+        )
+    # Lane index: input vector index above, split parameter valuation below.
+    lanes = 1 << (n + dims)
+    full = (1 << lanes) - 1
+    valuation = {p: _lane_mask(d, lanes) for d, p in enumerate(split_params)}
+    at = [0] * (len(rows) + 1)  # at[0] collects the lanes that deadlock
+    at[1] = full
+    regs: dict[tuple[int, int], int] = {}  # lanes where a register holds True
+    instantiated: dict[int, int] = {}  # lanes where a parameter is instantiated
+    term = 0
+    for pos, (kind, slot, method, on_true, on_false) in enumerate(rows, start=1):
+        m = at[pos]
+        if not m:
+            continue
+        at[pos] = 0
+        if kind == KIND_TERM:
+            term |= m
+            continue
+        if kind == KIND_JUMP:
+            at[on_true] |= m
+            continue
+        if kind == KIND_SPLIT:
+            m &= ~instantiated.get(slot, 0)  # a re-split deadlocks
+            instantiated[slot] = instantiated.get(slot, 0) | m
+            reply = valuation[slot]
+        elif kind == KIND_REPLY:
+            if slot not in instantiated:
+                continue
+            m &= instantiated[slot]  # a reply on an uninstantiated parameter deadlocks
+            reply = valuation[slot]
+        elif kind == KIND_IN and slot > n:
+            continue  # an unserved input diverges
+        else:
+            reg = regs.get((kind, slot))
+            if reg is None:
+                reg = regs[kind, slot] = _lane_mask(n - slot + dims, lanes) if kind == KIND_IN else 0
+            if method == GET:
+                reply = reg
+            elif method == SET_TRUE:
+                regs[kind, slot] = reg | m
+                reply = m
+            else:
+                regs[kind, slot] = reg & ~m
+                reply = 0
+        taken = m & reply
+        at[on_true] |= taken
+        at[on_false] |= m ^ taken
+    # A lane's registers stop changing when it terminates.  Folding leaves at
+    # the first lane of each vector's block the OR over the block.
+    dead, out = full ^ term, regs.get((KIND_OUT, 0), 0)
+    for d in range(dims):
+        dead |= dead >> (1 << d)
+        out |= out >> (1 << d)
+    step = 1 << dims
+    cells = map(add, _lane_bits(dead, lanes, step), _lane_bits(out, lanes, step))
+    return tuple(map(_ENTRY.__getitem__, cells))
+
+
 def check_computes(x: InstructionSequence, table) -> bool:
     """Does ``x`` compute exactly the Boolean function tabulated by ``table``?
 
@@ -242,12 +363,7 @@ def check_computes(x: InstructionSequence, table) -> bool:
         raise ValueError("check_computes requires a register-only sequence over in/aux/out")
     if any(v is None for v in table.values):
         raise ValueError("target table has undefined entries; not a total function")
-    execute = runner(x)
-    for idx, expected in enumerate(table.values):
-        outcome, _ = execute(table.vector(idx))
-        if not isinstance(outcome, Terminated) or outcome.registers.out != expected:
-            return False
-    return True
+    return lane_values(x, table.arity) == tuple(table.values)
 
 
 def parse_input_bits(text: str) -> tuple[bool, ...]:

@@ -41,6 +41,7 @@ from .services import (
     Runner,
     RunOutcome,
     Terminated,
+    lane_values,
 )
 from .threads import DEAD, STOP, Dead, PostCond, Stop, Tau, Thread
 
@@ -212,9 +213,4 @@ def check_splitting_computes(x: InstructionSequence, table) -> bool:
         raise ValueError("check_splitting_computes requires a split/reply vocabulary sequence")
     if any(v is None for v in table.values):
         raise ValueError("target table has undefined entries; not a total function")
-    execute = splitting_runner(x)
-    for idx, expected in enumerate(table.values):
-        outcome, _ = execute(table.vector(idx))
-        if not isinstance(outcome, Terminated) or outcome.registers.out != expected:
-            return False
-    return True
+    return lane_values(x, table.arity, splitting=True) == tuple(table.values)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .instr import (
     GET,
@@ -385,6 +386,13 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     ``#1``, both directly and through the symmetric two-jump window ending
     in the same plain write.  Positions are preserved, so no jump needs
     adjusting.
+
+    A rewrite at i only turns a test at i into a plain write or ``#1``, and
+    a rule at j reads positions j and after.  So it can enable a rule only
+    at i - 1 or at a window whose plain write is at i, both left of i, and
+    it cannot disable one.  The scan goes on from the leftmost of those and
+    from i + 1, which is the order of a rescan from position 1 after every
+    rewrite, in linear time.
     """
     if not classify(x).is_isbr:
         raise ValueError("behavioural_normalize requires a register-only sequence")
@@ -395,47 +403,56 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     def writable_focus(u) -> bool:
         return isinstance(u.basic, RegisterOp) and isinstance(u.basic.focus, (AuxReg, OutReg))
 
+    def rule_at(i: int) -> str | None:
+        u = items[i - 1]
+        if not isinstance(u, (PosTest, NegTest)) or not writable_focus(u):
+            return None
+        method = u.basic.method
+        if method == (SET_TRUE if isinstance(u, PosTest) else SET_FALSE):
+            return "drop-forced-test"
+        if method == GET:
+            return None
+        # A skipping write: -set:T or +set:F.
+        if i + 1 <= k and _same_plain_write(u, items[i]):
+            return "skip-redone-write"
+        if i in window_end and _same_plain_write(u, items[window_end[i] - 1]):
+            return "skip-redone-write-window"
+        return None
+
+    # The window of j: equal jumps of distance d >= 2 at j + 1 and j + 2,
+    # ending at j + d + 1.  Rewrites never touch a jump of distance >= 2, so
+    # the windows stay fixed.
+    window_end: dict[int, int] = {}
+    window_starts: dict[int, list[int]] = {}
+    for j in range(1, k - 1):
+        u1, u2 = items[j], items[j + 1]
+        if isinstance(u1, Jump) and isinstance(u2, Jump) and u1.distance == u2.distance >= 2:
+            end = j + u1.distance + 1
+            if end <= k:
+                window_end[j] = end
+                window_starts.setdefault(end, []).append(j)
+
+    # Positions left of ``scan`` hold no applicable rule, except perhaps
+    # those in ``pending``.
+    pending: list[int] = []
+    scan = 1
     while True:
-        applied = False
-        for i in range(1, k + 1):
-            u = items[i - 1]
-            if isinstance(u, PosTest) and writable_focus(u) and u.basic.method == SET_TRUE:
-                items[i - 1] = Plain(u.basic)
-                trace.append(("drop-forced-test", i))
-                applied = True
-                break
-            if isinstance(u, NegTest) and writable_focus(u) and u.basic.method == SET_FALSE:
-                items[i - 1] = Plain(u.basic)
-                trace.append(("drop-forced-test", i))
-                applied = True
-                break
-            skipping_write = (
-                isinstance(u, NegTest) and writable_focus(u) and u.basic.method == SET_TRUE
-            ) or (isinstance(u, PosTest) and writable_focus(u) and u.basic.method == SET_FALSE)
-            if not skipping_write:
-                continue
-            if i + 1 <= k and _same_plain_write(u, items[i]):
-                items[i - 1] = Jump(1)
-                trace.append(("skip-redone-write", i))
-                applied = True
-                break
-            if i + 2 <= k:
-                u1, u2 = items[i], items[i + 1]
-                if (
-                    isinstance(u1, Jump)
-                    and isinstance(u2, Jump)
-                    and u1.distance == u2.distance
-                    and u1.distance >= 2
-                    and i + u1.distance + 1 <= k
-                    and _same_plain_write(u, items[i + u1.distance])
-                ):
-                    items[i - 1] = Jump(1)
-                    trace.append(("skip-redone-write-window", i))
-                    applied = True
-                    break
-        if not applied:
+        if pending and pending[0] < scan:
+            i = heappop(pending)
+        elif scan <= k:
+            i = scan
+            scan += 1
+        else:
             break
-        assert len(trace) <= psize(x) * psize(x), "rewrite loop exceeded its bound"
+        rule = rule_at(i)
+        if rule is None:
+            continue
+        u = items[i - 1]
+        items[i - 1] = Plain(u.basic) if rule == "drop-forced-test" else Jump(1)
+        trace.append((rule, i))
+        for j in (i - 1, *window_starts.get(i, ())):
+            if j >= 1:
+                heappush(pending, j)
     return _report(x, items, trace)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boolseq import compilers, instr, satc, threads, transforms
+from boolseq import compilers, instr, satc, services, threads, transforms
 from boolseq.cli import main
 
 
@@ -195,6 +195,13 @@ def test_truthtable_rejects_negative_arity(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: arity must be >= 0")
+
+
+def test_truthtable_rejects_arity_above_bound(capsys):
+    code, out, err = run_cli(capsys, "truthtable", "out.set:T ; !", "--n", str(services.MAX_TABLE_ARITY + 1))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: resource bound exceeded")
 
 
 def test_domain_error_exits_one(capsys):

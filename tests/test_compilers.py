@@ -201,6 +201,65 @@ def test_compile_circuit_sorts_gates():
     assert truth_table(compile_circuit(circuit), 1) == oracle
 
 
+def _restart_scan_order(circuit):
+    """Reference: place the lowest-index gate whose gate predecessors are all placed, then rescan."""
+    m = len(circuit.gates)
+    placed, order = set(), []
+    while len(order) < m:
+        for k in range(1, m + 1):
+            gate = circuit.gates[k - 1]
+            preds = (gate.pred,) if isinstance(gate, NotGate) else (gate.left, gate.right)
+            if k not in placed and all(not isinstance(p, GateRef) or p.index in placed for p in preds):
+                placed.add(k)
+                order.append(k)
+                break
+        else:
+            return None  # cyclic
+    return order
+
+
+def _renumbered(rng, circuit):
+    """The same circuit with its gates renumbered at random, so references go both ways."""
+    m = len(circuit.gates)
+    new = list(range(1, m + 1))
+    rng.shuffle(new)
+
+    def node(v):
+        return GateRef(new[v.index - 1]) if isinstance(v, GateRef) else v
+
+    gates = [None] * m
+    for k, gate in enumerate(circuit.gates, start=1):
+        if isinstance(gate, NotGate):
+            gates[new[k - 1] - 1] = NotGate(node(gate.pred))
+        else:
+            gates[new[k - 1] - 1] = type(gate)(node(gate.left), node(gate.right))
+    return Circuit(circuit.num_inputs, tuple(gates), new[circuit.output_gate - 1])
+
+
+def test_topological_gate_order_matches_restart_scan():
+    rng = random.Random(131)
+    for trial in range(300):
+        circuit = _renumbered(rng, gen_circuit(rng, 4, 30))
+        if trial % 4 == 0:  # close a cycle through a random gate
+            m = len(circuit.gates)
+            k = rng.randint(1, m)
+            gates = list(circuit.gates)
+            gates[k - 1] = AndGate(GateRef(rng.randint(1, m)), GateRef(k))
+            circuit = Circuit(circuit.num_inputs, tuple(gates), circuit.output_gate)
+        expected = _restart_scan_order(circuit)
+        if expected is None:
+            with pytest.raises(ValueError, match="cyclic circuit"):
+                topological_gate_order(circuit)
+        else:
+            assert topological_gate_order(circuit) == expected
+
+
+def test_topological_gate_order_reversed_chain():
+    # Gate k reads gate k + 1 and the last gate reads the input: 600, 599, ..., 1.
+    gates = tuple(NotGate(GateRef(k + 1)) for k in range(1, 600)) + (NotGate(InputRef(1)),)
+    assert topological_gate_order(Circuit(1, gates, 1)) == list(range(600, 0, -1))
+
+
 def test_compile_circuit_cycle_rejected():
     circuit = Circuit(1, (NotGate(GateRef(2)), NotGate(GateRef(1))), 1)
     with pytest.raises(ValueError):

@@ -7,10 +7,16 @@ import pytest
 from boolseq.compilers import Circuit, InputRef, NotGate, compile_circuit
 from boolseq.instr import (
     AuxReg,
+    InReg,
+    InstructionSequence,
     Jump,
+    NegTest,
     OUT,
+    Plain,
+    PosTest,
     RegisterOp,
     SET_FALSE,
+    SET_TRUE,
     classify,
     parse,
     psize,
@@ -325,6 +331,127 @@ def test_behavioural_normalize_window_rule():
 def test_behavioural_normalize_window_requires_matching_jumps():
     x = parse("-aux:1.set:T ; #2 ; #3 ; aux:1.set:T ; !")
     assert behavioural_normalize(x) == x
+
+
+# Output and rule trace recorded from the rescan-from-position-1 version: in
+# each case a rewrite enables one at its left (the position before it, or
+# one or more windows whose plain write it is).
+@pytest.mark.parametrize(
+    "text, output, trace",
+    [
+        (
+            "-aux:1.set:T ; +aux:1.set:T ; !",
+            "#1 ; aux:1.set:T ; !",
+            (("drop-forced-test", 2), ("skip-redone-write", 1)),
+        ),
+        (
+            "+out.set:F ; #2 ; #2 ; -out.set:F ; !",
+            "#1 ; #2 ; #2 ; out.set:F ; !",
+            (("drop-forced-test", 4), ("skip-redone-write-window", 1)),
+        ),
+        (
+            "-aux:1.set:T ; -aux:1.set:T ; +aux:1.set:T ; !",
+            "-aux:1.set:T ; #1 ; aux:1.set:T ; !",
+            (("drop-forced-test", 3), ("skip-redone-write", 2)),
+        ),
+        (
+            "+aux:2.set:F ; #2 ; #2 ; -aux:2.set:F ; #2 ; #2 ; -aux:2.set:F ; !",
+            "#1 ; #2 ; #2 ; aux:2.set:F ; #2 ; #2 ; aux:2.set:F ; !",
+            (("drop-forced-test", 4), ("skip-redone-write-window", 1), ("drop-forced-test", 7)),
+        ),
+        (
+            "+aux:1.set:F ; -aux:1.set:T ; #2 ; #2 ; +aux:1.set:F ; -aux:1.set:F ; !",
+            "+aux:1.set:F ; -aux:1.set:T ; #2 ; #2 ; #1 ; aux:1.set:F ; !",
+            (("drop-forced-test", 6), ("skip-redone-write", 5)),
+        ),
+        (
+            "-out.set:T ; #6 ; #6 ; -out.set:T ; #3 ; #3 ; -out.set:T ; +out.set:T ; !",
+            "#1 ; #6 ; #6 ; #1 ; #3 ; #3 ; #1 ; out.set:T ; !",
+            (
+                ("drop-forced-test", 8),
+                ("skip-redone-write-window", 1),
+                ("skip-redone-write-window", 4),
+                ("skip-redone-write", 7),
+            ),
+        ),
+    ],
+)
+def test_behavioural_normalize_report_pinned(text, output, trace):
+    report = behavioural_normalize_report(parse(text))
+    assert render(report.output) == output
+    assert report.rule_trace == trace
+
+
+def _rescan_normalize(x):
+    """Reference: apply the leftmost applicable rule, then rescan from position 1."""
+    items = list(x.items)
+    k = len(items)
+    trace = []
+
+    def write_test(u, form, method):
+        return (
+            isinstance(u, form)
+            and isinstance(u.basic, RegisterOp)
+            and not isinstance(u.basic.focus, InReg)
+            and u.basic.method == method
+        )
+
+    def plain_copy(u, v):
+        return isinstance(v, Plain) and v.basic == u.basic
+
+    while True:
+        for i in range(1, k + 1):
+            u = items[i - 1]
+            if write_test(u, PosTest, SET_TRUE) or write_test(u, NegTest, SET_FALSE):
+                items[i - 1] = Plain(u.basic)
+                trace.append(("drop-forced-test", i))
+                break
+            if not (write_test(u, NegTest, SET_TRUE) or write_test(u, PosTest, SET_FALSE)):
+                continue
+            if i < k and plain_copy(u, items[i]):
+                items[i - 1] = Jump(1)
+                trace.append(("skip-redone-write", i))
+                break
+            if i + 2 <= k:
+                u1, u2 = items[i], items[i + 1]
+                if (
+                    isinstance(u1, Jump)
+                    and isinstance(u2, Jump)
+                    and u1.distance == u2.distance >= 2
+                    and i + u1.distance + 1 <= k
+                    and plain_copy(u, items[i + u1.distance])
+                ):
+                    items[i - 1] = Jump(1)
+                    trace.append(("skip-redone-write-window", i))
+                    break
+        else:
+            return InstructionSequence(tuple(items)), tuple(trace)
+
+
+def _rewrite_rich(rng, length):
+    """Register code dense in write tests, plain writes and two-jump windows."""
+    writes = ("aux:1.set:T", "aux:1.set:F", "aux:2.set:F", "out.set:T", "out.set:F")
+    tokens = []
+    while len(tokens) < length:
+        roll = rng.random()
+        if roll < 0.45:
+            tokens.append(rng.choice("+-") + rng.choice(writes))
+        elif roll < 0.65:
+            tokens.append(rng.choice(writes))
+        elif roll < 0.8:
+            d = rng.randint(2, 5)
+            tokens += [f"#{d}", f"#{d}"]
+        else:
+            tokens.append(rng.choice(("!", "+in:1.get", "#1", "-aux:1.get")))
+    return parse(" ; ".join(tokens))
+
+
+def test_behavioural_normalize_matches_rescan():
+    rng = random.Random(127)
+    for trial in range(300):
+        x = _rewrite_rich(rng, rng.randint(1, 40)) if trial % 3 else gen_isbr(rng, 20, 2)
+        report = behavioural_normalize_report(x)
+        assert (report.output, report.rule_trace) == _rescan_normalize(x), render(x)
 
 
 def test_behavioural_normalize_preserves_outcomes():
