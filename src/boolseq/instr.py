@@ -222,7 +222,8 @@ class ClassProfile:
     aux/out.  ``is_isbrna``: additionally no auxiliary registers (reads of
     inputs and writes of out only).  ``is_sisbr``: input reads, ``out.set:T``,
     and split/reply only.  The ``max_*`` fields are maxima over occurring
-    indices, 0 when absent.
+    indices, 0 when absent.  ``split_params``: the distinct parameters split
+    on, in index order.
     """
 
     is_isbr: bool
@@ -234,6 +235,7 @@ class ClassProfile:
     max_param_index: int
     term_count: int
     has_out_set_false: bool
+    split_params: tuple[int, ...]
 
 
 def _basics(x: InstructionSequence) -> Iterator[BasicInstruction]:
@@ -257,6 +259,7 @@ def _classify(x: InstructionSequence) -> ClassProfile:
     max_param = 0
     term_count = 0
     has_out_set_false = False
+    split_params = set()
 
     for u in x.items:
         if isinstance(u, Term):
@@ -283,6 +286,7 @@ def _classify(x: InstructionSequence) -> ClassProfile:
                     is_sisbr = False
         elif isinstance(b, SplitOp):
             max_param = max(max_param, b.param)
+            split_params.add(b.param)
             is_isbr = is_isbrna = False
         else:  # ReplyOp
             max_param = max(max_param, b.param)
@@ -298,6 +302,7 @@ def _classify(x: InstructionSequence) -> ClassProfile:
         max_param_index=max_param,
         term_count=term_count,
         has_out_set_false=has_out_set_false,
+        split_params=tuple(sorted(split_params)),
     )
 
 

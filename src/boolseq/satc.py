@@ -29,8 +29,6 @@ from .compilers import (
     Not,
     Or,
     compile_formula,
-    eval_cnf,
-    formula_satisfiable,
 )
 from .instr import (
     GET,
@@ -52,7 +50,7 @@ from .instr import (
     decode,
     psize,
 )
-from .services import lane_values
+from .services import lane_mask, lane_values
 
 MAX_GUESSED_VARS = 20
 
@@ -150,35 +148,45 @@ def satc_eval(inst: SatcInstance) -> bool:
     exhaustive search over the k variables; the empty conjunction (no bit
     set, or too few bits to select anything) is satisfiable.  Kept
     independent of ``decode_to_cnf`` so the two can be checked against each
-    other.
+    other.  Bit-sliced like ``cnf_satisfiable``: see ``_variable_lanes``.
     """
     k = inst.k
     if k > MAX_GUESSED_VARS:
         raise ValueError(f"resource bound exceeded: {k} variables")
-    selected = [alpha(i) for i in range(1, ndisj(k) + 1) if inst.bits[i - 1]]
-    for assignment_bits in range(2**k):
-        assignment = [(assignment_bits >> (k - 1 - i)) & 1 == 1 for i in range(k)]
-        if all(
-            any(
-                assignment[lit.var - 1] != lit.negated
-                for lit in literal_set.literals
-            )
-            for literal_set in selected
-        ):
-            return True
-    return False
+    full, variables = _variable_lanes(k)
+    satisfying = full
+    for i in range(1, ndisj(k) + 1):
+        if inst.bits[i - 1]:
+            clause = 0
+            for lit in alpha(i).literals:
+                clause |= full ^ variables[lit.var] if lit.negated else variables[lit.var]
+            satisfying &= clause
+    return satisfying != 0
 
 
 def cnf_satisfiable(phi: Cnf) -> bool:
-    """Exhaustive satisfiability of a CNF over its declared variables."""
+    """Exhaustive satisfiability of a CNF over its declared variables, bit-sliced."""
     n = phi.num_vars
     if n > MAX_GUESSED_VARS:
         raise ValueError(f"resource bound exceeded: {n} variables")
-    for bits in range(2**n):
-        assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]
-        if eval_cnf(phi, assignment):
-            return True
-    return False
+    full, variables = _variable_lanes(n)
+    satisfying = full
+    for clause in phi.clauses:
+        satisfied = 0
+        for lit in clause:
+            satisfied |= full ^ variables[lit.var] if lit.negated else variables[lit.var]
+        satisfying &= satisfied
+    return satisfying != 0
+
+
+def _variable_lanes(k: int) -> tuple[int, list[int]]:
+    """The 2^k assignments to k variables as lanes: all lanes, and at [j] those where v_j is True.
+
+    An assignment's lane index has v_j as bit j - 1, so a clause's lanes are
+    the OR of its literals' lanes and a conjunction's the AND of its clauses'.
+    """
+    lanes = 1 << k
+    return (1 << lanes) - 1, [0] + [lane_mask(j, lanes) for j in range(k)]
 
 
 def decode_to_cnf(bits: tuple[bool, ...] | list[bool]) -> Cnf:
@@ -286,6 +294,24 @@ def _successors(row: Row, inputs: tuple[bool, ...]) -> list[int]:
     return sorted({row.on_true if r else row.on_false for r in replies} - {0})
 
 
+def _control_graph(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[int, list[list[int]]]:
+    """The accepting position of ``x`` and each position's ``_successors``.
+
+    Raises ``ValueError`` outside the fork/reply vocabulary, unless there is
+    exactly one ``out.set:T``, and for a read of an input past the given arity.
+    """
+    if not classify(x).is_sisbr:
+        raise ValueError("reachability_formula requires a split/reply vocabulary sequence")
+    rows = decode(x)
+    accepts = [pos for pos, row in enumerate(rows, start=1) if row.kind == KIND_OUT and row.method == SET_TRUE]
+    if len(accepts) != 1:
+        raise ValueError(
+            f"reachability_formula requires exactly one out.set:T occurrence, found {len(accepts)}"
+        )
+    inputs = tuple(inputs)
+    return accepts[0], [_successors(row, inputs) for row in rows]
+
+
 def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> BoolFormula:
     """Formula satisfiable when some branch of ``x`` reaches its accepting write.
 
@@ -296,22 +322,11 @@ def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list
     equivalences are expanded into not/or/and; a position with no
     predecessors contributes its negation.
     """
-    profile = classify(x)
-    if not profile.is_sisbr:
-        raise ValueError("reachability_formula requires a split/reply vocabulary sequence")
-    inputs = tuple(inputs)
-    rows = decode(x)
-    k = len(rows)
-    accepts = [pos for pos, row in enumerate(rows, start=1) if row.kind == KIND_OUT and row.method == SET_TRUE]
-    if len(accepts) != 1:
-        raise ValueError(
-            f"reachability_formula requires exactly one out.set:T occurrence, found {len(accepts)}"
-        )
-    accept_pos = accepts[0]
-
+    accept_pos, successors = _control_graph(x, inputs)
+    k = len(successors)
     predecessors: dict[int, list[int]] = {i: [] for i in range(2, k + 1)}
-    for pos, row in enumerate(rows, start=1):
-        for succ in _successors(row, inputs):
+    for pos, succs in enumerate(successors, start=1):
+        for succ in succs:
             predecessors[succ].append(pos)
 
     conjuncts: list[BoolFormula] = [FVar(1), FVar(accept_pos)]
@@ -332,8 +347,22 @@ def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list
 
 
 def reachability_satisfiable(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> bool:
-    """Brute-force satisfiability of the reachability formula."""
-    return formula_satisfiable(reachability_formula(x, inputs), psize(x))
+    """Is ``reachability_formula(x, inputs)`` satisfiable?  Decided in linear time.
+
+    Every successor lies after its position, so each position's equivalence
+    fixes its variable from earlier ones: the formula minus the accepting
+    conjunct has exactly one model, and forward propagation from position 1
+    finds it.  The formula is satisfiable iff that model executes the
+    accepting position.  Raises the same ``ValueError``s as the formula.
+    """
+    accept_pos, successors = _control_graph(x, inputs)
+    reached = [False] * (len(successors) + 1)
+    reached[1] = True
+    for pos, succs in enumerate(successors, start=1):
+        if reached[pos]:
+            for succ in succs:
+                reached[succ] = True
+    return reached[accept_pos]
 
 
 # --- bounded-length reducibility -------------------------------------------------------

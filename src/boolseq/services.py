@@ -11,6 +11,7 @@ deliberately independent of the thread-algebra route (extract, use chain,
 apply); the test suite checks the two against each other.  ``lane_values``
 tabulates a sequence on every input vector at once, in one forward sweep
 with one bit per vector; it is checked against ``run`` and ``run_splitting``.
+That sweep, ``lane_sweep``, also runs forking code one vector at a time.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ MAX_TABLE_ARITY = 24
 _ENTRY = {"00": False, "01": True, "10": None, "11": None}
 
 
-def _lane_mask(bit: int, lanes: int) -> int:
+def lane_mask(bit: int, lanes: int) -> int:
     """The lanes, out of ``lanes``, whose index has ``bit`` set; built by doubling."""
     half = 1 << bit
     mask = ((1 << half) - 1) << half
@@ -260,6 +261,86 @@ def _lane_mask(bit: int, lanes: int) -> int:
 def _lane_bits(mask: int, lanes: int, step: int) -> str:
     """Bits 0, step, 2*step, ... of ``mask`` as a '0'/'1' string, lowest first."""
     return format(mask, f"0{lanes}b")[::-step]
+
+
+def lane_sweep(
+    rows, n: int, lanes: int, params: tuple[int, ...], input_lanes: Callable[[int], int], count: bool = False
+) -> tuple[int, int, int, int]:
+    """One forward sweep of the decoded ``rows`` over ``lanes`` lanes.
+
+    ``input_lanes(slot)`` gives the lanes where ``in:slot`` holds True (for
+    slot <= n); split parameter ``params[d]`` is True in the lanes whose
+    index has bit d set.  Returns ``(term, out, unserved, steps)``: the
+    lanes that terminate, the lanes where ``out`` ends True, the lanes that
+    read an input past n, and, when ``count`` is set, the number of
+    forking-run action turns.
+
+    Counting: the lanes of one forking branch are those that agree with its
+    valuation, and they move together.  Its canonical lane is the one whose
+    uninstantiated parameters are all False, so at each action the branches
+    that take it are the canonical lanes among the lanes that take it.
+    """
+    full = (1 << lanes) - 1
+    valuation = {p: lane_mask(d, lanes) for d, p in enumerate(params)}
+    at = [0] * (len(rows) + 1)  # at[0] collects the lanes that deadlock
+    at[1] = full
+    # By register kind, then slot: the lanes where the register holds True.
+    regs: tuple[dict[int, int], ...] = ({}, {}, {})
+    instantiated: dict[int, int] = {}  # lanes where a parameter is instantiated
+    canonical = _canonical(full, valuation, instantiated) if count else 0
+    term = unserved = steps = 0
+    for pos, (kind, slot, method, on_true, on_false) in enumerate(rows, start=1):
+        m = at[pos]
+        if not m:
+            continue
+        at[pos] = 0
+        if kind == KIND_TERM:
+            term |= m
+            continue
+        if kind == KIND_JUMP:
+            at[on_true] |= m
+            continue
+        if kind == KIND_SPLIT:
+            m &= ~instantiated.get(slot, 0)  # a re-split deadlocks
+            instantiated[slot] = instantiated.get(slot, 0) | m
+            reply = valuation[slot]
+        elif kind == KIND_REPLY:
+            if slot not in instantiated:
+                continue
+            m &= instantiated[slot]  # a reply on an uninstantiated parameter deadlocks
+            reply = valuation[slot]
+        elif kind == KIND_IN and slot > n:
+            unserved |= m
+            continue
+        else:
+            bank = regs[kind]
+            reg = bank.get(slot)
+            if reg is None:
+                reg = bank[slot] = input_lanes(slot) if kind == KIND_IN else 0
+            if method == GET:
+                reply = reg
+            elif method == SET_TRUE:
+                bank[slot] = reg | m
+                reply = m
+            else:
+                bank[slot] = reg & ~m
+                reply = 0
+        if count:
+            steps += (m & canonical).bit_count()
+            if kind == KIND_SPLIT:
+                canonical = _canonical(full, valuation, instantiated)
+        taken = m & reply
+        at[on_true] |= taken
+        at[on_false] |= m ^ taken
+    # A lane's registers stop changing when it terminates.
+    return term, regs[KIND_OUT].get(0, 0), unserved, steps
+
+
+def _canonical(full: int, valuation: dict[int, int], instantiated: dict[int, int]) -> int:
+    """The lanes whose uninstantiated parameters are all False."""
+    for p, lanes in valuation.items():
+        full &= instantiated.get(p, 0) | ~lanes
+    return full
 
 
 def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
@@ -286,8 +367,7 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     if not splitting and profile.max_param_index:
         raise ValueError("sequence contains split/reply instructions; use run_splitting")
-    rows = decode(x)
-    split_params = sorted({row.slot for row in rows if row.kind == KIND_SPLIT})
+    split_params = profile.split_params
     dims = len(split_params)
     if n + dims > MAX_TABLE_ARITY:
         raise ValueError(
@@ -297,52 +377,13 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     # Lane index: input vector index above, split parameter valuation below.
     lanes = 1 << (n + dims)
     full = (1 << lanes) - 1
-    valuation = {p: _lane_mask(d, lanes) for d, p in enumerate(split_params)}
-    at = [0] * (len(rows) + 1)  # at[0] collects the lanes that deadlock
-    at[1] = full
-    regs: dict[tuple[int, int], int] = {}  # lanes where a register holds True
-    instantiated: dict[int, int] = {}  # lanes where a parameter is instantiated
-    term = 0
-    for pos, (kind, slot, method, on_true, on_false) in enumerate(rows, start=1):
-        m = at[pos]
-        if not m:
-            continue
-        at[pos] = 0
-        if kind == KIND_TERM:
-            term |= m
-            continue
-        if kind == KIND_JUMP:
-            at[on_true] |= m
-            continue
-        if kind == KIND_SPLIT:
-            m &= ~instantiated.get(slot, 0)  # a re-split deadlocks
-            instantiated[slot] = instantiated.get(slot, 0) | m
-            reply = valuation[slot]
-        elif kind == KIND_REPLY:
-            if slot not in instantiated:
-                continue
-            m &= instantiated[slot]  # a reply on an uninstantiated parameter deadlocks
-            reply = valuation[slot]
-        elif kind == KIND_IN and slot > n:
-            continue  # an unserved input diverges
-        else:
-            reg = regs.get((kind, slot))
-            if reg is None:
-                reg = regs[kind, slot] = _lane_mask(n - slot + dims, lanes) if kind == KIND_IN else 0
-            if method == GET:
-                reply = reg
-            elif method == SET_TRUE:
-                regs[kind, slot] = reg | m
-                reply = m
-            else:
-                regs[kind, slot] = reg & ~m
-                reply = 0
-        taken = m & reply
-        at[on_true] |= taken
-        at[on_false] |= m ^ taken
-    # A lane's registers stop changing when it terminates.  Folding leaves at
-    # the first lane of each vector's block the OR over the block.
-    dead, out = full ^ term, regs.get((KIND_OUT, 0), 0)
+
+    def input_lanes(slot: int) -> int:
+        return lane_mask(n - slot + dims, lanes)
+
+    term, out, _, _ = lane_sweep(decode(x), n, lanes, split_params, input_lanes)
+    # Folding leaves at the first lane of each vector's block the OR over the block.
+    dead = full ^ term
     for d in range(dims):
         dead |= dead >> (1 << d)
         out |= out >> (1 << d)

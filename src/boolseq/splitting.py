@@ -9,9 +9,11 @@ acts and rotates to the back, a split enqueues both instantiated branches,
 and a deadlocked branch poisons the final result only after all other
 branches have finished.
 
-``run_splitting`` is an equivalent queue-of-program-counters executor over
-a shared register file; the equivalence with the algebraic route is
-asserted by the test suite, not assumed.
+``run_splitting`` is an equivalent executor over a shared register file.
+It sweeps the decoded rows once with a lane per valuation of the split
+parameters; ``queue_runner``, a queue of program counters, is its
+reference.  The equivalence of both with the algebraic route is asserted
+by the test suite, not assumed.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .services import (
     Runner,
     RunOutcome,
     Terminated,
+    lane_sweep,
     lane_values,
 )
 from .threads import DEAD, STOP, Dead, PostCond, Stop, Tau, Thread
@@ -120,6 +123,13 @@ def csi(vector: ThreadVector) -> Thread:
     return PostCond(a, csi(rest + (head.on_true,)), csi(rest + (head.on_false,)))
 
 
+# Forking runs sweep one lane per valuation of the distinct split parameters,
+# 2^MAX_LANE_PARAMS lanes at most.  Above it the queue executor runs, which
+# pays only for the branches that are reached: to_splitting output has one
+# fresh parameter per write, hundreds in all, of which a run reaches few.
+MAX_LANE_PARAMS = 12
+
+
 def run_splitting(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
     """Execute a fork/reply sequence by round-robin over branch states.
 
@@ -150,6 +160,41 @@ def splitting_runner(x: InstructionSequence) -> Runner:
     The result maps an input vector to ``(outcome, action turns)`` with the
     semantics of ``run_splitting``.  Raises ``ValueError`` unless ``x`` uses
     input reads, ``out.set:T``, split and reply only.
+
+    A run is one ``lane_sweep`` with a lane per valuation of the split
+    parameters.  Inputs are read-only and ``out`` only goes from F to T, so
+    neither the outcome nor the number of turns depends on the branch order.
+    The queue executor ``queue_runner`` takes over where that fails (a run
+    that reads an unserved input stops at the first such read in queue
+    order) and above ``MAX_LANE_PARAMS`` split parameters.
+    """
+    profile = classify(x)
+    if not profile.is_sisbr:
+        raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
+    params = profile.split_params
+    if len(params) > MAX_LANE_PARAMS:
+        return queue_runner(x)
+    rows = decode(x)
+    lanes = 1 << len(params)
+    full = (1 << lanes) - 1
+
+    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
+        term, out, unserved, steps = lane_sweep(
+            rows, len(inputs), lanes, params, lambda slot: full if inputs[slot - 1] else 0, count=True
+        )
+        if unserved:
+            return queue_runner(x)(inputs)
+        if term != full:
+            return Deadlocked(), steps
+        return Terminated(RegisterFile(inputs, {}, out != 0)), steps
+
+    return execute
+
+
+def queue_runner(x: InstructionSequence) -> Runner:
+    """The reference forking executor: a queue of branch states, one action a turn.
+
+    Same results as ``splitting_runner``, which the tests check against it.
     """
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boolseq import compilers, instr, satc, services, threads, transforms
+from boolseq import compilers, instr, satc, services, splitting, threads, transforms
 from boolseq.cli import main
 
 
@@ -161,6 +161,19 @@ def test_satc_build(capsys):
     code, out, _ = run_cli(capsys, "satc-build", "0")
     assert code == 0
     assert out == "+out.set:T ; !\n"
+
+
+@pytest.mark.parametrize("bits, sat", [("FTFFTFFFFF", True), ("TTFFFFFFFF", False)])
+def test_run_split_family_splitter(capsys, bits, sat):
+    code, text, _ = run_cli(capsys, "satc-build", "10")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "run-split", text.strip(), "--inputs", bits, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    inputs = services.parse_input_bits(bits)
+    outcome, steps = splitting.queue_runner(instr.parse(text))(inputs)
+    assert record["steps"] == steps
+    assert record["out"] == outcome.registers.out == satc.satc_eval(satc.SatcInstance(inputs)) == sat
 
 
 def test_reduce_plsis(capsys):

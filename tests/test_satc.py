@@ -1,10 +1,11 @@
 """Literal-set enumeration, bit-vector encoded satisfiability, and reductions."""
 
 import random
+import re
 
 import pytest
 
-from boolseq.compilers import Cnf, Literal, render_formula
+from boolseq.compilers import Cnf, Literal, eval_cnf, formula_satisfiable, render_formula
 from boolseq.instr import Plain, SplitOp, parse, psize, render
 from boolseq.lab import TruthTable, truth_table
 from boolseq.satc import (
@@ -25,7 +26,7 @@ from boolseq.satc import (
 from boolseq.services import parse_input_bits
 from boolseq.splitting import Terminated, check_splitting_computes, run_splitting
 
-from util import gen_sisbr_single_read
+from util import gen_cnf, gen_sisbr, gen_sisbr_single_read
 
 
 def lits(*pairs) -> LiteralSet:
@@ -170,6 +171,63 @@ def test_decode_encode_round_trip_random():
         assert {frozenset(c) for c in decoded.clauses} == {frozenset(c) for c in phi.clauses}
 
 
+def loop_satc_eval(inst: SatcInstance) -> bool:
+    """satc_eval one assignment at a time: the reference for the bit-sliced one."""
+    k = inst.k
+    selected = [alpha(i) for i in range(1, ndisj(k) + 1) if inst.bits[i - 1]]
+    for assignment_bits in range(2**k):
+        assignment = [(assignment_bits >> (k - 1 - i)) & 1 == 1 for i in range(k)]
+        if all(
+            any(assignment[lit.var - 1] != lit.negated for lit in literal_set.literals)
+            for literal_set in selected
+        ):
+            return True
+    return False
+
+
+def loop_cnf_satisfiable(phi: Cnf) -> bool:
+    """cnf_satisfiable one assignment at a time: the reference for the bit-sliced one."""
+    n = phi.num_vars
+    for bits in range(2**n):
+        assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]
+        if eval_cnf(phi, assignment):
+            return True
+    return False
+
+
+def test_satc_eval_matches_assignment_loop():
+    rng = random.Random(151)
+    answers = set()
+    for k in range(0, 7):
+        for _ in range(40):
+            density = rng.choice((0.005, 0.02, 0.05, 0.1, 0.3))
+            # Up to a block of inert bits past ndisj(k).
+            w = tuple(rng.random() < density for _ in range(ndisj(k) + rng.randint(0, 3 * k + 2)))
+            inst = SatcInstance(w)
+            assert inst.k == k
+            want = loop_satc_eval(inst)
+            assert satc_eval(inst) == want, w
+            answers.add(want)
+    assert answers == {True, False}
+    # The empty conjunction, at k = 0 and above.
+    assert satc_eval(SatcInstance(())) is True
+    assert satc_eval(SatcInstance((False,) * ndisj(6))) is True
+
+
+def test_cnf_satisfiable_matches_assignment_loop():
+    rng = random.Random(157)
+    answers = set()
+    for _ in range(600):
+        phi = gen_cnf(rng, 6, rng.randint(1, 24))
+        want = loop_cnf_satisfiable(phi)
+        assert cnf_satisfiable(phi) == want, phi
+        answers.add(want)
+    assert answers == {True, False}
+    for n in range(0, 7):
+        assert cnf_satisfiable(Cnf(n, ())) is True  # the empty conjunction
+    assert cnf_satisfiable(Cnf(1, ((Literal(1),), (Literal(1, negated=True),)))) is False
+
+
 def test_decode_satisfiability_matches_eval_exhaustive_small():
     for n in range(0, 9):
         for bits in range(2**n):
@@ -223,6 +281,50 @@ def test_reachability_formula_requires_unique_accept():
         reachability_formula(parse("out.set:T ; out.set:T ; !"), ())
     with pytest.raises(ValueError, match="exactly one"):
         reachability_formula(parse("!"), ())
+
+
+def test_reachability_satisfiable_matches_brute_force():
+    # The formula's only candidate model is the set of forward-reachable
+    # positions; brute force over all 2^length assignments is the reference.
+    rng = random.Random(163)
+    outcomes = {True: 0, False: 0, ValueError: 0}
+    for i in range(300):
+        n = rng.randint(0, 3)
+        if i % 2:
+            x = gen_sisbr_single_read(rng, 14, n, max_splits=3)
+        else:
+            x = gen_sisbr(rng, 14, n, max_splits=3)
+        # Sometimes one input short, so a read can be past the arity.
+        inputs = tuple(rng.random() < 0.5 for _ in range(max(0, n - rng.randint(0, 1))))
+        try:
+            want = formula_satisfiable(reachability_formula(x, inputs), psize(x))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                reachability_satisfiable(x, inputs)
+            outcomes[ValueError] += 1
+            continue
+        assert reachability_satisfiable(x, inputs) == want, f"{x} on {inputs}"
+        outcomes[want] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_reachability_satisfiable_errors():
+    with pytest.raises(ValueError, match="split/reply vocabulary"):
+        reachability_satisfiable(parse("aux:1.set:T ; out.set:T ; !"), ())
+    with pytest.raises(ValueError, match="exactly one out.set:T"):
+        reachability_satisfiable(parse("out.set:T ; out.set:T ; !"), ())
+    with pytest.raises(ValueError, match="beyond the given arity"):
+        reachability_satisfiable(parse("+in:2.get ; out.set:T ; !"), (True,))
+
+
+def test_reachability_satisfiable_past_brute_force_size():
+    # 42 and 43 positions: more than brute force over the formula's variables allows.
+    hops = " ; ".join(["#1"] * 40)
+    reachable = parse(f"split:1 ; {hops} ; out.set:T")
+    assert reachability_satisfiable(reachable, ())
+    assert not reachability_satisfiable(parse(f"split:1 ; ! ; {hops} ; out.set:T"), ())
+    with pytest.raises(ValueError, match="resource bound"):
+        formula_satisfiable(reachability_formula(reachable, ()), psize(reachable))
 
 
 def test_reachability_matches_executor_on_restricted_class():

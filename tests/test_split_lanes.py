@@ -1,0 +1,127 @@
+"""Forking runs by lane sweep (`splitting_runner`) against the queue executor and the algebra.
+
+`queue_runner` is the round-robin reference: its step count is the number of
+action turns over all branches.  The lane runner must give the same
+``(outcome, steps)`` pair, compared with ``==``, on every input.
+"""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from boolseq.instr import classify, parse
+from boolseq.satc import build_satc_splitter, ndisj
+from boolseq.services import RegisterFile, Terminated
+from boolseq.splitting import MAX_LANE_PARAMS, queue_runner, run_splitting_with_steps, splitting_runner
+
+from util import algebraic_splitting_outcome, gen_sisbr, outcome_matches_service
+
+
+ACCEPTED = Terminated(RegisterFile((), {}, True))
+ACCEPTED_IN_TRUE = Terminated(RegisterFile((True,), {}, True))
+ACCEPTED_IN_FALSE = Terminated(RegisterFile((False,), {}, True))
+
+
+def vectors(n):
+    return [tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n)) for idx in range(2**n)]
+
+
+def assert_runs_agree(x, inputs_list, algebra=False):
+    lanes, queue = splitting_runner(x), queue_runner(x)
+    for inputs in inputs_list:
+        got = lanes(inputs)
+        assert got == queue(inputs), f"{x} on {inputs}"
+        if algebra:
+            assert outcome_matches_service(got[0], algebraic_splitting_outcome(x, inputs)), f"{x} on {inputs}"
+
+
+# In this alphabet -in:2.get is an unserved read at n <= 1, which the lane
+# runner hands to the queue executor.
+SPLITTING_ALPHABET = (
+    "!", "#0", "#2", "in:1.get", "-in:2.get", "out.set:T", "split:1", "+split:1",
+    "-split:2", "reply:1", "+reply:2", "-reply:1",
+)
+
+
+def test_every_short_sequence():
+    for length in range(1, 4):
+        for combo in product(SPLITTING_ALPHABET, repeat=length):
+            x = parse(" ; ".join(combo))
+            for n in range(3):
+                assert_runs_agree(x, vectors(n), algebra=True)
+
+
+def test_seeded_random_sequences():
+    rng = random.Random(4040)
+    checked = 0
+    while checked < 400:
+        n = rng.randint(0, 4)
+        x = gen_sisbr(rng, 14, n + rng.randint(0, 1), max_splits=4, max_params=4)
+        if not classify(x).is_sisbr:
+            continue
+        checked += 1
+        # The algebraic route interleaves every branch, so it gets short inputs.
+        assert_runs_agree(x, vectors(n), algebra=n <= 2 and len(x) <= 8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_splitters(k):
+    rng = random.Random(50 + k)
+    x = build_satc_splitter(ndisj(k))
+    assert len(classify(x).split_params) == k
+    assert_runs_agree(x, [tuple(rng.random() < d for _ in range(ndisj(k))) for d in (0.02, 0.1, 0.3) * 4])
+
+
+@pytest.mark.parametrize("params", [MAX_LANE_PARAMS - 1, MAX_LANE_PARAMS, MAX_LANE_PARAMS + 1])
+def test_split_parameter_bound(params):
+    # A branch whose guess for parameter 1 is False, or whose in:1 is False,
+    # writes out; below the bound the lanes run, above it the queue.
+    forks = " ; ".join(f"split:{p}" for p in range(1, params + 1))
+    x = parse(f"{forks} ; +reply:1 ; -in:1.get ; out.set:T ; !")
+    assert len(classify(x).split_params) == params
+    assert_runs_agree(x, vectors(1))
+    by_queue = splitting_runner(x).__code__ is queue_runner(x).__code__
+    assert by_queue == (params > MAX_LANE_PARAMS)
+    # 2^params - 1 forks, then per leaf a reply and a read or a write, and
+    # with in:1 False a write after the read where the guess is True.
+    forks_taken = 2**params - 1
+    assert run_splitting_with_steps(x, (True,)) == (ACCEPTED_IN_TRUE, forks_taken + 2 * 2**params)
+    assert run_splitting_with_steps(x, (False,)) == (ACCEPTED_IN_FALSE, forks_taken + 5 * 2 ** (params - 1))
+
+
+def test_chain_of_distinct_parameters():
+    # Each +split:p continues only on its False branch: 24 parameters, one
+    # live branch, 24 forks and a write.
+    x = parse(" ; ".join(f"+split:{p} ; !" for p in range(1, 25)) + " ; out.set:T ; !")
+    assert len(classify(x).split_params) == 24
+    assert run_splitting_with_steps(x, ()) == queue_runner(x)(()) == (ACCEPTED, 25)
+
+
+# --- property test -----------------------------------------------------------------------
+
+FORMS = ("", "+", "-")
+SPLITTING_BASICS = (
+    "in:1.get", "in:2.get", "in:3.get", "out.set:T", "split:1", "split:2", "split:3",
+    "reply:1", "reply:2", "reply:3",
+)
+
+
+def instructions():
+    return st.one_of(
+        st.just("!"),
+        st.integers(0, 6).map(lambda d: f"#{d}"),
+        st.tuples(st.sampled_from(FORMS), st.sampled_from(SPLITTING_BASICS)).map("".join),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(instructions(), min_size=1, max_size=16),
+    inputs=st.lists(st.booleans(), max_size=3).map(tuple),
+)
+def test_property_lane_runner_matches_queue(items, inputs):
+    x = parse(" ; ".join(items))
+    assert classify(x).is_sisbr
+    assert_runs_agree(x, [inputs])
