@@ -337,10 +337,11 @@ def lane_sweep(
 
 
 def _canonical(full: int, valuation: dict[int, int], instantiated: dict[int, int]) -> int:
-    """The lanes whose uninstantiated parameters are all False."""
-    for p, lanes in valuation.items():
-        full &= instantiated.get(p, 0) | ~lanes
-    return full
+    """The lanes of ``full`` whose uninstantiated parameters are all False."""
+    canonical = full
+    for p, true_lanes in valuation.items():
+        canonical &= instantiated.get(p, 0) | ~true_lanes
+    return canonical
 
 
 def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
