@@ -537,12 +537,22 @@ def parse_formula(text: str) -> BoolFormula:
 
 
 def render_formula(phi: BoolFormula) -> str:
-    if isinstance(phi, FVar):
-        return f"v{phi.index}"
-    if isinstance(phi, Not):
-        return f"(not {render_formula(phi.operand)})"
-    op = "or" if isinstance(phi, Or) else "and"
-    return f"({op} {render_formula(phi.left)} {render_formula(phi.right)})"
+    """Prefix form, e.g. ``(and v1 (not v2))``; an explicit stack, so any depth renders."""
+    parts: list[str] = []
+    stack: list[BoolFormula | str] = [phi]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, FVar):
+            parts.append(f"v{item.index}")
+        elif isinstance(item, Not):
+            parts.append("(not ")
+            stack += [")", item.operand]
+        else:
+            parts.append("(or " if isinstance(item, Or) else "(and ")
+            stack += [")", item.right, " ", item.left]
+    return "".join(parts)
 
 
 _NETLIST_GATE_RE = re.compile(

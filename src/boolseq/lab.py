@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .instr import (
@@ -166,7 +167,10 @@ def _naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     for length in range(1, spec.max_length + 1):
         total += len(alphabet) ** length
         if total > _NAIVE_CAP:
-            raise ValueError("resource bound exceeded for plain enumeration")
+            raise ValueError(
+                f"resource bound exceeded for plain enumeration at length {length}: "
+                f"{total} sequences, cap {_NAIVE_CAP}"
+            )
     for length in range(1, spec.max_length + 1):
         for combo in product(alphabet, repeat=length):
             if not spec.allow_multiple_term and sum(1 for u in combo if isinstance(u, Term)) > 1:
@@ -178,95 +182,109 @@ def _naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     return None
 
 
+def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple[int, ...]], int]:
+    """Compile one letter into the map from a window of suffix summaries to its own.
+
+    A summary is one int over the states ``i = s * 2^n + a``: register state
+    ``s`` (``out`` is bit 0, ``aux:j`` bit j) and input vector ``a`` (first
+    input most significant).  Bit ``i`` is set when the suffix halts with
+    ``out = T`` from state ``i``, bit ``size + i`` when it halts with
+    ``out = F``; neither when it never halts.  ``window[d - 1]`` summarises
+    the suffix ``d`` instructions on, so a jump or a reply reads it, a read
+    selects between two window entries by the mask of states where the
+    focus holds, and a write moves the state where the reply goes by a shift.
+    """
+    shift = 2**n
+    size = (2**reg_bits) * shift
+    plane = (1 << size) - 1
+
+    def states(holds: Callable[[int, int], int]) -> int:
+        # The states where ``holds(s, a)``, on both planes.
+        low = sum(1 << i for i in range(size) if holds(i >> n, i % shift))
+        return low | (low << size)
+
+    if isinstance(u, Term):
+        halts_true = states(lambda s, a: s & 1)
+        summary = halts_true & plane | ~halts_true & plane << size
+        return lambda window: summary
+    on_true, on_false = u.offsets
+    if isinstance(u, Jump):
+        return itemgetter(on_true - 1) if on_true else lambda window: 0
+    assert isinstance(u.basic, RegisterOp)
+    focus, method = u.basic.focus, u.basic.method
+    t, f = on_true - 1, on_false - 1
+    if isinstance(focus, InReg):  # the alphabet only reads inputs
+        holds = states(lambda s, a: a >> (n - focus.index) & 1)
+    else:
+        bit = 1 << focus.index if isinstance(focus, AuxReg) else 1
+        holds = states(lambda s, a: s & bit)
+    fails = (plane | plane << size) ^ holds
+    if method == GET:
+        if t == f:
+            return itemgetter(t)
+        return lambda window: (window[t] & holds) | (window[f] & fails)
+    # A write replies True (False), continuing from the state with the bit set (clear).
+    distance = bit * shift
+    if method == SET_TRUE:
+        return lambda window: (kept := window[t] & holds) | kept >> distance
+    return lambda window: (kept := window[f] & fails) | kept << distance
+
+
 def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     """Length-lex enumeration with behaviourally identical suffixes merged.
 
     A suffix is summarised by its outcome (halt with a final output value,
-    or never halt) from every register state and input vector; extending a
-    sequence on the left only needs the summaries of the suffix and its
-    tails up to the maximum jump distance.  Sequences are enumerated
-    first-instruction-major, so the first match is the length-lex least.
+    or never halt) from every register state and input vector, as one int
+    (see ``_transfer``); extending a sequence on the left only needs the
+    summaries of the suffix and its tails up to the maximum jump distance.
+    Sequences are enumerated first-instruction-major, so the first match is
+    the length-lex least.
     """
     n = spec.target.arity
-    aux_count = 2 if spec.allow_aux else 0
-    reg_bits = 1 + aux_count
-    shift = 2**n
-    size = (2**reg_bits) * shift
+    reg_bits = 1 + (2 if spec.allow_aux else 0)
+    size = (2**reg_bits) * 2**n
     lookahead = max(2, spec.max_jump if spec.allow_jumps else 2)
-    alphabet = _search_alphabet(spec)
     track_terms = not spec.allow_multiple_term
+    letters = [
+        (u, 1 if track_terms and isinstance(u, Term) else 0, _transfer(u, n, reg_bits))
+        for u in _search_alphabet(spec)
+    ]
 
-    target_codes = bytes(2 if v else 1 for v in spec.target.values)
+    # The target is read from the all-False register state, s = 0.
+    rows = (1 << 2**n) - 1
+    match_mask = rows | rows << size
+    target = sum(1 << (a if v else size + a) for a, v in enumerate(spec.target.values))
 
-    def matches(behaviour: bytes) -> bool:
-        return behaviour[:shift] == target_codes
-
-    def extend(u: PrimitiveInstruction, window: tuple[bytes, ...]) -> bytes:
-        out = bytearray(size)
-        if isinstance(u, Term):
-            for s in range(2**reg_bits):
-                code = 2 if s & 1 else 1
-                base = s * shift
-                for a in range(shift):
-                    out[base + a] = code
-            return bytes(out)
-        on_true, on_false = u.offsets
-        if isinstance(u, Jump):
-            return window[on_true - 1] if on_true else bytes(out)
-        basic = u.basic
-        assert isinstance(basic, RegisterOp)
-        focus, method = basic.focus, basic.method
-        after_true, after_false = window[on_true - 1], window[on_false - 1]
-        for s in range(2**reg_bits):
-            base = s * shift
-            for a in range(shift):
-                if isinstance(focus, InReg):
-                    value = (a >> (n - focus.index)) & 1
-                    bit = None
-                elif isinstance(focus, AuxReg):
-                    bit = 1 << focus.index
-                    value = 1 if s & bit else 0
-                else:
-                    bit = 1
-                    value = s & 1
-                if method == GET:
-                    reply, s2 = value, s
-                elif method == SET_TRUE:
-                    reply, s2 = 1, (s | bit if bit else s)
-                else:
-                    reply, s2 = 0, (s & ~bit if bit else s)
-                nxt = after_true if reply else after_false
-                out[base + a] = nxt[s2 * shift + a]
-        return bytes(out)
-
-    interned: dict[bytes, bytes] = {}
-
-    def intern(b: bytes) -> bytes:
-        return interned.setdefault(b, b)
-
-    empty = bytes(size)
-    frontier: list[tuple[tuple[bytes, ...], int, tuple]] = [((empty,) * lookahead, 0, ())]
+    keep = lookahead - 1
+    # Each entry: the dedup key (window, terms) and the sequence as a linked
+    # list (first instruction, rest), so a state adds one pair, not a copy.
+    frontier: list[tuple[tuple, Optional[tuple]]] = [(((0,) * lookahead, 0), None)]
     seen: set = set()
-    for _length in range(1, spec.max_length + 1):
+    for length in range(1, spec.max_length + 1):
         new_frontier = []
-        for u in alphabet:
-            is_term = isinstance(u, Term)
-            for window, terms, witness in frontier:
-                new_terms = terms + 1 if is_term else terms
-                if track_terms and new_terms > 1:
+        for u, term_step, transfer in letters:
+            for (window, terms), witness in frontier:
+                new_terms = terms + term_step
+                if new_terms > 1:
                     continue
-                behaviour = intern(extend(u, window))
-                new_window = (behaviour,) + window[: lookahead - 1]
-                key = (new_window, new_terms if track_terms else 0)
+                behaviour = transfer(window)
+                key = ((behaviour,) + window[:keep], new_terms)
                 if key in seen:
                     continue
                 seen.add(key)
                 if len(seen) > _SEARCH_STATE_CAP:
-                    raise ValueError("resource bound exceeded in behaviour search")
-                new_witness = (u,) + witness
-                if matches(behaviour):
-                    return InstructionSequence(new_witness)
-                new_frontier.append((new_window, new_terms, new_witness))
+                    raise ValueError(
+                        f"resource bound exceeded in behaviour search at length {length}: "
+                        f"{len(seen)} states seen, cap {_SEARCH_STATE_CAP}"
+                    )
+                new_witness = (u, witness)
+                if behaviour & match_mask == target:
+                    items = []
+                    while new_witness is not None:
+                        head, new_witness = new_witness
+                        items.append(head)
+                    return InstructionSequence(tuple(items))
+                new_frontier.append((key, new_witness))
         frontier = new_frontier
         if not frontier:
             break

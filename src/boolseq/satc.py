@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .compilers import (
     And,
@@ -120,6 +121,12 @@ def alpha(i: int) -> LiteralSet:
     return _block(m)[i - ndisj(m - 1) - 1]
 
 
+def _enumeration(k: int) -> Iterator[LiteralSet]:
+    """alpha(1), ..., alpha(ndisj(k)) in order, block by block."""
+    for m in range(1, k + 1):
+        yield from _block(m)
+
+
 def alpha_rank(literal_set: LiteralSet) -> int:
     """Position of a literal set in the canonical enumeration; inverse of alpha."""
     m = literal_set.max_var()
@@ -155,10 +162,10 @@ def satc_eval(inst: SatcInstance) -> bool:
         raise ValueError(f"resource bound exceeded: {k} variables")
     full, variables = _variable_lanes(k)
     satisfying = full
-    for i in range(1, ndisj(k) + 1):
-        if inst.bits[i - 1]:
+    for selected, literal_set in zip(inst.bits, _enumeration(k)):
+        if selected:
             clause = 0
-            for lit in alpha(i).literals:
+            for lit in literal_set.literals:
                 clause |= full ^ variables[lit.var] if lit.negated else variables[lit.var]
             satisfying &= clause
     return satisfying != 0
@@ -194,11 +201,8 @@ def decode_to_cnf(bits: tuple[bool, ...] | list[bool]) -> Cnf:
     bits = tuple(bits)
     inst = SatcInstance(bits)
     k = inst.k
-    clauses = []
-    for i in range(1, ndisj(k) + 1):
-        if bits[i - 1]:
-            clauses.append(alpha(i).sorted_literals())
-    return Cnf(k, tuple(clauses))
+    clauses = tuple(ls.sorted_literals() for selected, ls in zip(bits, _enumeration(k)) if selected)
+    return Cnf(k, clauses)
 
 
 def encode_cnf(phi: Cnf) -> tuple[bool, ...]:
@@ -258,9 +262,9 @@ def build_satc_splitter(n: int) -> InstructionSequence:
         return RegisterOp(InReg(index - k), GET)
 
     conjuncts: list[BoolFormula] = []
-    for i in range(1, ndisj(k) + 1):
+    for i, literal_set in enumerate(_enumeration(k), start=1):
         disjunction: BoolFormula = Not(FVar(k + i))
-        for lit in alpha(i).sorted_literals():
+        for lit in literal_set.sorted_literals():
             term: BoolFormula = Not(FVar(lit.var)) if lit.negated else FVar(lit.var)
             disjunction = Or(disjunction, term)
         conjuncts.append(disjunction)

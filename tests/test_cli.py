@@ -184,6 +184,15 @@ def test_reduce_plsis(capsys):
     assert out == expected + "\n"
 
 
+def test_reduce_plsis_long_jump_chain(capsys):
+    # 1500 nested conjunctions; rendering must not recurse per level.
+    text = " ; ".join(["split:1"] + ["#1"] * 1500 + ["out.set:T", "!"])
+    code, out, err = run_cli(capsys, "reduce-plsis", text)
+    assert code == 0 and err == ""
+    assert out == compilers.render_formula(satc.reachability_formula(instr.parse(text), ())) + "\n"
+    assert out.startswith("(and v1 (and v1502 (and (and (or v2 (not v1)) (or (not v2) v1))")
+
+
 def test_search_command(capsys):
     code, out, _ = run_cli(capsys, "search", "T", "--max-length", "3")
     assert code == 0

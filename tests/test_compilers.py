@@ -307,6 +307,33 @@ def test_formula_sexpr_round_trip():
     assert parse_formula(render_formula(phi)) == phi
 
 
+def recursive_render_formula(phi) -> str:
+    """render_formula by recursion: the reference for the explicit-stack one."""
+    if isinstance(phi, FVar):
+        return f"v{phi.index}"
+    if isinstance(phi, Not):
+        return f"(not {recursive_render_formula(phi.operand)})"
+    op = "or" if isinstance(phi, Or) else "and"
+    return f"({op} {recursive_render_formula(phi.left)} {recursive_render_formula(phi.right)})"
+
+
+def test_render_formula_matches_recursive_reference():
+    rng = random.Random(331)
+    for _ in range(300):
+        phi = gen_formula(rng, 4, rng.randint(1, 12))
+        assert render_formula(phi) == recursive_render_formula(phi)
+        assert parse_formula(render_formula(phi)) == phi
+
+
+def test_render_formula_deep_nesting():
+    phi = FVar(1)
+    for index in range(2, 5002):
+        phi = And(Not(phi), FVar(index))
+    text = render_formula(phi)
+    assert text.startswith("(and (not (and (not ") and text.endswith("v5000)) v5001)")
+    assert text.count("(") == text.count(")") == 10000
+
+
 def test_formula_sexpr_nary_folds_right():
     assert parse_formula("(or v1 v2 v3)") == Or(FVar(1), Or(FVar(2), FVar(3)))
 

@@ -1,15 +1,20 @@
 """Truth tables and the shortest-sequence search."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from boolseq import lab
 from boolseq.compilers import Cnf, Literal, cnf_compiled_size, compile_cnf
 from boolseq.instr import parse, psize, render
 from boolseq.lab import (
     SearchSpec,
     TruthTable,
     _naive_search,
+    _search_alphabet,
     shortest_sequence_search,
     truth_table,
 )
@@ -105,6 +110,123 @@ def test_search_agrees_with_naive_enumeration():
     ]
     for spec in cases:
         assert shortest_sequence_search(spec) == _naive_search(spec), spec
+
+
+def _every_restriction(n: int):
+    """Each target of arity n under every combination of the search restrictions."""
+    for bits in range(2 ** 2**n):
+        target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
+        for jumps, max_jump in ((False, 3), (True, 1), (True, 3)):
+            for aux, out_set_false, multiple_term in itertools.product((False, True), repeat=3):
+                yield SearchSpec(
+                    target=target,
+                    max_length=1,
+                    allow_jumps=jumps,
+                    max_jump=max_jump,
+                    allow_aux=aux,
+                    allow_out_set_false=out_set_false,
+                    allow_multiple_term=multiple_term,
+                )
+
+
+def _naive_length(spec: SearchSpec, budget: int = 10000) -> int:
+    """The longest max_length whose plain enumeration stays within ``budget`` sequences."""
+    letters = len(_search_alphabet(spec))
+    length, total = 0, 0
+    while total + letters ** (length + 1) <= budget:
+        length += 1
+        total += letters**length
+    return length
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_search_agrees_with_naive_under_every_restriction(n):
+    for spec in _every_restriction(n):
+        bounded = replace(spec, max_length=_naive_length(spec))
+        assert shortest_sequence_search(bounded) == _naive_search(bounded), bounded
+
+
+# Shortest sequences of every arity-2 function at max length 7, recorded from
+# the byte-per-state summaries that preceded the bit-plane ones; jumps of up to 3 and
+# auxiliary registers find nothing shorter or earlier.
+ARITY2_ANSWERS = {
+    "FFFF": "!",
+    "FFFT": "+in:1.get ; -in:2.get ; ! ; out.set:T ; !",
+    "FFTF": "+in:1.get ; +in:2.get ; ! ; out.set:T ; !",
+    "FFTT": "+in:1.get ; out.set:T ; !",
+    "FTFF": "+in:1.get ; ! ; +in:2.get ; out.set:T ; !",
+    "FTFT": "+in:2.get ; out.set:T ; !",
+    "FTTF": None,
+    "FTTT": "-in:1.get ; +in:2.get ; out.set:T ; !",
+    "TFFF": "+in:1.get ; ! ; -in:2.get ; out.set:T ; !",
+    "TFFT": None,
+    "TFTF": "-in:2.get ; out.set:T ; !",
+    "TFTT": "+in:2.get ; +in:1.get ; out.set:T ; !",
+    "TTFF": "-in:1.get ; out.set:T ; !",
+    "TTFT": "+in:1.get ; +in:2.get ; out.set:T ; !",
+    "TTTF": "+in:1.get ; -in:2.get ; out.set:T ; !",
+    "TTTT": "out.set:T ; !",
+}
+
+
+@pytest.mark.parametrize("restrictions", [{}, {"allow_jumps": True}, {"allow_aux": True}])
+def test_search_pinned_arity2_answers(restrictions):
+    for table, answer in ARITY2_ANSWERS.items():
+        target = TruthTable(2, tuple(c == "T" for c in table))
+        result = shortest_sequence_search(SearchSpec(target=target, max_length=7, **restrictions))
+        assert (None if result is None else render(result)) == answer, table
+
+
+def test_search_pinned_and3_with_jumps():
+    and3 = TruthTable(3, tuple(i == 7 for i in range(8)))
+    cases = [
+        (
+            dict(max_length=14, allow_jumps=True, max_jump=5, allow_out_set_false=True),
+            "+in:1.get ; out.set:T ; +in:2.get ; -in:3.get ; out.set:F ; !",
+        ),
+        (dict(max_length=8, allow_jumps=True, max_jump=3), "+in:1.get ; -in:2.get ; ! ; +in:3.get ; out.set:T ; !"),
+    ]
+    for restrictions, answer in cases:
+        assert render(shortest_sequence_search(SearchSpec(target=and3, **restrictions))) == answer
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 2),
+    bits=st.integers(0, 15),
+    jumps=st.booleans(),
+    max_jump=st.integers(0, 4),
+    aux=st.booleans(),
+    out_set_false=st.booleans(),
+    multiple_term=st.booleans(),
+    max_length=st.integers(1, 3),
+)
+def test_search_equals_naive_property(n, bits, jumps, max_jump, aux, out_set_false, multiple_term, max_length):
+    target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
+    spec = SearchSpec(
+        target=target,
+        max_length=max_length if aux or n == 2 else max_length + 1,
+        allow_jumps=jumps,
+        max_jump=max_jump,
+        allow_aux=aux,
+        allow_out_set_false=out_set_false,
+        allow_multiple_term=multiple_term,
+    )
+    assert shortest_sequence_search(spec) == _naive_search(spec)
+
+
+def test_search_state_cap_names_where_it_stopped(monkeypatch):
+    monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", 10)
+    spec = SearchSpec(target=TruthTable(2, (False, True, True, False)), max_length=7)
+    with pytest.raises(ValueError, match=r"at length 3: 11 states seen, cap 10"):
+        shortest_sequence_search(spec)
+
+
+def test_naive_cap_names_where_it_stopped(monkeypatch):
+    monkeypatch.setattr(lab, "_NAIVE_CAP", 100)
+    spec = SearchSpec(target=TruthTable(0, (True,)), max_length=5, splitting_mode=True)
+    with pytest.raises(ValueError, match=r"at length 2: \d+ sequences, cap 100"):
+        shortest_sequence_search(spec)
 
 
 def test_search_with_aux_registers():

@@ -214,6 +214,16 @@ def test_satc_eval_matches_assignment_loop():
     assert satc_eval(SatcInstance((False,) * ndisj(6))) is True
 
 
+def test_decode_to_cnf_matches_alpha_reference():
+    rng = random.Random(163)
+    for k in range(0, 7):
+        for _ in range(20):
+            density = rng.choice((0.02, 0.1, 0.5))
+            w = tuple(rng.random() < density for _ in range(ndisj(k) + rng.randint(0, 3 * k + 2)))
+            selected = [alpha(i) for i in range(1, ndisj(k) + 1) if w[i - 1]]
+            assert decode_to_cnf(w) == Cnf(k, tuple(ls.sorted_literals() for ls in selected)), w
+
+
 def test_cnf_satisfiable_matches_assignment_loop():
     rng = random.Random(157)
     answers = set()
