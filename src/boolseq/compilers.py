@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .instr import (
     GET,
@@ -163,48 +163,65 @@ def _eval_literal(lit: Literal, assignment: Sequence[bool]) -> bool:
 
 
 def _eval_bform(phi: BoolFormula, assignment: Sequence[bool]) -> bool:
-    if isinstance(phi, FVar):
-        if phi.index > len(assignment):
-            raise ValueError(f"unbound variable v{phi.index}")
-        return assignment[phi.index - 1]
-    if isinstance(phi, Not):
-        return not _eval_bform(phi.operand, assignment)
-    if isinstance(phi, Or):
-        return _eval_bform(phi.left, assignment) or _eval_bform(phi.right, assignment)
-    return _eval_bform(phi.left, assignment) and _eval_bform(phi.right, assignment)
+    # By an explicit stack of the operators awaiting their first operand.  Like
+    # ``or``/``and``, a decided left operand skips the right one and its errors.
+    pending: list[BoolFormula] = []
+    node = phi
+    while True:
+        while (kind := type(node)) is not FVar:
+            pending.append(node)
+            node = node.operand if kind is Not else node.left
+        if node.index > len(assignment):
+            raise ValueError(f"unbound variable v{node.index}")
+        value = assignment[node.index - 1]
+        while pending:
+            op = pending.pop()
+            kind = type(op)
+            if kind is Not:
+                value = not value
+            elif value if kind is And else not value:
+                node = op.right  # undecided: the operator's value is the right operand's
+                break
+        else:
+            return value
 
 
 def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
+    # As ``_eval_bform``, evaluating each gate reachable from the output at most once.
     if circuit.num_inputs > len(assignment):
         raise ValueError("assignment shorter than the circuit's input count")
-    cache: dict[int, bool] = {}
-
-    def node_value(node: Node, stack: frozenset[int]) -> bool:
-        if isinstance(node, InputRef):
-            if node.index > len(assignment):
-                raise ValueError(f"unbound input in{node.index}")
-            return assignment[node.index - 1]
-        return gate_value(node.index, stack)
-
-    def gate_value(k: int, stack: frozenset[int]) -> bool:
-        if k in cache:
-            return cache[k]
-        if not 1 <= k <= len(circuit.gates):
-            raise ValueError(f"dangling gate reference g{k}")
-        if k in stack:
-            raise ValueError("cyclic circuit")
-        stack = stack | {k}
-        gate = circuit.gates[k - 1]
-        if isinstance(gate, NotGate):
-            value = not node_value(gate.pred, stack)
-        elif isinstance(gate, OrGate):
-            value = node_value(gate.left, stack) or node_value(gate.right, stack)
+    cache: dict[int, Optional[bool]] = {}  # None while the gate is under way
+    pending: list[tuple[int, bool]] = []  # gates under way, and whether on their right operand
+    node: Node = GateRef(circuit.output_gate)
+    while True:
+        while isinstance(node, GateRef) and cache.get(node.index) is None:
+            k = node.index
+            if not 1 <= k <= len(circuit.gates):
+                raise ValueError(f"dangling gate reference g{k}")
+            if k in cache:
+                raise ValueError("cyclic circuit")
+            cache[k] = None
+            pending.append((k, False))
+            gate = circuit.gates[k - 1]
+            node = gate.pred if isinstance(gate, NotGate) else gate.left
+        if isinstance(node, GateRef):
+            value = cache[node.index]
+        elif node.index > len(assignment):
+            raise ValueError(f"unbound input in{node.index}")
         else:
-            value = node_value(gate.left, stack) and node_value(gate.right, stack)
-        cache[k] = value
-        return value
-
-    return gate_value(circuit.output_gate, frozenset())
+            value = assignment[node.index - 1]
+        while pending:
+            k, right = pending.pop()
+            gate = circuit.gates[k - 1]
+            if isinstance(gate, NotGate):
+                value = not value
+            elif not right and (value if isinstance(gate, AndGate) else not value):
+                pending.append((k, True))
+                node = gate.right
+                break
+            cache[k] = value
+        else:
+            return value
 
 
 def eval_formula(phi: Union[BoolFormula, Cnf, Circuit], assignment: Sequence[bool]) -> bool:

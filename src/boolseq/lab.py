@@ -37,7 +37,6 @@ from .instr import (
 from .services import lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
-_NAIVE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,7 @@ class TruthTable:
 
     @staticmethod
     def tabulate(arity: int, fn: Callable[[tuple[bool, ...]], bool]) -> "TruthTable":
-        values = []
-        for idx in range(2**arity):
-            vector = tuple((idx >> (arity - 1 - i)) & 1 == 1 for i in range(arity))
-            values.append(fn(vector))
-        return TruthTable(arity, tuple(values))
+        return TruthTable(arity, tuple(map(fn, product((False, True), repeat=arity))))
 
 
 def truth_table(x: InstructionSequence, n: int, splitting: bool = False) -> TruthTable:
@@ -117,29 +112,19 @@ def _search_alphabet(spec: SearchSpec) -> list[PrimitiveInstruction]:
     negative-test forms over the basics (input reads, auxiliary registers
     when allowed, output writes, fork/reply in splitting mode).
     """
-    basics: list[BasicInstruction] = []
-    for j in range(1, spec.target.arity + 1):
-        basics.append(RegisterOp(InReg(j), GET))
-    if spec.allow_aux and not spec.splitting_mode:
-        for j in (1, 2):
-            for method in (GET, SET_TRUE, SET_FALSE):
-                basics.append(RegisterOp(AuxReg(j), method))
-    basics.append(RegisterOp(OUT, SET_TRUE))
-    if spec.allow_out_set_false and not spec.splitting_mode:
-        basics.append(RegisterOp(OUT, SET_FALSE))
+    basics: list[BasicInstruction] = [RegisterOp(InReg(j), GET) for j in range(1, spec.target.arity + 1)]
     if spec.splitting_mode:
-        for j in (1, 2):
-            basics.append(SplitOp(j))
-        for j in (1, 2):
-            basics.append(ReplyOp(j))
-
+        basics += [RegisterOp(OUT, SET_TRUE), SplitOp(1), SplitOp(2), ReplyOp(1), ReplyOp(2)]
+    else:
+        if spec.allow_aux:
+            basics += [RegisterOp(AuxReg(j), method) for j in (1, 2) for method in (GET, SET_TRUE, SET_FALSE)]
+        basics.append(RegisterOp(OUT, SET_TRUE))
+        if spec.allow_out_set_false:
+            basics.append(RegisterOp(OUT, SET_FALSE))
     alphabet: list[PrimitiveInstruction] = [TERM]
     if spec.allow_jumps:
-        alphabet.extend(Jump(l) for l in range(0, spec.max_jump + 1))
-    alphabet.extend(Plain(b) for b in basics)
-    alphabet.extend(PosTest(b) for b in basics)
-    alphabet.extend(NegTest(b) for b in basics)
-    return alphabet
+        alphabet += [Jump(l) for l in range(0, spec.max_jump + 1)]
+    return alphabet + [form(b) for form in (Plain, PosTest, NegTest) for b in basics]
 
 
 def shortest_sequence_search(spec: SearchSpec) -> Optional[InstructionSequence]:
@@ -155,44 +140,22 @@ def shortest_sequence_search(spec: SearchSpec) -> Optional[InstructionSequence]:
         raise ValueError("search supports arity <= 3")
     if spec.max_length > 14:
         raise ValueError("search supports max_length <= 14")
-    if spec.splitting_mode:
-        return _naive_search(spec)
     return _behaviour_search(spec)
-
-
-def _naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
-    """Plain enumeration; used for splitting mode and as a cross-check oracle."""
-    alphabet = _search_alphabet(spec)
-    total = 0
-    for length in range(1, spec.max_length + 1):
-        total += len(alphabet) ** length
-        if total > _NAIVE_CAP:
-            raise ValueError(
-                f"resource bound exceeded for plain enumeration at length {length}: "
-                f"{total} sequences, cap {_NAIVE_CAP}"
-            )
-    for length in range(1, spec.max_length + 1):
-        for combo in product(alphabet, repeat=length):
-            if not spec.allow_multiple_term and sum(1 for u in combo if isinstance(u, Term)) > 1:
-                continue
-            x = InstructionSequence(combo)
-            table = truth_table(x, spec.target.arity, splitting=spec.splitting_mode)
-            if table == spec.target:
-                return x
-    return None
 
 
 def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple[int, ...]], int]:
     """Compile one letter into the map from a window of suffix summaries to its own.
 
     A summary is one int over the states ``i = s * 2^n + a``: register state
-    ``s`` (``out`` is bit 0, ``aux:j`` bit j) and input vector ``a`` (first
-    input most significant).  Bit ``i`` is set when the suffix halts with
-    ``out = T`` from state ``i``, bit ``size + i`` when it halts with
-    ``out = F``; neither when it never halts.  ``window[d - 1]`` summarises
-    the suffix ``d`` instructions on, so a jump or a reply reads it, a read
-    selects between two window entries by the mask of states where the
-    focus holds, and a write moves the state where the reply goes by a shift.
+    ``s`` (``out`` is bit 0, ``aux:j`` bit j; split parameter p has its
+    instantiated bit 2p - 1 and its value bit 2p) and input vector ``a``
+    (first input most significant).  Bit ``i`` is set when the suffix halts with ``out = T``
+    from state ``i``, bit ``size + i`` when it halts with ``out = F``; neither
+    when it never halts.  ``window[d - 1]`` summarises the suffix ``d``
+    instructions on, so a jump reads it, a read or a reply selects between two
+    window entries by the masks of states where it replies True and False, a
+    write moves the state where the reply goes by a shift, and a split joins
+    the states its two branches go on from.
     """
     shift = 2**n
     size = (2**reg_bits) * shift
@@ -210,18 +173,37 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple
     on_true, on_false = u.offsets
     if isinstance(u, Jump):
         return itemgetter(on_true - 1) if on_true else lambda window: 0
-    assert isinstance(u.basic, RegisterOp)
-    focus, method = u.basic.focus, u.basic.method
     t, f = on_true - 1, on_false - 1
-    if isinstance(focus, InReg):  # the alphabet only reads inputs
-        holds = states(lambda s, a: a >> (n - focus.index) & 1)
-    else:
-        bit = 1 << focus.index if isinstance(focus, AuxReg) else 1
-        holds = states(lambda s, a: s & bit)
-    fails = (plane | plane << size) ^ holds
-    if method == GET:
-        if t == f:
+    if isinstance(u.basic, RegisterOp):
+        focus, method = u.basic.focus, u.basic.method
+        if isinstance(focus, InReg):  # the alphabet only reads inputs
+            holds = states(lambda s, a: a >> (n - focus.index) & 1)
+        else:
+            bit = 1 << focus.index if isinstance(focus, AuxReg) else 1
+            holds = states(lambda s, a: s & bit)
+        fails = (plane | plane << size) ^ holds
+        if method == GET and t == f:
             return itemgetter(t)
+    else:
+        inst = 1 << 2 * u.basic.param - 1
+        both = inst | inst << 1
+        if isinstance(u.basic, SplitOp):
+            # The branches halt when both do, with out = T when either does
+            # (they cannot affect each other).  A re-split never halts.
+            fresh = states(lambda s, a: not s & both) & plane
+            to_true, to_false = both * shift, inst * shift
+
+            def split(window: tuple[int, ...]) -> int:
+                yes, no = window[t] >> to_true, window[f] >> to_false
+                halts = (yes | yes >> size) & (no | no >> size) & fresh
+                return (yes | no) & halts | yes & no & fresh << size
+
+            return split
+        # A reply reads the parameter's value; it never halts where the parameter is fresh.
+        method = GET
+        holds = states(lambda s, a: s & both == both)
+        fails = states(lambda s, a: s & both == inst)
+    if method == GET:
         return lambda window: (window[t] & holds) | (window[f] & fails)
     # A write replies True (False), continuing from the state with the bit set (clear).
     distance = bit * shift
@@ -241,7 +223,7 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     the length-lex least.
     """
     n = spec.target.arity
-    reg_bits = 1 + (2 if spec.allow_aux else 0)
+    reg_bits = 5 if spec.splitting_mode else 3 if spec.allow_aux else 1
     size = (2**reg_bits) * 2**n
     lookahead = max(2, spec.max_jump if spec.allow_jumps else 2)
     track_terms = not spec.allow_multiple_term

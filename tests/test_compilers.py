@@ -64,6 +64,120 @@ def test_eval_formula_unbound_variable():
         eval_formula(FVar(2), [True])
 
 
+def recursive_eval(phi, assignment):
+    """The recursive evaluators that preceded the explicit stacks, as the reference."""
+    if isinstance(phi, Circuit):
+        if phi.num_inputs > len(assignment):
+            raise ValueError("assignment shorter than the circuit's input count")
+        cache = {}
+
+        def node_value(node, path):
+            if isinstance(node, InputRef):
+                if node.index > len(assignment):
+                    raise ValueError(f"unbound input in{node.index}")
+                return assignment[node.index - 1]
+            k = node.index
+            if k in cache:
+                return cache[k]
+            if not 1 <= k <= len(phi.gates):
+                raise ValueError(f"dangling gate reference g{k}")
+            if k in path:
+                raise ValueError("cyclic circuit")
+            gate = phi.gates[k - 1]
+            if isinstance(gate, NotGate):
+                value = not node_value(gate.pred, path | {k})
+            elif isinstance(gate, OrGate):
+                value = node_value(gate.left, path | {k}) or node_value(gate.right, path | {k})
+            else:
+                value = node_value(gate.left, path | {k}) and node_value(gate.right, path | {k})
+            cache[k] = value
+            return value
+
+        return node_value(GateRef(phi.output_gate), frozenset())
+    if isinstance(phi, FVar):
+        if phi.index > len(assignment):
+            raise ValueError(f"unbound variable v{phi.index}")
+        return assignment[phi.index - 1]
+    if isinstance(phi, Not):
+        return not recursive_eval(phi.operand, assignment)
+    if isinstance(phi, Or):
+        return recursive_eval(phi.left, assignment) or recursive_eval(phi.right, assignment)
+    return recursive_eval(phi.left, assignment) and recursive_eval(phi.right, assignment)
+
+
+def _outcome(evaluate, phi, assignment):
+    try:
+        return evaluate(phi, assignment)
+    except ValueError as error:
+        return str(error)
+
+
+def test_eval_formula_matches_recursive_reference():
+    # Short assignments, and circuits with out-of-range, dangling and cyclic
+    # references: the values and the error messages agree, short-circuiting included.
+    rng = random.Random(2718)
+    for _ in range(400):
+        phi = gen_formula(rng, 4, rng.randint(1, 12))
+        assignment = [rng.random() < 0.5 for _ in range(rng.randint(0, 4))]
+        assert _outcome(eval_formula, phi, assignment) == _outcome(recursive_eval, phi, assignment)
+    gate_kinds = (lambda a, b: NotGate(a), OrGate, AndGate)
+    for _ in range(800):
+        inputs, size = rng.randint(0, 3), rng.randint(1, 6)
+
+        def node():
+            if rng.random() < 0.35:
+                return InputRef(rng.randint(1, inputs + 1))
+            return GateRef(rng.randint(0, size + 1))
+
+        gates = tuple(rng.choice(gate_kinds)(node(), node()) for _ in range(size))
+        circuit = Circuit(inputs, gates, rng.randint(1, size))
+        assignment = [rng.random() < 0.5 for _ in range(rng.randint(max(0, inputs - 1), inputs + 1))]
+        assert _outcome(eval_formula, circuit, assignment) == _outcome(recursive_eval, circuit, assignment)
+
+
+def test_eval_formula_deep_nesting():
+    depth = 10_000
+    negations = FVar(1)
+    for _ in range(depth):
+        negations = Not(negations)
+    assert eval_formula(negations, [True]) is True
+    left_deep = right_deep = FVar(1)
+    for index in range(2, depth + 2):
+        left_deep = And(left_deep, FVar(index))
+        right_deep = Or(FVar(index), right_deep)
+    assert eval_formula(left_deep, [True] * (depth + 1)) is True
+    assert eval_formula(right_deep, [False] * (depth + 1)) is False
+    with pytest.raises(ValueError, match=f"unbound variable v{depth + 1}"):
+        eval_formula(left_deep, [True] * depth)
+
+
+def test_eval_circuit_deep_chains():
+    depth = 10_000
+    # Gate k negates gate k - 1, gate 1 the input; the output is the last gate.
+    nots = (NotGate(InputRef(1)),) + tuple(NotGate(GateRef(k - 1)) for k in range(2, depth + 1))
+    assert eval_formula(Circuit(1, nots, depth), [False]) is False
+    # Gate k ors input 1 with gate k + 1, reached through the right operand.
+    ors = tuple(OrGate(InputRef(1), GateRef(k + 1)) for k in range(1, depth)) + (NotGate(InputRef(2)),)
+    assert eval_formula(Circuit(2, ors, 1), [False, False]) is True
+    assert eval_formula(Circuit(2, ors, 1), [False, True]) is False
+    cyclic = ors[:-1] + (NotGate(GateRef(1)),)
+    with pytest.raises(ValueError, match="cyclic circuit"):
+        eval_formula(Circuit(2, cyclic, 1), [False, False])
+    dangling = ors[:-1] + (NotGate(GateRef(depth + 1)),)
+    with pytest.raises(ValueError, match=f"dangling gate reference g{depth + 1}"):
+        eval_formula(Circuit(2, dangling, 1), [False, False])
+
+
+def test_eval_circuit_visits_only_gates_the_output_needs():
+    # Gate 2 dangles and gate 3 is cyclic, but neither is reached from gate 1.
+    gates = (NotGate(InputRef(1)), NotGate(GateRef(9)), NotGate(GateRef(3)))
+    assert eval_formula(Circuit(1, gates, 1), [True]) is False
+    with pytest.raises(ValueError, match="assignment shorter than the circuit's input count"):
+        eval_formula(Circuit(2, gates, 1), [True])
+    with pytest.raises(ValueError, match="unbound input in2"):
+        eval_formula(Circuit(1, (NotGate(InputRef(2)),), 1), [True])
+
+
 def test_compile_cnf_golden():
     expected = (
         "+in:1.get ; #2 ; -in:2.get ; #2 ; +out.set:F ; #2 ; ! ; "

@@ -9,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from boolseq import lab
 from boolseq.compilers import Cnf, Literal, cnf_compiled_size, compile_cnf
-from boolseq.instr import parse, psize, render
+from boolseq.instr import Jump, parse, psize, render
 from boolseq.lab import (
     SearchSpec,
     TruthTable,
-    _naive_search,
     _search_alphabet,
+    _transfer,
     shortest_sequence_search,
     truth_table,
 )
-from boolseq.services import Terminated, run
+from boolseq.services import Terminated, lane_values, run
 from boolseq.splitting import run_splitting
 
-from util import gen_isbr, gen_sisbr
+from util import gen_isbr, gen_sisbr, naive_search
 
 
 def test_truth_table_indexing():
@@ -109,10 +109,10 @@ def test_search_agrees_with_naive_enumeration():
         ),
     ]
     for spec in cases:
-        assert shortest_sequence_search(spec) == _naive_search(spec), spec
+        assert shortest_sequence_search(spec) == naive_search(spec), spec
 
 
-def _every_restriction(n: int):
+def _every_restriction(n: int, splitting_mode: bool = False):
     """Each target of arity n under every combination of the search restrictions."""
     for bits in range(2 ** 2**n):
         target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
@@ -126,6 +126,7 @@ def _every_restriction(n: int):
                     allow_aux=aux,
                     allow_out_set_false=out_set_false,
                     allow_multiple_term=multiple_term,
+                    splitting_mode=splitting_mode,
                 )
 
 
@@ -143,7 +144,39 @@ def _naive_length(spec: SearchSpec, budget: int = 10000) -> int:
 def test_search_agrees_with_naive_under_every_restriction(n):
     for spec in _every_restriction(n):
         bounded = replace(spec, max_length=_naive_length(spec))
-        assert shortest_sequence_search(bounded) == _naive_search(bounded), bounded
+        assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_splitting_search_agrees_with_naive_under_every_restriction(n):
+    for spec in _every_restriction(n, splitting_mode=True):
+        bounded = replace(spec, max_length=_naive_length(spec))
+        assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
+
+
+def _fold(x, n: int, reg_bits: int) -> tuple:
+    """The table of ``x`` from its behaviour summary, folded right to left by ``_transfer``."""
+    window = (0,) * max([2] + [u.distance for u in x.items if isinstance(u, Jump)])
+    for u in reversed(x.items):
+        window = (_transfer(u, n, reg_bits)(window),) + window[:-1]
+    size = 2**reg_bits * 2**n
+    return tuple(
+        True if window[0] >> a & 1 else False if window[0] >> size + a & 1 else None for a in range(2**n)
+    )
+
+
+@pytest.mark.parametrize(
+    "generate, reg_bits, splitting",
+    [(lambda rng, n: gen_isbr(rng, 12, n), 3, False), (lambda rng, n: gen_sisbr(rng, 12, n, max_params=2), 5, True)],
+    ids=["plain", "splitting"],
+)
+def test_transfer_fold_matches_lane_values(generate, reg_bits, splitting):
+    # Undefined entries (deadlock, a re-split, a reply on a fresh parameter) included.
+    rng = random.Random(606)
+    for _ in range(2000):
+        n = rng.randint(0, 3)
+        x = generate(rng, n)
+        assert _fold(x, n, reg_bits) == lane_values(x, n, splitting=splitting), render(x)
 
 
 # Shortest sequences of every arity-2 function at max length 7, recorded from
@@ -212,20 +245,52 @@ def test_search_equals_naive_property(n, bits, jumps, max_jump, aux, out_set_fal
         allow_out_set_false=out_set_false,
         allow_multiple_term=multiple_term,
     )
-    assert shortest_sequence_search(spec) == _naive_search(spec)
+    assert shortest_sequence_search(spec) == naive_search(spec)
 
 
-def test_search_state_cap_names_where_it_stopped(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 2),
+    bits=st.integers(0, 15),
+    jumps=st.booleans(),
+    max_jump=st.integers(0, 4),
+    multiple_term=st.booleans(),
+    max_length=st.integers(1, 3),
+)
+def test_splitting_search_equals_naive_property(n, bits, jumps, max_jump, multiple_term, max_length):
+    target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
+    spec = SearchSpec(
+        target=target,
+        max_length=min(max_length, 2) if n == 2 else max_length,
+        allow_jumps=jumps,
+        max_jump=max_jump,
+        allow_multiple_term=multiple_term,
+        splitting_mode=True,
+    )
+    assert shortest_sequence_search(spec) == naive_search(spec)
+
+
+# The splitting-mode cases of the benchmark's search workload, recorded from
+# the plain enumeration that ran splitting mode before the bit-plane summaries.
+SPLIT_BENCH_ANSWERS = [
+    ("FFTT", 3, "+in:1.get ; out.set:T ; !"),
+    ("FFFT", 2, None),
+    ("TF", 3, "-in:1.get ; out.set:T ; !"),
+]
+
+
+def test_search_pinned_splitting_bench_answers():
+    for table, max_length, answer in SPLIT_BENCH_ANSWERS:
+        target = TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table))
+        result = shortest_sequence_search(SearchSpec(target=target, max_length=max_length, splitting_mode=True))
+        assert (None if result is None else render(result)) == answer, table
+
+
+@pytest.mark.parametrize("splitting_mode, length", [(False, 3), (True, 2)], ids=["plain", "splitting"])
+def test_search_state_cap_names_where_it_stopped(monkeypatch, splitting_mode, length):
     monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", 10)
-    spec = SearchSpec(target=TruthTable(2, (False, True, True, False)), max_length=7)
-    with pytest.raises(ValueError, match=r"at length 3: 11 states seen, cap 10"):
-        shortest_sequence_search(spec)
-
-
-def test_naive_cap_names_where_it_stopped(monkeypatch):
-    monkeypatch.setattr(lab, "_NAIVE_CAP", 100)
-    spec = SearchSpec(target=TruthTable(0, (True,)), max_length=5, splitting_mode=True)
-    with pytest.raises(ValueError, match=r"at length 2: \d+ sequences, cap 100"):
+    spec = SearchSpec(target=TruthTable(2, (False, True, True, False)), max_length=7, splitting_mode=splitting_mode)
+    with pytest.raises(ValueError, match=rf"at length {length}: 11 states seen, cap 10"):
         shortest_sequence_search(spec)
 
 

@@ -1,13 +1,17 @@
-"""Shared test helpers: random generators and the algebraic evaluation oracle.
+"""Shared test helpers: random generators and the reference oracles.
 
-The oracle composes the published semantics literally (behaviour tree, use
-chain over the registers, apply on the output register) and is kept
-independent of the program-counter executors it checks.
+The algebraic oracle composes the published semantics literally (behaviour
+tree, use chain over the registers, apply on the output register) and is
+kept independent of the program-counter executors it checks.  The naive
+search enumerates and tabulates every sequence, independent of the merged
+behaviour summaries of ``lab.shortest_sequence_search``.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
+from typing import Optional
 
 from boolseq.instr import (
     GET,
@@ -25,8 +29,10 @@ from boolseq.instr import (
     ReplyOp,
     SplitOp,
     TERM,
+    Term,
     classify,
 )
+from boolseq.lab import SearchSpec, _search_alphabet, truth_table
 from boolseq.services import (
     DIVERGENT,
     BoolRegister,
@@ -55,6 +61,30 @@ def algebraic_splitting_outcome(x: InstructionSequence, inputs):
     for i, b in enumerate(inputs, start=1):
         t = use(t, InReg(i), BoolRegister(RegState.of(b)))
     return apply(t, OUT, BoolRegister(RegState.FALSE))
+
+
+NAIVE_CAP = 5_000_000
+
+
+def naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
+    """Plain length-lex enumeration: the first sequence whose truth table is the target."""
+    alphabet = _search_alphabet(spec)
+    total = 0
+    for length in range(1, spec.max_length + 1):
+        total += len(alphabet) ** length
+        if total > NAIVE_CAP:
+            raise ValueError(
+                f"resource bound exceeded for plain enumeration at length {length}: "
+                f"{total} sequences, cap {NAIVE_CAP}"
+            )
+    for length in range(1, spec.max_length + 1):
+        for combo in product(alphabet, repeat=length):
+            if not spec.allow_multiple_term and sum(1 for u in combo if isinstance(u, Term)) > 1:
+                continue
+            x = InstructionSequence(combo)
+            if truth_table(x, spec.target.arity, splitting=spec.splitting_mode) == spec.target:
+                return x
+    return None
 
 
 def outcome_matches_service(run_outcome, service_result) -> bool:
