@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .instr import (
     GET,
@@ -233,13 +233,21 @@ def eval_formula(phi: Union[BoolFormula, Cnf, Circuit], assignment: Sequence[boo
     return _eval_bform(phi, assignment)
 
 
+def _occurrences(phi: BoolFormula) -> Iterator[BoolFormula]:
+    """Every subformula occurrence of ``phi``, by an explicit stack."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif not isinstance(node, FVar):
+            stack += (node.right, node.left)
+
+
 def formula_vars(phi: BoolFormula) -> int:
     """Largest variable index occurring in the formula (0 if impossible)."""
-    if isinstance(phi, FVar):
-        return phi.index
-    if isinstance(phi, Not):
-        return formula_vars(phi.operand)
-    return max(formula_vars(phi.left), formula_vars(phi.right))
+    return max(node.index for node in _occurrences(phi) if isinstance(node, FVar))
 
 
 def formula_satisfiable(phi: BoolFormula, num_vars: int | None = None) -> bool:
@@ -351,22 +359,12 @@ def compile_formula(
 
 def formula_block_size(phi: BoolFormula) -> int:
     """Exact length of the test block: var 1, not +1, or +1, and +2."""
-    if isinstance(phi, FVar):
-        return 1
-    if isinstance(phi, Not):
-        return formula_block_size(phi.operand) + 1
-    if isinstance(phi, Or):
-        return formula_block_size(phi.left) + formula_block_size(phi.right) + 1
-    return formula_block_size(phi.left) + formula_block_size(phi.right) + 2
+    return sum(2 if isinstance(node, And) else 1 for node in _occurrences(phi))
 
 
 def formula_size(phi: BoolFormula) -> int:
     """Number of variable occurrences and connectives."""
-    if isinstance(phi, FVar):
-        return 1
-    if isinstance(phi, Not):
-        return formula_size(phi.operand) + 1
-    return formula_size(phi.left) + formula_size(phi.right) + 1
+    return sum(1 for _ in _occurrences(phi))
 
 
 # --- circuit compiler -----------------------------------------------------------

@@ -16,7 +16,7 @@ position's successor after each reply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Union
 
@@ -222,8 +222,8 @@ class ClassProfile:
     aux/out.  ``is_isbrna``: additionally no auxiliary registers (reads of
     inputs and writes of out only).  ``is_sisbr``: input reads, ``out.set:T``,
     and split/reply only.  The ``max_*`` fields are maxima over occurring
-    indices, 0 when absent.  ``split_params``: the distinct parameters split
-    on, in index order.
+    indices, 0 when absent.  ``last_param_use``: each parameter's last split
+    or reply position.
     """
 
     is_isbr: bool
@@ -235,13 +235,7 @@ class ClassProfile:
     max_param_index: int
     term_count: int
     has_out_set_false: bool
-    split_params: tuple[int, ...]
-
-
-def _basics(x: InstructionSequence) -> Iterator[BasicInstruction]:
-    for u in x.items:
-        if isinstance(u, (Plain, PosTest, NegTest)):
-            yield u.basic
+    last_param_use: dict[int, int] = field(hash=False)
 
 
 def classify(x: InstructionSequence) -> ClassProfile:
@@ -259,15 +253,16 @@ def _classify(x: InstructionSequence) -> ClassProfile:
     max_param = 0
     term_count = 0
     has_out_set_false = False
-    split_params = set()
+    last_param_use = {}
 
-    for u in x.items:
+    for pos, u in enumerate(x.items, start=1):
         if isinstance(u, Term):
             term_count += 1
-        elif isinstance(u, Jump):
+            continue
+        if isinstance(u, Jump):
             max_jump = max(max_jump, u.distance)
-
-    for b in _basics(x):
+            continue
+        b = u.basic
         if isinstance(b, RegisterOp):
             f, m = b.focus, b.method
             if isinstance(f, InReg):
@@ -284,12 +279,9 @@ def _classify(x: InstructionSequence) -> ClassProfile:
                 elif m == SET_FALSE:
                     has_out_set_false = True
                     is_sisbr = False
-        elif isinstance(b, SplitOp):
+        else:  # SplitOp or ReplyOp
             max_param = max(max_param, b.param)
-            split_params.add(b.param)
-            is_isbr = is_isbrna = False
-        else:  # ReplyOp
-            max_param = max(max_param, b.param)
+            last_param_use[b.param] = pos
             is_isbr = is_isbrna = False
 
     return ClassProfile(
@@ -302,7 +294,7 @@ def _classify(x: InstructionSequence) -> ClassProfile:
         max_param_index=max_param,
         term_count=term_count,
         has_out_set_false=has_out_set_false,
-        split_params=tuple(sorted(split_params)),
+        last_param_use=last_param_use,
     )
 
 

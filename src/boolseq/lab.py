@@ -103,6 +103,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if self.splitting_mode and (self.allow_aux or self.allow_out_set_false):
+            raise ValueError("splitting mode allows neither auxiliary registers nor out.set:F")
 
 
 def _search_alphabet(spec: SearchSpec) -> list[PrimitiveInstruction]:

@@ -10,8 +10,9 @@ and returns the residual thread, ``apply`` returns the residual service.
 deliberately independent of the thread-algebra route (extract, use chain,
 apply); the test suite checks the two against each other.  ``lane_values``
 tabulates a sequence on every input vector at once, in one forward sweep
-with one bit per vector; it is checked against ``run`` and ``run_splitting``.
-That sweep, ``lane_sweep``, also runs forking code one vector at a time.
+with one bit per vector, or per branch of a vector for forking code; it is
+checked against ``run`` and ``run_splitting``.  That sweep, ``lane_sweep``,
+also runs forking code one vector at a time.
 """
 
 from __future__ import annotations
@@ -239,61 +240,80 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
 
 # --- lane-parallel execution -------------------------------------------------
 
-# A whole table takes 2^(arity + distinct split parameters) lanes.  At the
-# bound a mask is 2 MB and the table's tuple of 2^24 entries 128 MB.
+# The bound on a sweep's lane index space: a table's 2^n input vectors, and
+# the twin lanes that splits add.  At the bound a mask is 2 MB and a table's
+# tuple of 2^24 entries 128 MB.
 MAX_TABLE_ARITY = 24
 
 # (dead, out) bits of one vector -> its table entry.
 _ENTRY = {"00": False, "01": True, "10": None, "11": None}
 
 
-def lane_mask(bit: int, lanes: int) -> int:
-    """The lanes, out of ``lanes``, whose index has ``bit`` set; built by doubling."""
-    half = 1 << bit
-    mask = ((1 << half) - 1) << half
-    width = 2 * half
-    while width < lanes:
-        mask |= mask << width
+def _repeat(pattern: int, period: int, lanes: int) -> int:
+    """The first ``period`` lanes of ``pattern`` repeated over at least ``lanes`` lanes, by doubling."""
+    while period < lanes:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
+def _fold(mask: int, block: int) -> int:
+    """Lane i < block of the result is the OR of ``mask`` over the lanes i mod block."""
+    width = block
+    while width < mask.bit_length():
         width *= 2
-    return mask
+    while width > block:  # the upper half onto the lower one
+        width //= 2
+        mask |= mask >> width
+    return mask & ((1 << block) - 1)
 
 
-def _lane_bits(mask: int, lanes: int, step: int) -> str:
-    """Bits 0, step, 2*step, ... of ``mask`` as a '0'/'1' string, lowest first."""
-    return format(mask, f"0{lanes}b")[::-step]
+def lane_mask(bit: int, lanes: int) -> int:
+    """The lanes, out of ``lanes``, whose index has ``bit`` set."""
+    half = 1 << bit
+    return _repeat(((1 << half) - 1) << half, 2 * half, lanes)
 
 
 def lane_sweep(
-    rows, n: int, lanes: int, params: tuple[int, ...], input_lanes: Callable[[int], int], count: bool = False
+    x: InstructionSequence, n: int, block: int, input_lanes: Callable[[int, int], int], count: bool = False
 ) -> tuple[int, int, int, int]:
-    """One forward sweep of the decoded ``rows`` over ``lanes`` lanes.
+    """One forward sweep of ``x``'s decoded rows, one lane per branch of one vector.
 
-    ``input_lanes(slot)`` gives the lanes where ``in:slot`` holds True (for
-    slot <= n); split parameter ``params[d]`` is True in the lanes whose
-    index has bit d set.  Returns ``(term, out, unserved, steps)``: the
-    lanes that terminate, the lanes where ``out`` ends True, the lanes that
-    read an input past n, and, when ``count`` is set, the number of
-    forking-run action turns.
+    The sweep starts with ``block`` lanes, and lane i runs input vector
+    ``i mod block``: ``input_lanes(slot, lanes)`` gives the lanes, out of at
+    least the first ``lanes``, where ``in:slot`` holds True (for slot <= n).
+    Returns ``(dead, out, unserved, steps)``: the lanes that do not
+    terminate, the lanes where ``out`` ends True, the lanes that read an
+    input past n, and, when ``count`` is set, the number of forking-run
+    action turns.
 
-    Counting: the lanes of one forking branch are those that agree with its
-    valuation, and they move together.  Its canonical lane is the one whose
-    uninstantiated parameters are all False, so at each action the branches
-    that take it are the canonical lanes among the lanes that take it.
+    A split on p forks each lane that reaches it with p uninstantiated: the
+    lane goes on with p True, its twin ``shift`` lanes up with p False.
+    ``shift``, a multiple of ``block`` so that a twin runs its original's
+    vector, puts the twins past every lane of their vectors.  Twins copy
+    the bits of the live parameters, those split or replied on further on;
+    no register is copied, as inputs are periodic in ``block`` and ``out``
+    is never read.  Each lane is one branch, so an action adds the number
+    of lanes that take it.  Raises ``ValueError`` where a split would take
+    the lane index space past 2^MAX_TABLE_ARITY.
     """
-    full = (1 << lanes) - 1
-    valuation = {p: lane_mask(d, lanes) for d, p in enumerate(params)}
+    rows = decode(x)
+    last_use = classify(x).last_param_use
     at = [0] * (len(rows) + 1)  # at[0] collects the lanes that deadlock
-    at[1] = full
+    at[1] = lanes = (1 << block) - 1  # lanes: every lane allocated so far
+    width = block  # every lane so far is below width
     # By register kind, then slot: the lanes where the register holds True.
     regs: tuple[dict[int, int], ...] = ({}, {}, {})
-    instantiated: dict[int, int] = {}  # lanes where a parameter is instantiated
-    canonical = _canonical(full, valuation, instantiated) if count else 0
+    inst: dict[int, int] = {}  # live parameter -> the lanes where it is instantiated
+    val: dict[int, int] = {}  # live parameter -> the lanes where it is True
     term = unserved = steps = 0
-    for pos, (kind, slot, method, on_true, on_false) in enumerate(rows, start=1):
-        m = at[pos]
+    # The iterator reads at[pos] when the sweep gets to pos, after every lane
+    # that moves there; at[0] is still empty when read.
+    for pos, m in enumerate(at):
         if not m:
             continue
         at[pos] = 0
+        kind, slot, method, on_true, on_false = rows[pos - 1]
         if kind == KIND_TERM:
             term |= m
             continue
@@ -301,14 +321,39 @@ def lane_sweep(
             at[on_true] |= m
             continue
         if kind == KIND_SPLIT:
-            m &= ~instantiated.get(slot, 0)  # a re-split deadlocks
-            instantiated[slot] = instantiated.get(slot, 0) | m
-            reply = valuation[slot]
-        elif kind == KIND_REPLY:
-            if slot not in instantiated:
+            m &= ~inst.get(slot, 0)  # a re-split deadlocks
+            if not m:
                 continue
-            m &= instantiated[slot]  # a reply on an uninstantiated parameter deadlocks
-            reply = valuation[slot]
+            if count:
+                steps += m.bit_count()
+            # kin: the lanes of m's vectors.  Other vectors' lanes differ mod
+            # block, so twins placed past kin land on free lanes.
+            kin = lanes if block == 1 else lanes & _repeat(_fold(m, block), block, width)
+            shift = (kin.bit_length() - (m & -m).bit_length()) // block * block + block
+            top = m.bit_length() + shift
+            width = max(width, top + -top % block)
+            if width > 1 << MAX_TABLE_ARITY:
+                raise ValueError(
+                    f"resource bound exceeded: the split at position {pos} needs "
+                    f"{width} lanes, more than 2^{MAX_TABLE_ARITY}"
+                )
+            twins = m << shift
+            lanes |= twins
+            for p, p_inst in list(inst.items()):
+                if last_use[p] <= pos:
+                    del inst[p], val[p]
+                else:
+                    inst[p] = p_inst | (p_inst & m) << shift
+                    val[p] |= (val[p] & m) << shift
+            inst[slot] = inst.get(slot, 0) | m | twins
+            val[slot] = val.get(slot, 0) | m
+            regs[KIND_IN].clear()  # rebuilt at the new width when next read
+            at[on_true] |= m
+            at[on_false] |= twins
+            continue
+        if kind == KIND_REPLY:
+            m &= inst.get(slot, 0)  # a reply on an uninstantiated parameter deadlocks
+            reply = val.get(slot, 0)
         elif kind == KIND_IN and slot > n:
             unserved |= m
             continue
@@ -316,7 +361,7 @@ def lane_sweep(
             bank = regs[kind]
             reg = bank.get(slot)
             if reg is None:
-                reg = bank[slot] = input_lanes(slot) if kind == KIND_IN else 0
+                reg = bank[slot] = input_lanes(slot, width) if kind == KIND_IN else 0
             if method == GET:
                 reply = reg
             elif method == SET_TRUE:
@@ -326,22 +371,12 @@ def lane_sweep(
                 bank[slot] = reg & ~m
                 reply = 0
         if count:
-            steps += (m & canonical).bit_count()
-            if kind == KIND_SPLIT:
-                canonical = _canonical(full, valuation, instantiated)
+            steps += m.bit_count()
         taken = m & reply
         at[on_true] |= taken
         at[on_false] |= m ^ taken
     # A lane's registers stop changing when it terminates.
-    return term, regs[KIND_OUT].get(0, 0), unserved, steps
-
-
-def _canonical(full: int, valuation: dict[int, int], instantiated: dict[int, int]) -> int:
-    """The lanes of ``full`` whose uninstantiated parameters are all False."""
-    canonical = full
-    for p, true_lanes in valuation.items():
-        canonical &= instantiated.get(p, 0) | ~true_lanes
-    return canonical
+    return lanes & ~term, regs[KIND_OUT].get(0, 0), unserved, steps
 
 
 def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
@@ -351,15 +386,15 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     run on that vector terminates and None where it deadlocks or diverges,
     under ``run``, or under ``run_splitting`` when ``splitting`` is set.
 
-    Bit-slicing: a lane is an input vector (times a valuation of the split
-    parameters for forking code), a register or ``at[p]`` (the lanes that
-    reach position p) is an int with one bit per lane.  Control only moves
-    forward, so one sweep over positions 1..k finishes every lane, and an
-    operation at p changes only the bits of lanes at p.  Forking code is
-    exact lane by lane because its vocabulary leaves inputs read-only and
-    ``out`` raise-only, so branch order cannot matter: a vector terminates
-    when all its lanes do, with ``out`` the OR over them.  Raises
-    ``ValueError`` above ``MAX_TABLE_ARITY`` lane bits.
+    Bit-slicing: a lane is an input vector, or for forking code one branch
+    of one; a register or ``at[p]`` (the lanes that reach position p) is an
+    int with one bit per lane.  Control only moves forward, so one sweep
+    over positions 1..k finishes every lane, and an operation at p changes
+    only the bits of lanes at p.  Forking code is exact lane by lane because
+    its vocabulary leaves inputs read-only and ``out`` raise-only, so branch
+    order cannot matter: a vector terminates when all its branches do, with
+    ``out`` the OR over them.  Raises ``ValueError`` where the lanes would
+    exceed 2^MAX_TABLE_ARITY.
     """
     if n < 0:
         raise ValueError(f"arity must be >= 0, got {n}")
@@ -368,29 +403,14 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     if not splitting and profile.max_param_index:
         raise ValueError("sequence contains split/reply instructions; use run_splitting")
-    split_params = profile.split_params
-    dims = len(split_params)
-    if n + dims > MAX_TABLE_ARITY:
-        raise ValueError(
-            f"resource bound exceeded: {n} inputs and {dims} split parameters "
-            f"need 2^{n + dims} lanes, more than 2^{MAX_TABLE_ARITY}"
-        )
-    # Lane index: input vector index above, split parameter valuation below.
-    lanes = 1 << (n + dims)
-    full = (1 << lanes) - 1
-
-    def input_lanes(slot: int) -> int:
-        return lane_mask(n - slot + dims, lanes)
-
-    term, out, _, _ = lane_sweep(decode(x), n, lanes, split_params, input_lanes)
-    # Folding leaves at the first lane of each vector's block the OR over the block.
-    dead = full ^ term
-    for d in range(dims):
-        dead |= dead >> (1 << d)
-        out |= out >> (1 << d)
-    step = 1 << dims
-    cells = map(add, _lane_bits(dead, lanes, step), _lane_bits(out, lanes, step))
-    return tuple(map(_ENTRY.__getitem__, cells))
+    if n > MAX_TABLE_ARITY:
+        raise ValueError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
+    # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
+    block = 1 << n
+    dead, out, _, _ = lane_sweep(x, n, block, lambda slot, lanes: lane_mask(n - slot, lanes))
+    # Each vector's (dead, out) bits, lowest vector first.
+    bits = (format(_fold(mask, block), f"0{block}b")[::-1] for mask in (dead, out))
+    return tuple(map(_ENTRY.__getitem__, map(add, *bits)))
 
 
 def check_computes(x: InstructionSequence, table) -> bool:

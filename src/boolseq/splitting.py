@@ -10,10 +10,9 @@ and a deadlocked branch poisons the final result only after all other
 branches have finished.
 
 ``run_splitting`` is an equivalent executor over a shared register file.
-It sweeps the decoded rows once with a lane per valuation of the split
-parameters; ``queue_runner``, a queue of program counters, is its
-reference.  The equivalence of both with the algebraic route is asserted
-by the test suite, not assumed.
+It sweeps the decoded rows once with a lane per branch; ``queue_runner``, a
+queue of program counters, is its reference.  The equivalence of both with
+the algebraic route is asserted by the test suite, not assumed.
 """
 
 from __future__ import annotations
@@ -123,13 +122,6 @@ def csi(vector: ThreadVector) -> Thread:
     return PostCond(a, csi(rest + (head.on_true,)), csi(rest + (head.on_false,)))
 
 
-# Forking runs sweep one lane per valuation of the distinct split parameters,
-# 2^MAX_LANE_PARAMS lanes at most.  Above it the queue executor runs, which
-# pays only for the branches that are reached: to_splitting output has one
-# fresh parameter per write, hundreds in all, of which a run reaches few.
-MAX_LANE_PARAMS = 12
-
-
 def run_splitting(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
     """Execute a fork/reply sequence by round-robin over branch states.
 
@@ -161,30 +153,23 @@ def splitting_runner(x: InstructionSequence) -> Runner:
     semantics of ``run_splitting``.  Raises ``ValueError`` unless ``x`` uses
     input reads, ``out.set:T``, split and reply only.
 
-    A run is one ``lane_sweep`` with a lane per valuation of the split
-    parameters.  Inputs are read-only and ``out`` only goes from F to T, so
-    neither the outcome nor the number of turns depends on the branch order.
-    The queue executor ``queue_runner`` takes over where that fails (a run
-    that reads an unserved input stops at the first such read in queue
-    order) and above ``MAX_LANE_PARAMS`` split parameters.
+    A run is one ``lane_sweep`` that starts with one lane and gives each
+    branch a lane of its own.  Inputs are read-only and ``out`` only goes
+    from F to T, so neither the outcome nor the number of turns depends on
+    the branch order.  Where that fails, a run that reads an unserved input
+    and stops at the first such read in queue order, the queue executor
+    ``queue_runner`` runs it.
     """
-    profile = classify(x)
-    if not profile.is_sisbr:
+    if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
-    params = profile.split_params
-    if len(params) > MAX_LANE_PARAMS:
-        return queue_runner(x)
-    rows = decode(x)
-    lanes = 1 << len(params)
-    full = (1 << lanes) - 1
 
     def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-        term, out, unserved, steps = lane_sweep(
-            rows, len(inputs), lanes, params, lambda slot: full if inputs[slot - 1] else 0, count=True
+        dead, out, unserved, steps = lane_sweep(
+            x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0, count=True
         )
         if unserved:
             return queue_runner(x)(inputs)
-        if term != full:
+        if dead:
             return Deadlocked(), steps
         return Terminated(RegisterFile(inputs, {}, out != 0)), steps
 

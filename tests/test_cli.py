@@ -212,6 +212,13 @@ def test_search_rejects_bad_target_bit(capsys):
     assert err.startswith("error: invalid input bit 'X'")
 
 
+def test_search_rejects_register_flags_in_splitting_mode(capsys):
+    code, out, err = run_cli(capsys, "search", "FTTF", "--split", "--allow-aux", "--allow-set-false")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: splitting mode allows neither")
+
+
 def test_truthtable_rejects_negative_arity(capsys):
     code, out, err = run_cli(capsys, "truthtable", "out.set:T ; !", "--n", "-1")
     assert code == 1

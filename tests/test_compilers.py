@@ -25,6 +25,9 @@ from boolseq.compilers import (
     compile_formula,
     eval_formula,
     formula_block_size,
+    formula_satisfiable,
+    formula_size,
+    formula_vars,
     parse_dimacs,
     parse_formula,
     parse_netlist,
@@ -149,6 +152,31 @@ def test_eval_formula_deep_nesting():
     assert eval_formula(right_deep, [False] * (depth + 1)) is False
     with pytest.raises(ValueError, match=f"unbound variable v{depth + 1}"):
         eval_formula(left_deep, [True] * depth)
+
+
+def test_formula_measures_deep_nesting():
+    depth = 10_000
+    negations = FVar(3)
+    for _ in range(depth):
+        negations = Not(negations)
+    assert formula_vars(negations) == 3
+    assert formula_size(negations) == formula_block_size(negations) == depth + 1
+    assert formula_satisfiable(negations) is True
+    left_deep = right_deep = FVar(1)
+    for index in range(2, depth + 2):
+        left_deep = And(left_deep, Not(FVar(index)))
+        right_deep = Or(FVar(index), right_deep)
+    assert formula_vars(left_deep) == formula_vars(right_deep) == depth + 1
+    assert formula_size(left_deep) == 3 * depth + 1
+    assert formula_block_size(left_deep) == 4 * depth + 1
+    assert formula_size(right_deep) == formula_block_size(right_deep) == 2 * depth + 1
+    # Exhaustive search stops at its resource bound, after the variables are counted.
+    with pytest.raises(ValueError, match=f"resource bound exceeded: {depth + 1} variables"):
+        formula_satisfiable(left_deep)
+    same_variable = FVar(1)
+    for _ in range(depth):
+        same_variable = And(Not(FVar(1)), same_variable)
+    assert formula_satisfiable(same_variable) is False
 
 
 def test_eval_circuit_deep_chains():

@@ -118,6 +118,8 @@ def _every_restriction(n: int, splitting_mode: bool = False):
         target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
         for jumps, max_jump in ((False, 3), (True, 1), (True, 3)):
             for aux, out_set_false, multiple_term in itertools.product((False, True), repeat=3):
+                if splitting_mode and (aux or out_set_false):
+                    continue
                 yield SearchSpec(
                     target=target,
                     max_length=1,
@@ -128,6 +130,12 @@ def _every_restriction(n: int, splitting_mode: bool = False):
                     allow_multiple_term=multiple_term,
                     splitting_mode=splitting_mode,
                 )
+
+
+@pytest.mark.parametrize("restriction", ["allow_aux", "allow_out_set_false"])
+def test_splitting_mode_rejects_register_restrictions(restriction):
+    with pytest.raises(ValueError, match="splitting mode allows neither"):
+        SearchSpec(target=TruthTable(1, (True, False)), max_length=3, splitting_mode=True, **{restriction: True})
 
 
 def _naive_length(spec: SearchSpec, budget: int = 10000) -> int:

@@ -119,7 +119,7 @@ def test_edge_cases(text, n, splitting, values):
 
 
 def test_split_parameters_are_lanes_whatever_their_index():
-    # Parameter 20 is one lane bit, as parameter 1 would be.
+    # Parameter 20 forks a twin lane, as parameter 1 would.
     x = parse("split:20 ; +reply:20 ; -in:1.get ; out.set:T ; !")
     assert lane_values(x, 1, splitting=True) == per_vector_values(x, 1, splitting=True) == (True, True)
 
@@ -144,9 +144,20 @@ def test_arity_bound():
         lane_values(parse("!"), MAX_TABLE_ARITY + 1)
     with pytest.raises(ValueError, match="resource bound"):
         truth_table(parse("out.set:T ; !"), MAX_TABLE_ARITY + 1)
-    # For forking code the lanes are vectors times split parameter valuations.
+    # For forking code a split's twin lanes come on top of the 2^n vectors.
     with pytest.raises(ValueError, match="resource bound"):
         truth_table(parse("split:1 ; !"), MAX_TABLE_ARITY, splitting=True)
+
+
+def test_splits_reached_by_disjoint_vectors_share_lanes():
+    # Block k splits the vectors whose first True input is in:k, lower
+    # vectors at each block.  The 17 split rows on one parameter fit in 2^21
+    # lanes because the vectors are disjoint; twins placed past every lane
+    # so far would need 18 * 2^20.
+    n, blocks = 20, 17
+    x = parse(" ; ".join(f"-in:{k}.get ; #3 ; split:1 ; !" for k in range(1, blocks + 1)) + " ; out.set:T ; !")
+    values = lane_values(x, n, splitting=True)
+    assert values == (True,) * 2 ** (n - blocks) + (False,) * (2**n - 2 ** (n - blocks))
 
 
 def test_vocabulary_errors():

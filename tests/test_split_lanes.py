@@ -5,16 +5,21 @@ action turns over all branches.  The lane runner must give the same
 ``(outcome, steps)`` pair, compared with ``==``, on every input.
 """
 
+import importlib.util
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.instr import classify, parse
+from boolseq.instr import KIND_SPLIT, classify, decode, parse
+from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
-from boolseq.services import RegisterFile, Terminated
-from boolseq.splitting import MAX_LANE_PARAMS, queue_runner, run_splitting_with_steps, splitting_runner
+from boolseq.services import MAX_TABLE_ARITY, RegisterFile, Terminated
+from boolseq.splitting import queue_runner, run_splitting_with_steps, splitting_runner
+from boolseq.transforms import to_splitting
 
 from util import algebraic_splitting_outcome, gen_sisbr, outcome_matches_service
 
@@ -26,6 +31,11 @@ ACCEPTED_IN_FALSE = Terminated(RegisterFile((False,), {}, True))
 
 def vectors(n):
     return [tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n)) for idx in range(2**n)]
+
+
+def split_params(x):
+    """The distinct parameters that ``x`` splits on."""
+    return {row.slot for row in decode(x) if row.kind == KIND_SPLIT}
 
 
 def assert_runs_agree(x, inputs_list, algebra=False):
@@ -70,20 +80,18 @@ def test_seeded_random_sequences():
 def test_family_splitters(k):
     rng = random.Random(50 + k)
     x = build_satc_splitter(ndisj(k))
-    assert len(classify(x).split_params) == k
+    assert len(split_params(x)) == k
     assert_runs_agree(x, [tuple(rng.random() < d for _ in range(ndisj(k))) for d in (0.02, 0.1, 0.3) * 4])
 
 
-@pytest.mark.parametrize("params", [MAX_LANE_PARAMS - 1, MAX_LANE_PARAMS, MAX_LANE_PARAMS + 1])
+@pytest.mark.parametrize("params", [11, 12, 13])
 def test_split_parameter_bound(params):
     # A branch whose guess for parameter 1 is False, or whose in:1 is False,
-    # writes out; below the bound the lanes run, above it the queue.
+    # writes out.
     forks = " ; ".join(f"split:{p}" for p in range(1, params + 1))
     x = parse(f"{forks} ; +reply:1 ; -in:1.get ; out.set:T ; !")
-    assert len(classify(x).split_params) == params
+    assert len(split_params(x)) == params
     assert_runs_agree(x, vectors(1))
-    by_queue = splitting_runner(x).__code__ is queue_runner(x).__code__
-    assert by_queue == (params > MAX_LANE_PARAMS)
     # 2^params - 1 forks, then per leaf a reply and a read or a write, and
     # with in:1 False a write after the read where the guess is True.
     forks_taken = 2**params - 1
@@ -95,8 +103,40 @@ def test_chain_of_distinct_parameters():
     # Each +split:p continues only on its False branch: 24 parameters, one
     # live branch, 24 forks and a write.
     x = parse(" ; ".join(f"+split:{p} ; !" for p in range(1, 25)) + " ; out.set:T ; !")
-    assert len(classify(x).split_params) == 24
+    assert len(split_params(x)) == 24
     assert run_splitting_with_steps(x, ()) == queue_runner(x)(()) == (ACCEPTED, 25)
+
+
+def test_every_branch_of_24_parameters():
+    # 2^24 - 1 forks and 2^24 writes fill the lane index space exactly.
+    x = parse(" ; ".join(f"split:{p}" for p in range(1, 25)) + " ; out.set:T ; !")
+    assert run_splitting_with_steps(x, ()) == (ACCEPTED, 2**25 - 1)
+
+
+def test_25_parameters_exceed_the_lane_bound():
+    x = parse(" ; ".join(f"split:{p}" for p in range(1, 26)) + " ; out.set:T ; !")
+    with pytest.raises(ValueError, match=f"resource bound exceeded: the split at position 25 needs .* lanes, more than 2\\^{MAX_TABLE_ARITY}"):
+        run_splitting_with_steps(x, ())
+
+
+def _bench_workloads():
+    """The benchmark's workload module, for its generators."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("length", [200, 400, 1000, 3000])
+def test_to_splitting_tables_of_long_write_linear_code(length):
+    # One fresh parameter per write: 25 to 375 parameters, a lane per branch.
+    x = _bench_workloads().write_linear_sequence(random.Random(length), length, 3, 2)
+    y = to_splitting(x)
+    assert len(split_params(y)) == length // 8
+    assert truth_table(y, 3, splitting=True) == truth_table(x, 3)
 
 
 # --- property test -----------------------------------------------------------------------
