@@ -19,6 +19,7 @@ from .instr import (
     PosTest,
     RegisterOp,
     ReplyOp,
+    ResourceBoundError,
     SplitOp,
     TERM,
     Term,

@@ -34,6 +34,7 @@ from .instr import (
     PosTest,
     PrimitiveInstruction,
     RegisterOp,
+    ResourceBoundError,
     TERM,
 )
 
@@ -254,7 +255,7 @@ def formula_satisfiable(phi: BoolFormula, num_vars: int | None = None) -> bool:
     """Exhaustive satisfiability over the first ``num_vars`` variables."""
     n = formula_vars(phi) if num_vars is None else num_vars
     if n > 25:
-        raise ValueError(f"resource bound exceeded: {n} variables for exhaustive search")
+        raise ResourceBoundError(f"resource bound exceeded: {n} variables for exhaustive search")
     for bits in range(2**n):
         assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]
         if _eval_bform(phi, assignment):
@@ -323,20 +324,36 @@ def _compile_formula_block(
     phi: BoolFormula, leaf: Callable[[int], BasicInstruction]
 ) -> list[PrimitiveInstruction]:
     """Test block: control leaves one past the end when the formula holds,
-    two past the end when it does not."""
-    if isinstance(phi, FVar):
-        return [PosTest(leaf(phi.index))]
-    if isinstance(phi, Not):
-        block = _compile_formula_block(phi.operand, leaf)
-        block.append(Jump(2))
-        return block
-    if isinstance(phi, Or):
-        left = _compile_formula_block(phi.left, leaf)
-        right = _compile_formula_block(phi.right, leaf)
-        return left + [Jump(len(right) + 1)] + right
-    left = _compile_formula_block(phi.left, leaf)
-    right = _compile_formula_block(phi.right, leaf)
-    return left + [Jump(2), Jump(len(right) + 2)] + right
+    two past the end when it does not.
+
+    A variable's block is its test; ``not`` appends ``#2`` to its operand's,
+    ``or`` puts ``#(r + 1)`` and ``and`` puts ``#2 ; #(r + 2)`` between its
+    operands' blocks, r being the right one's length.  The lengths are worked
+    out bottom-up first, then the blocks are emitted from one explicit stack.
+    """
+    size: dict[int, int] = {}  # by id: a subformula's block length
+    for node in reversed(list(_occurrences(phi))):  # operands before their operator
+        if isinstance(node, FVar):
+            size[id(node)] = 1
+        elif isinstance(node, Not):
+            size[id(node)] = size[id(node.operand)] + 1
+        else:
+            size[id(node)] = size[id(node.left)] + size[id(node.right)] + (2 if isinstance(node, And) else 1)
+    items: list[PrimitiveInstruction] = []
+    stack: list[BoolFormula | Jump] = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Jump):
+            items.append(node)
+        elif isinstance(node, FVar):
+            items.append(PosTest(leaf(node.index)))
+        elif isinstance(node, Not):
+            stack += (Jump(2), node.operand)
+        elif isinstance(node, Or):
+            stack += (node.right, Jump(size[id(node.right)] + 1), node.left)
+        else:
+            stack += (node.right, Jump(size[id(node.right)] + 2), Jump(2), node.left)
+    return items
 
 
 def compile_formula(
@@ -506,49 +523,51 @@ def parse_formula(text: str) -> BoolFormula:
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ValueError("empty formula")
+    # An explicit stack: the heads of the open operators, and the operands
+    # parsed so far of each, the whole formula's at the bottom.
+    heads: list[str] = []
+    operands: list[list[BoolFormula]] = [[]]
     pos = 0
-
-    def parse_expr() -> BoolFormula:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of formula")
+    while not operands[0]:
         token = tokens[pos]
         pos += 1
         if token == "(":
             if pos >= len(tokens):
                 raise ValueError("unexpected end of formula")
-            head = tokens[pos]
+            heads.append(tokens[pos])
+            operands.append([])
             pos += 1
-            args: list[BoolFormula] = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                args.append(parse_expr())
+        elif token == ")":
+            raise ValueError("unexpected )")
+        else:
+            m = re.fullmatch(r"v(\d+)", token)
+            if not m:
+                raise ValueError(f"bad atom {token!r} (expected v<k>)")
+            operands[-1].append(FVar(int(m.group(1))))
+        while heads:  # close every operator whose operands are complete
             if pos >= len(tokens):
                 raise ValueError("missing )")
+            if tokens[pos] != ")":
+                break
             pos += 1
+            head, args = heads.pop(), operands.pop()
             if head == "not":
                 if len(args) != 1:
                     raise ValueError("not takes exactly one operand")
-                return Not(args[0])
-            if head in ("and", "or"):
+                node: BoolFormula = Not(args[0])
+            elif head in ("and", "or"):
                 if len(args) < 2:
                     raise ValueError(f"{head} takes at least two operands")
                 ctor = And if head == "and" else Or
                 node = args[-1]
                 for arg in reversed(args[:-1]):
                     node = ctor(arg, node)
-                return node
-            raise ValueError(f"unknown operator {head!r}")
-        if token == ")":
-            raise ValueError("unexpected )")
-        m = re.fullmatch(r"v(\d+)", token)
-        if not m:
-            raise ValueError(f"bad atom {token!r} (expected v<k>)")
-        return FVar(int(m.group(1)))
-
-    result = parse_expr()
+            else:
+                raise ValueError(f"unknown operator {head!r}")
+            operands[-1].append(node)
     if pos != len(tokens):
         raise ValueError("trailing tokens after formula")
-    return result
+    return operands[0][0]
 
 
 def render_formula(phi: BoolFormula) -> str:

@@ -8,9 +8,9 @@ Basic instructions address named Boolean registers (``in:i``, ``aux:i``,
 Boolean parameter (``split:p``, ``reply:p``).
 
 Everything here is immutable and purely syntactic: parsing, canonical
-rendering, length, classification of a sequence into the register-only
-vocabularies used elsewhere in the package, and ``decode``, which gives each
-position's successor after each reply.
+rendering, length, and one walk over a sequence that gives both its
+``decode`` rows (each position's successor after each reply) and its
+``classify`` profile (the vocabularies used elsewhere in the package).
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ class InstructionSyntaxError(ValueError):
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+class ResourceBoundError(ValueError):
+    """A documented resource bound (lanes, variables, states or steps) would be exceeded."""
 
 
 # --- register foci ---------------------------------------------------------
@@ -190,14 +194,9 @@ class InstructionSequence:
     def __str__(self) -> str:
         return render(self)
 
-    # Sequences are immutable, so each is classified and decoded at most once.
-
     @cached_property
-    def _profile(self) -> "ClassProfile":
-        return _classify(self)
-
-    @cached_property
-    def _rows(self) -> tuple["Row", ...]:
+    def _decoded(self) -> tuple[tuple["Row", ...], "ClassProfile"]:
+        # Sequences are immutable, so each is walked at most once.
         return _decode(self)
 
 
@@ -239,63 +238,8 @@ class ClassProfile:
 
 
 def classify(x: InstructionSequence) -> ClassProfile:
-    """The syntactic class profile of ``x``, worked out on the first call and kept on ``x``."""
-    return x._profile
-
-
-def _classify(x: InstructionSequence) -> ClassProfile:
-    is_isbr = True
-    is_isbrna = True
-    is_sisbr = True
-    max_jump = 0
-    max_aux = 0
-    max_in = 0
-    max_param = 0
-    term_count = 0
-    has_out_set_false = False
-    last_param_use = {}
-
-    for pos, u in enumerate(x.items, start=1):
-        if isinstance(u, Term):
-            term_count += 1
-            continue
-        if isinstance(u, Jump):
-            max_jump = max(max_jump, u.distance)
-            continue
-        b = u.basic
-        if isinstance(b, RegisterOp):
-            f, m = b.focus, b.method
-            if isinstance(f, InReg):
-                max_in = max(max_in, f.index)
-                if m != GET:
-                    is_isbr = is_isbrna = is_sisbr = False
-            elif isinstance(f, AuxReg):
-                max_aux = max(max_aux, f.index)
-                is_isbrna = False
-                is_sisbr = False
-            else:  # OutReg
-                if m == GET:
-                    is_isbr = is_isbrna = is_sisbr = False
-                elif m == SET_FALSE:
-                    has_out_set_false = True
-                    is_sisbr = False
-        else:  # SplitOp or ReplyOp
-            max_param = max(max_param, b.param)
-            last_param_use[b.param] = pos
-            is_isbr = is_isbrna = False
-
-    return ClassProfile(
-        is_isbr=is_isbr,
-        is_isbrna=is_isbrna and is_isbr,
-        is_sisbr=is_sisbr,
-        max_jump=max_jump,
-        max_aux_index=max_aux,
-        max_input_index=max_in,
-        max_param_index=max_param,
-        term_count=term_count,
-        has_out_set_false=has_out_set_false,
-        last_param_use=last_param_use,
-    )
+    """The syntactic class profile of ``x``, worked out with ``decode(x)`` and kept on ``x``."""
+    return x._decoded[1]
 
 
 # --- decoded control flow ----------------------------------------------------
@@ -336,35 +280,70 @@ _TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
 def decode(x: InstructionSequence) -> tuple[Row, ...]:
     """The rows of ``x``: ``decode(x)[i - 1]`` describes position i.
 
-    Worked out on the first call and kept on ``x``.
+    Worked out with ``classify(x)`` and kept on ``x``.
     """
-    return x._rows
+    return x._decoded[0]
 
 
-def _decode(x: InstructionSequence) -> tuple[Row, ...]:
+# Classes by the (kind, method) pairs that occur.  Writes of inputs, reads of
+# out and split/reply leave the register classes; anything but input reads,
+# ``out.set:T`` and split/reply leaves the fork/reply class.
+_NOT_ISBR = {(KIND_IN, SET_TRUE), (KIND_IN, SET_FALSE), (KIND_OUT, GET), (KIND_SPLIT, None), (KIND_REPLY, None)}
+_SISBR = {(KIND_IN, GET), (KIND_OUT, SET_TRUE), (KIND_SPLIT, None), (KIND_REPLY, None)}
+
+
+def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
     items = x.items
     k = len(items)
     positions = list(range(k + 1))  # one int per position, shared by the rows leading there
     rows = []
+    shapes = set()  # the (kind, method) pairs of the basic instructions
+    top = [0] * (KIND_JUMP + 1)  # per kind, the largest slot, and at KIND_JUMP the largest distance
+    term_count = 0
+    last_param_use = {}
     for pos, u in enumerate(items, start=1):
         offsets = u.offsets
         if offsets is None:
             rows.append(_TERM_ROW)
+            term_count += 1
             continue
         on_true = positions[pos + offsets[0]] if 0 < offsets[0] <= k - pos else 0
         on_false = positions[pos + offsets[1]] if 0 < offsets[1] <= k - pos else 0
         if isinstance(u, Jump):
             rows.append(Row(KIND_JUMP, 0, None, on_true, on_false))
+            if u.distance > top[KIND_JUMP]:
+                top[KIND_JUMP] = u.distance
             continue
         b = u.basic
         if isinstance(b, RegisterOp):
             f = b.focus
-            slot = 0 if isinstance(f, OutReg) else f.index
-            rows.append(Row(_FOCUS_KINDS[type(f)], slot, b.method, on_true, on_false))
+            kind = _FOCUS_KINDS[type(f)]
+            slot = 0 if kind == KIND_OUT else f.index
+            method = b.method
         else:
             kind = KIND_SPLIT if isinstance(b, SplitOp) else KIND_REPLY
-            rows.append(Row(kind, b.param, None, on_true, on_false))
-    return tuple(rows)
+            slot = b.param
+            method = None
+            last_param_use[slot] = pos
+        rows.append(Row(kind, slot, method, on_true, on_false))
+        shapes.add((kind, method))
+        if slot > top[kind]:
+            top[kind] = slot
+
+    is_isbr = shapes.isdisjoint(_NOT_ISBR)
+    profile = ClassProfile(
+        is_isbr=is_isbr,
+        is_isbrna=is_isbr and not top[KIND_AUX],
+        is_sisbr=shapes <= _SISBR,
+        max_jump=top[KIND_JUMP],
+        max_aux_index=top[KIND_AUX],
+        max_input_index=top[KIND_IN],
+        max_param_index=max(top[KIND_SPLIT], top[KIND_REPLY]),
+        term_count=term_count,
+        has_out_set_false=(KIND_OUT, SET_FALSE) in shapes,
+        last_param_use=last_param_use,
+    )
+    return tuple(rows), profile
 
 
 # --- rendering --------------------------------------------------------------
@@ -428,30 +407,19 @@ def _parse_one(token: str, position: int) -> PrimitiveInstruction:
     if m.group("jump") is not None:
         return Jump(int(m.group("jump")))
 
-    if m.group("split") is not None:
-        param = int(m.group("split"))
-        if param < 1:
-            raise InstructionSyntaxError("split parameter must be >= 1", position)
-        basic: BasicInstruction = SplitOp(param)
-    elif m.group("reply") is not None:
-        param = int(m.group("reply"))
-        if param < 1:
-            raise InstructionSyntaxError("reply parameter must be >= 1", position)
-        basic = ReplyOp(param)
-    else:
-        if m.group("in") is not None:
-            idx = int(m.group("in"))
-            if idx < 1:
-                raise InstructionSyntaxError("input register index must be >= 1", position)
-            focus: Focus = InReg(idx)
+    try:  # the constructors check the indices
+        if m.group("split") is not None:
+            basic: BasicInstruction = SplitOp(int(m.group("split")))
+        elif m.group("reply") is not None:
+            basic = ReplyOp(int(m.group("reply")))
+        elif m.group("in") is not None:
+            basic = RegisterOp(InReg(int(m.group("in"))), m.group("method"))
         elif m.group("aux") is not None:
-            idx = int(m.group("aux"))
-            if idx < 1:
-                raise InstructionSyntaxError("auxiliary register index must be >= 1", position)
-            focus = AuxReg(idx)
+            basic = RegisterOp(AuxReg(int(m.group("aux"))), m.group("method"))
         else:
-            focus = OUT
-        basic = RegisterOp(focus, m.group("method"))
+            basic = RegisterOp(OUT, m.group("method"))
+    except ValueError as exc:
+        raise InstructionSyntaxError(str(exc), position) from None
 
     sign = m.group("sign")
     if sign == "+":

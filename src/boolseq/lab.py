@@ -30,6 +30,7 @@ from .instr import (
     PrimitiveInstruction,
     RegisterOp,
     ReplyOp,
+    ResourceBoundError,
     SplitOp,
     TERM,
     Term,
@@ -257,7 +258,7 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
                     continue
                 seen.add(key)
                 if len(seen) > _SEARCH_STATE_CAP:
-                    raise ValueError(
+                    raise ResourceBoundError(
                         f"resource bound exceeded in behaviour search at length {length}: "
                         f"{len(seen)} states seen, cap {_SEARCH_STATE_CAP}"
                     )

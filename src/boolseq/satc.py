@@ -44,6 +44,7 @@ from .instr import (
     PosTest,
     RegisterOp,
     ReplyOp,
+    ResourceBoundError,
     Row,
     SplitOp,
     TERM,
@@ -117,7 +118,7 @@ def alpha(i: int) -> LiteralSet:
     while ndisj(m) < i:
         m += 1
         if m > 2 * MAX_GUESSED_VARS:
-            raise ValueError("resource bound exceeded in alpha")
+            raise ResourceBoundError("resource bound exceeded in alpha")
     return _block(m)[i - ndisj(m - 1) - 1]
 
 
@@ -159,7 +160,7 @@ def satc_eval(inst: SatcInstance) -> bool:
     """
     k = inst.k
     if k > MAX_GUESSED_VARS:
-        raise ValueError(f"resource bound exceeded: {k} variables")
+        raise ResourceBoundError(f"resource bound exceeded: {k} variables")
     full, variables = _variable_lanes(k)
     satisfying = full
     for selected, literal_set in zip(inst.bits, _enumeration(k)):
@@ -175,7 +176,7 @@ def cnf_satisfiable(phi: Cnf) -> bool:
     """Exhaustive satisfiability of a CNF over its declared variables, bit-sliced."""
     n = phi.num_vars
     if n > MAX_GUESSED_VARS:
-        raise ValueError(f"resource bound exceeded: {n} variables")
+        raise ResourceBoundError(f"resource bound exceeded: {n} variables")
     full, variables = _variable_lanes(n)
     satisfying = full
     for clause in phi.clauses:
@@ -249,7 +250,7 @@ def build_satc_splitter(n: int) -> InstructionSequence:
     inst = SatcInstance((False,) * n)
     k = inst.k
     if k > MAX_GUESSED_VARS:
-        raise ValueError(f"resource bound exceeded: {k} guessed variables")
+        raise ResourceBoundError(f"resource bound exceeded: {k} guessed variables")
     accept = InstructionSequence((PosTest(RegisterOp(OUT, SET_TRUE)), TERM))
     if k == 0:
         # Arity below ndisj(1): no disjunction is selectable, constant True.

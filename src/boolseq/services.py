@@ -35,6 +35,7 @@ from .instr import (
     Focus,
     InstructionSequence,
     RegisterOp,
+    ResourceBoundError,
     classify,
     decode,
 )
@@ -333,7 +334,7 @@ def lane_sweep(
             top = m.bit_length() + shift
             width = max(width, top + -top % block)
             if width > 1 << MAX_TABLE_ARITY:
-                raise ValueError(
+                raise ResourceBoundError(
                     f"resource bound exceeded: the split at position {pos} needs "
                     f"{width} lanes, more than 2^{MAX_TABLE_ARITY}"
                 )
@@ -404,7 +405,7 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     if not splitting and profile.max_param_index:
         raise ValueError("sequence contains split/reply instructions; use run_splitting")
     if n > MAX_TABLE_ARITY:
-        raise ValueError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
+        raise ResourceBoundError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
     # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
     block = 1 << n
     dead, out, _, _ = lane_sweep(x, n, block, lambda slot, lanes: lane_mask(n - slot, lanes))

@@ -31,6 +31,7 @@ from .instr import (
     SET_TRUE,
     InstructionSequence,
     ReplyOp,
+    ResourceBoundError,
     SplitOp,
     classify,
     decode,
@@ -213,7 +214,7 @@ def queue_runner(x: InstructionSequence) -> Runner:
 
             steps += 1
             if steps > budget:
-                raise RuntimeError("splitting executor exceeded its step budget")
+                raise ResourceBoundError("splitting executor exceeded its step budget")
 
             if kind == KIND_SPLIT:
                 queue.append(BranchState(on_true, {**valuation, slot: True}))

@@ -233,6 +233,19 @@ def test_truthtable_rejects_arity_above_bound(capsys):
     assert err.startswith("error: resource bound exceeded")
 
 
+def test_compile_formula_at_depth_ten_thousand(capsys):
+    depth = 10_000
+    code, out, _ = run_cli(capsys, "compile-formula", "(not " * depth + "v1" + ")" * depth)
+    assert code == 0
+    assert instr.psize(instr.parse(out)) == depth + 3  # the test, one #2 per not, the accepting tail
+
+
+def test_satc_build_past_the_recursion_limit(capsys):
+    code, out, _ = run_cli(capsys, "satc-build", "1350")
+    assert code == 0
+    assert instr.parse(out) == satc.build_satc_splitter(1350)
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "+split:1 ; !", "--inputs", "")
     assert code == 1

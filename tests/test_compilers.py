@@ -42,6 +42,7 @@ from boolseq.instr import (
     Jump,
     OUT,
     RegisterOp,
+    ResourceBoundError,
     SET_FALSE,
     SET_TRUE,
     classify,
@@ -171,7 +172,7 @@ def test_formula_measures_deep_nesting():
     assert formula_block_size(left_deep) == 4 * depth + 1
     assert formula_size(right_deep) == formula_block_size(right_deep) == 2 * depth + 1
     # Exhaustive search stops at its resource bound, after the variables are counted.
-    with pytest.raises(ValueError, match=f"resource bound exceeded: {depth + 1} variables"):
+    with pytest.raises(ResourceBoundError, match=f"resource bound exceeded: {depth + 1} variables"):
         formula_satisfiable(left_deep)
     same_variable = FVar(1)
     for _ in range(depth):
@@ -474,6 +475,32 @@ def test_render_formula_deep_nesting():
     text = render_formula(phi)
     assert text.startswith("(and (not (and (not ") and text.endswith("v5000)) v5001)")
     assert text.count("(") == text.count(")") == 10000
+
+
+DEPTH = 10_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(not " * DEPTH + "v1" + ")" * DEPTH,
+        "(and " + " ".join(f"v{i % 3 + 1}" for i in range(DEPTH)) + ")",
+        "(or " + " ".join(f"v{i % 3 + 1}" for i in range(DEPTH)) + ")",
+        "(and (or v1 (not v2)) (not (and v3 (or v2 v1))) (or v3 v1 v2))",
+    ],
+    ids=["nested-not", "and", "or", "shallow"],
+)
+def test_parse_and_compile_deep_formulas(text):
+    # Nesting far past the interpreter's recursion limit parses and compiles.
+    phi = parse_formula(text)
+    compiled = compile_formula(phi)
+    assert psize(compiled) == formula_block_size(phi) + 2
+    assert truth_table(compiled, 3) == TruthTable.tabulate(3, lambda v: eval_formula(phi, v))
+
+
+def test_parse_deep_nesting_round_trips():
+    text = "(not " * DEPTH + "(and v1 (or v2 (not v3)))" + ")" * DEPTH
+    assert render_formula(parse_formula(text)) == text
 
 
 def test_formula_sexpr_nary_folds_right():

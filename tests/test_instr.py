@@ -1,11 +1,19 @@
-"""Parsing, rendering, sizes, and syntactic classification."""
+"""Parsing, rendering, sizes, syntactic classification, and decoding."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolseq.instr import (
     GET,
+    KIND_AUX,
+    KIND_IN,
+    KIND_JUMP,
+    KIND_OUT,
+    KIND_REPLY,
+    KIND_SPLIT,
+    KIND_TERM,
     SET_FALSE,
     SET_TRUE,
     AuxReg,
@@ -18,7 +26,10 @@ from boolseq.instr import (
     PosTest,
     RegisterOp,
     TERM,
+    ClassProfile,
+    Row,
     classify,
+    decode,
     parse,
     psize,
     render,
@@ -66,6 +77,13 @@ def test_zero_indexed_registers_rejected():
         parse("in:0.get ; !")
     with pytest.raises(InstructionSyntaxError):
         parse("split:0 ; !")
+
+
+@pytest.mark.parametrize("token", ["in:0.get", "aux:0.set:T", "-split:0", "+reply:0"])
+def test_zero_index_reported_at_its_token(token):
+    with pytest.raises(InstructionSyntaxError, match=r"must be >= 1, got 0 \(at offset 4\)") as err:
+        parse(f"! ; {token} ; !")
+    assert err.value.position == 4
 
 
 def test_render_goldens():
@@ -141,3 +159,115 @@ def test_classify_subset_chain():
         if profile.is_sisbr:
             assert profile.max_aux_index == 0
             assert not profile.has_out_set_false
+
+
+# --- decode and classify of every instruction shape ------------------------------
+
+# Each basic instruction: its row's (kind, slot, method) and the class profile
+# of the one-instruction sequence (is_isbr, is_isbrna, is_sisbr, has_out_set_false).
+BASICS = {
+    "in:2.get": ((KIND_IN, 2, GET), (True, True, True, False)),
+    "in:2.set:T": ((KIND_IN, 2, SET_TRUE), (False, False, False, False)),
+    "in:2.set:F": ((KIND_IN, 2, SET_FALSE), (False, False, False, False)),
+    "aux:3.get": ((KIND_AUX, 3, GET), (True, False, False, False)),
+    "aux:3.set:T": ((KIND_AUX, 3, SET_TRUE), (True, False, False, False)),
+    "aux:3.set:F": ((KIND_AUX, 3, SET_FALSE), (True, False, False, False)),
+    "out.get": ((KIND_OUT, 0, GET), (False, False, False, False)),
+    "out.set:T": ((KIND_OUT, 0, SET_TRUE), (True, True, True, False)),
+    "out.set:F": ((KIND_OUT, 0, SET_FALSE), (True, True, False, True)),
+    "split:4": ((KIND_SPLIT, 4, None), (False, False, True, False)),
+    "reply:4": ((KIND_REPLY, 4, None), (False, False, True, False)),
+}
+# Each form: the successors at position 1 of ``u ; ! ; !``.
+FORMS = {"": (2, 2), "+": (2, 3), "-": (3, 2)}
+TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=["plain", "pos", "neg"])
+@pytest.mark.parametrize("basic", BASICS)
+def test_decode_basic_goldens(basic, form):
+    shape, _ = BASICS[basic]
+    # Alone, every successor is past the end.
+    assert decode(parse(form + basic)) == (Row(*shape, 0, 0),)
+    assert decode(parse(f"{form}{basic} ; ! ; !")) == (Row(*shape, *FORMS[form]), TERM_ROW, TERM_ROW)
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("!", (TERM_ROW,)),
+        ("! ; ! ; !", (TERM_ROW,) * 3),
+        ("#0", (Row(KIND_JUMP, 0, None, 0, 0),)),
+        ("#0 ; ! ; !", (Row(KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
+        ("#1", (Row(KIND_JUMP, 0, None, 0, 0),)),
+        ("#1 ; ! ; !", (Row(KIND_JUMP, 0, None, 2, 2), TERM_ROW, TERM_ROW)),
+        ("#2 ; ! ; !", (Row(KIND_JUMP, 0, None, 3, 3), TERM_ROW, TERM_ROW)),
+        ("#3 ; ! ; !", (Row(KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
+        # Past the end from a later position: only the reply that stays in range has a successor.
+        (
+            "in:1.get ; +in:1.get ; !",
+            (Row(KIND_IN, 1, GET, 2, 2), Row(KIND_IN, 1, GET, 3, 0), TERM_ROW),
+        ),
+    ],
+)
+def test_decode_jump_and_termination_goldens(text, rows):
+    assert decode(parse(text)) == rows
+
+
+@pytest.mark.parametrize("form", FORMS, ids=["plain", "pos", "neg"])
+@pytest.mark.parametrize("basic", BASICS)
+def test_classify_basic_goldens(basic, form):
+    (kind, slot, _), (is_isbr, is_isbrna, is_sisbr, has_out_set_false) = BASICS[basic]
+    is_param = kind in (KIND_SPLIT, KIND_REPLY)
+    assert classify(parse(form + basic)) == ClassProfile(
+        is_isbr=is_isbr,
+        is_isbrna=is_isbrna,
+        is_sisbr=is_sisbr,
+        max_jump=0,
+        max_aux_index=slot if kind == KIND_AUX else 0,
+        max_input_index=slot if kind == KIND_IN else 0,
+        max_param_index=slot if is_param else 0,
+        term_count=0,
+        has_out_set_false=has_out_set_false,
+        last_param_use={slot: 1} if is_param else {},
+    )
+
+
+def test_classify_jump_and_termination_goldens():
+    fields = dict(
+        is_isbr=True,
+        is_isbrna=True,
+        is_sisbr=True,
+        max_aux_index=0,
+        max_input_index=0,
+        max_param_index=0,
+        has_out_set_false=False,
+        last_param_use={},
+    )
+    assert classify(parse("#0")) == ClassProfile(max_jump=0, term_count=0, **fields)
+    assert classify(parse("#7")) == ClassProfile(max_jump=7, term_count=0, **fields)
+    assert classify(parse("! ; #3 ; !")) == ClassProfile(max_jump=3, term_count=2, **fields)
+
+
+def _random_sequence(rng):
+    return gen_isbr(rng, 12, 3) if rng.random() < 0.5 else gen_sisbr(rng, 12, 3, max_params=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_classify_of_a_concatenation_combines_the_parts(rng):
+    # With the one-instruction goldens above, this law fixes classify on every sequence.
+    x, y = _random_sequence(rng), _random_sequence(rng)
+    px, py = classify(x), classify(y)
+    assert classify(x + y) == ClassProfile(
+        is_isbr=px.is_isbr and py.is_isbr,
+        is_isbrna=px.is_isbrna and py.is_isbrna,
+        is_sisbr=px.is_sisbr and py.is_sisbr,
+        max_jump=max(px.max_jump, py.max_jump),
+        max_aux_index=max(px.max_aux_index, py.max_aux_index),
+        max_input_index=max(px.max_input_index, py.max_input_index),
+        max_param_index=max(px.max_param_index, py.max_param_index),
+        term_count=px.term_count + py.term_count,
+        has_out_set_false=px.has_out_set_false or py.has_out_set_false,
+        last_param_use={**px.last_param_use, **{p: pos + len(x) for p, pos in py.last_param_use.items()}},
+    )

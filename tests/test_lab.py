@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolseq import lab
 from boolseq.compilers import Cnf, Literal, cnf_compiled_size, compile_cnf
-from boolseq.instr import Jump, parse, psize, render
+from boolseq.instr import Jump, ResourceBoundError, parse, psize, render
 from boolseq.lab import (
     SearchSpec,
     TruthTable,
@@ -298,7 +298,7 @@ def test_search_pinned_splitting_bench_answers():
 def test_search_state_cap_names_where_it_stopped(monkeypatch, splitting_mode, length):
     monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", 10)
     spec = SearchSpec(target=TruthTable(2, (False, True, True, False)), max_length=7, splitting_mode=splitting_mode)
-    with pytest.raises(ValueError, match=rf"at length {length}: 11 states seen, cap 10"):
+    with pytest.raises(ResourceBoundError, match=rf"at length {length}: 11 states seen, cap 10"):
         shortest_sequence_search(spec)
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.instr import InstructionSequence, classify, parse
+from boolseq.instr import InstructionSequence, ResourceBoundError, classify, parse
 from boolseq.lab import TruthTable, truth_table
 from boolseq.services import (
     DIVERGENT,
@@ -140,12 +140,12 @@ def test_checks_reject_wrong_and_partial_tables():
 
 
 def test_arity_bound():
-    with pytest.raises(ValueError, match="resource bound"):
+    with pytest.raises(ResourceBoundError, match="resource bound"):
         lane_values(parse("!"), MAX_TABLE_ARITY + 1)
-    with pytest.raises(ValueError, match="resource bound"):
+    with pytest.raises(ResourceBoundError, match="resource bound"):
         truth_table(parse("out.set:T ; !"), MAX_TABLE_ARITY + 1)
     # For forking code a split's twin lanes come on top of the 2^n vectors.
-    with pytest.raises(ValueError, match="resource bound"):
+    with pytest.raises(ResourceBoundError, match="resource bound"):
         truth_table(parse("split:1 ; !"), MAX_TABLE_ARITY, splitting=True)
 
 

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from boolseq.compilers import Cnf, Literal, eval_cnf, formula_satisfiable, render_formula
-from boolseq.instr import Plain, SplitOp, parse, psize, render
+from boolseq.instr import InstructionSequence, Plain, ResourceBoundError, SplitOp, parse, psize, render
 from boolseq.lab import TruthTable, truth_table
 from boolseq.satc import (
+    MAX_GUESSED_VARS,
     LiteralSet,
     SatcInstance,
     alpha,
@@ -268,6 +269,35 @@ def test_build_satc_splitter_computes_family_member():
         assert check_splitting_computes(build_satc_splitter(n), table), n
 
 
+def test_build_satc_splitter_past_the_recursion_limit():
+    # 1350 bits select among all ndisj(10) = 1350 literal sets: a conjunction
+    # of 1350 disjunctions, compiled by the formula size law.
+    n = 1350
+    k = SatcInstance((False,) * n).k
+    assert ndisj(k) == n
+    # not s_i is 2 long, each "or literal" 1 + the literal's 1 (or 2 negated), each and 2.
+    block = sum(2 + sum(2 + lit.negated for lit in alpha(i).literals) for i in range(1, n + 1)) + 2 * (n - 1)
+    z = build_satc_splitter(n)
+    assert psize(z) == k + block + 2
+    assert z.items[:k] == tuple(Plain(SplitOp(j)) for j in range(1, k + 1))
+    assert render(InstructionSequence(z.items[-2:])) == "+out.set:T ; !"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha(ndisj(2 * MAX_GUESSED_VARS) + 1),
+        lambda: satc_eval(SatcInstance((False,) * ndisj(MAX_GUESSED_VARS + 1))),
+        lambda: cnf_satisfiable(Cnf(MAX_GUESSED_VARS + 1, ())),
+        lambda: build_satc_splitter(ndisj(MAX_GUESSED_VARS + 1)),
+    ],
+    ids=["alpha", "satc_eval", "cnf_satisfiable", "build_satc_splitter"],
+)
+def test_guessed_variable_bounds(call):
+    with pytest.raises(ResourceBoundError, match="resource bound exceeded"):
+        call()
+
+
 def test_reachability_formula_golden_fork():
     phi = reachability_formula(parse("+split:1 ; ! ; out.set:T ; !"), ())
     assert render_formula(phi) == (
@@ -333,7 +363,7 @@ def test_reachability_satisfiable_past_brute_force_size():
     reachable = parse(f"split:1 ; {hops} ; out.set:T")
     assert reachability_satisfiable(reachable, ())
     assert not reachability_satisfiable(parse(f"split:1 ; ! ; {hops} ; out.set:T"), ())
-    with pytest.raises(ValueError, match="resource bound"):
+    with pytest.raises(ResourceBoundError, match="resource bound"):
         formula_satisfiable(reachability_formula(reachable, ()), psize(reachable))
 
 

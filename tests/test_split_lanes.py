@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.instr import KIND_SPLIT, classify, decode, parse
+from boolseq import splitting
+from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, Row, classify, decode, parse
 from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
 from boolseq.services import MAX_TABLE_ARITY, RegisterFile, Terminated
@@ -115,8 +116,17 @@ def test_every_branch_of_24_parameters():
 
 def test_25_parameters_exceed_the_lane_bound():
     x = parse(" ; ".join(f"split:{p}" for p in range(1, 26)) + " ; out.set:T ; !")
-    with pytest.raises(ValueError, match=f"resource bound exceeded: the split at position 25 needs .* lanes, more than 2\\^{MAX_TABLE_ARITY}"):
+    with pytest.raises(ResourceBoundError, match=f"resource bound exceeded: the split at position 25 needs .* lanes, more than 2\\^{MAX_TABLE_ARITY}"):
         run_splitting_with_steps(x, ())
+
+
+def test_queue_runner_step_budget(monkeypatch):
+    # Decoded control only moves forward, so no sequence reaches the budget;
+    # a row that leads back to itself does.
+    monkeypatch.setattr(splitting, "decode", lambda x: (Row(KIND_OUT, 0, SET_TRUE, 1, 1),))
+    execute = queue_runner(parse("out.set:T ; !"))
+    with pytest.raises(ResourceBoundError, match="splitting executor exceeded its step budget"):
+        execute(())
 
 
 def _bench_workloads():
