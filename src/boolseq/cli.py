@@ -10,11 +10,11 @@ errors exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import compilers, instr, lab, satc, services, splitting, threads, transforms
-from .services import Deadlocked, Terminated
+# Every subcommand parses; each handler imports the rest of what it runs, so
+# a call loads only its own modules.
+from . import instr
 
 
 def _read_arg(text: str) -> str:
@@ -28,12 +28,14 @@ def _sequence(text: str) -> instr.InstructionSequence:
     return instr.parse(_read_arg(text))
 
 
-def _outcome_text(outcome, registers_of=None) -> str:
+def _outcome_text(outcome) -> str:
+    from .services import Deadlocked, Terminated, render_input_bits
+
     if isinstance(outcome, Terminated):
         regs = outcome.registers
         lines = [f"TERMINATED out={'T' if regs.out else 'F'}"]
         if regs.inputs:
-            lines.append(f"in={services.render_input_bits(regs.inputs)}")
+            lines.append(f"in={render_input_bits(regs.inputs)}")
         for j in sorted(regs.aux):
             lines.append(f"aux:{j}={'T' if regs.aux[j] else 'F'}")
         return "\n".join(lines)
@@ -43,6 +45,10 @@ def _outcome_text(outcome, registers_of=None) -> str:
 
 
 def _outcome_json(outcome, steps: int) -> str:
+    import json
+
+    from .services import Deadlocked, Terminated
+
     if isinstance(outcome, Terminated):
         regs = outcome.registers
         record = {
@@ -68,7 +74,7 @@ def _outcome_json(outcome, steps: int) -> str:
     return json.dumps(record)
 
 
-def _print_report(report: transforms.RewriteReport) -> None:
+def _print_report(report) -> None:
     print(instr.render(report.output))
     print(f"steps: {report.steps}", file=sys.stderr)
     for rule, pos in report.rule_trace:
@@ -81,6 +87,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import services
+
     x = _sequence(args.sequence)
     inputs = services.parse_input_bits(args.inputs)
     outcome, steps = services.run_with_steps(x, inputs)
@@ -89,6 +97,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_split(args) -> int:
+    from . import services, splitting
+
     x = _sequence(args.sequence)
     inputs = services.parse_input_bits(args.inputs)
     outcome, steps = splitting.run_splitting_with_steps(x, inputs)
@@ -97,16 +107,22 @@ def _cmd_run_split(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from . import threads
+
     print(threads.render_thread(threads.extract(_sequence(args.sequence))))
     return 0
 
 
 def _cmd_extract_compact(args) -> int:
+    from . import threads
+
     print(threads.render_thread(threads.extract_compact(_sequence(args.sequence))))
     return 0
 
 
 def _cmd_truthtable(args) -> int:
+    from . import lab
+
     x = _sequence(args.sequence)
     print(lab.truth_table(x, args.n, splitting=args.split).render())
     return 0
@@ -133,32 +149,42 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compile_cnf(args) -> int:
+    from . import compilers
+
     phi = compilers.parse_dimacs(_read_arg(args.cnf))
     print(instr.render(compilers.compile_cnf(phi)))
     return 0
 
 
 def _cmd_compile_cnf_jumpfree(args) -> int:
+    from . import compilers
+
     phi = compilers.parse_dimacs(_read_arg(args.cnf))
     print(instr.render(compilers.compile_cnf_jumpfree(phi)))
     return 0
 
 
 def _cmd_compile_formula(args) -> int:
+    from . import compilers
+
     phi = compilers.parse_formula(_read_arg(args.formula))
     print(instr.render(compilers.compile_formula(phi)))
     return 0
 
 
 def _cmd_compile_circuit(args) -> int:
+    from . import compilers
+
     circuit = compilers.parse_netlist(_read_arg(args.netlist))
     print(instr.render(compilers.compile_circuit(circuit)))
     return 0
 
 
-def _transform_command(fn_report):
+def _transform_command(report_name: str):
     def handler(args) -> int:
-        report = fn_report(_sequence(args.sequence))
+        from . import transforms
+
+        report = getattr(transforms, report_name)(_sequence(args.sequence))
         if args.trace:
             _print_report(report)
         else:
@@ -169,29 +195,39 @@ def _transform_command(fn_report):
 
 
 def _cmd_satc_eval(args) -> int:
+    from . import satc, services
+
     bits = services.parse_input_bits(args.bits)
     print("T" if satc.satc_eval(satc.SatcInstance(bits)) else "F")
     return 0
 
 
 def _cmd_satc_decode(args) -> int:
+    from . import compilers, satc, services
+
     bits = services.parse_input_bits(args.bits)
     print(compilers.render_dimacs(satc.decode_to_cnf(bits)))
     return 0
 
 
 def _cmd_satc_encode(args) -> int:
+    from . import compilers, satc, services
+
     phi = compilers.parse_dimacs(_read_arg(args.cnf))
     print(services.render_input_bits(satc.encode_cnf(phi)))
     return 0
 
 
 def _cmd_satc_build(args) -> int:
+    from . import satc
+
     print(instr.render(satc.build_satc_splitter(args.n)))
     return 0
 
 
 def _cmd_reduce_plsis(args) -> int:
+    from . import compilers, satc, services
+
     x = _sequence(args.sequence)
     inputs = services.parse_input_bits(args.inputs)
     print(compilers.render_formula(satc.reachability_formula(x, inputs)))
@@ -199,6 +235,8 @@ def _cmd_reduce_plsis(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import lab, services
+
     values = services.parse_input_bits(args.target)
     size = len(values)
     arity = size.bit_length() - 1
@@ -262,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compile-circuit", _cmd_compile_circuit, "compile a gate netlist")
     p.add_argument("netlist")
 
-    for name, fn in (
-        ("elim-setfalse", transforms.eliminate_output_false_report),
-        ("normalize-set-tests", transforms.normalize_set_tests_report),
-        ("to-split", transforms.to_splitting_report),
-        ("collapse-jumps", transforms.collapse_jump_chains_report),
-        ("behav-normalize", transforms.behavioural_normalize_report),
+    for name, report_name in (
+        ("elim-setfalse", "eliminate_output_false_report"),
+        ("normalize-set-tests", "normalize_set_tests_report"),
+        ("to-split", "to_splitting_report"),
+        ("collapse-jumps", "collapse_jump_chains_report"),
+        ("behav-normalize", "behavioural_normalize_report"),
     ):
-        p = add(name, _transform_command(fn), f"apply the {name} rewrite")
+        p = add(name, _transform_command(report_name), f"apply the {name} rewrite")
         p.add_argument("sequence")
         p.add_argument("--trace", action="store_true", help="print the rule trace to stderr")
 

@@ -23,6 +23,7 @@ from .instr import (
     InstructionSequence,
     Jump,
     PrimitiveInstruction,
+    ResourceBoundError,
     decode,
     render_basic,
 )
@@ -75,6 +76,9 @@ XThread = Union[Stop, Dead, Tau, PostCond, Var, Subst]
 
 STOP = Stop()
 DEAD = Dead()
+
+# Most tree nodes ``render_thread`` emits (about 10 MB of text).
+MAX_RENDER_NODES = 1_000_000
 
 
 def extract(x: InstructionSequence) -> Thread:
@@ -181,15 +185,37 @@ def tsize(t: XThread) -> int:
 
 
 def render_thread(t: XThread) -> str:
-    """Debug rendering, e.g. ``(in:1.get ? S : D)``; for inspection and goldens only."""
-    if isinstance(t, Stop):
-        return "S"
-    if isinstance(t, Dead):
-        return "D"
-    if isinstance(t, Tau):
-        return f"tau . {render_thread(t.next)}"
-    if isinstance(t, PostCond):
-        return f"({render_basic(t.action)} ? {render_thread(t.on_true)} : {render_thread(t.on_false)})"
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    return f"[{render_thread(t.bound)}/x{t.var_index}] {render_thread(t.body)}"
+    """Debug rendering, e.g. ``(in:1.get ? S : D)``; for inspection and goldens only.
+
+    Renders the tree, not the DAG, so the text of an extracted thread can be
+    exponential in the sequence length; past ``MAX_RENDER_NODES`` nodes this
+    raises ``ResourceBoundError``.  One explicit stack of pending nodes and
+    literal text, so depth is not limited by recursion.
+    """
+    parts: list[str] = []
+    stack: list = [t]
+    nodes = 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        nodes += 1
+        if nodes > MAX_RENDER_NODES:
+            raise ResourceBoundError(f"resource bound exceeded: the thread has more than {MAX_RENDER_NODES} nodes to render")
+        if isinstance(node, Stop):
+            parts.append("S")
+        elif isinstance(node, Dead):
+            parts.append("D")
+        elif isinstance(node, Tau):
+            parts.append("tau . ")
+            stack.append(node.next)
+        elif isinstance(node, PostCond):
+            parts.append(f"({render_basic(node.action)} ? ")
+            stack += (")", node.on_false, " : ", node.on_true)
+        elif isinstance(node, Var):
+            parts.append(f"x{node.index}")
+        else:
+            parts.append("[")
+            stack += (node.body, f"/x{node.var_index}] ", node.bound)
+    return "".join(parts)

@@ -68,6 +68,21 @@ def test_extract_compact_matches_library(capsys):
     assert out == threads.render_thread(threads.extract_compact(instr.parse(text))) + "\n"
 
 
+def test_extract_compact_past_the_recursion_limit(capsys):
+    text = " ; ".join(["+in:1.get"] * 1199 + ["!"])
+    code, out, _ = run_cli(capsys, "extract-compact", text)
+    assert code == 0
+    assert out == threads.render_thread(threads.extract_compact(instr.parse(text))) + "\n"
+
+
+@pytest.mark.parametrize("k", [60, 1200])
+def test_extract_past_the_render_bound_exits_one(capsys, k):
+    code, out, err = run_cli(capsys, "extract", " ; ".join(["+in:1.get"] * (k - 1) + ["!"]))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: resource bound exceeded: the thread has more than {threads.MAX_RENDER_NODES} nodes to render\n"
+
+
 def test_truthtable(capsys):
     code, out, _ = run_cli(capsys, "truthtable", "+in:1.get ; out.set:T ; !", "--n", "1")
     assert code == 0

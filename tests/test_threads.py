@@ -1,8 +1,12 @@
 """Behaviour-tree extraction and the linear-size substitution representation."""
 
 import random
+import time
 from itertools import product
 
+import pytest
+
+from boolseq import threads
 from boolseq.instr import (
     GET,
     InReg,
@@ -14,8 +18,10 @@ from boolseq.instr import (
     RegisterOp,
     SET_TRUE,
     TERM,
+    ResourceBoundError,
     parse,
     psize,
+    render_basic,
 )
 from boolseq.threads import (
     DEAD,
@@ -165,3 +171,53 @@ def test_render_thread_goldens():
         render_thread(extract_compact(parse("+in:1.get ; !")))
         == "[S/x2] [(in:1.get ? x2 : x3)/x1] x1"
     )
+
+
+def recursive_render_thread(t) -> str:
+    """render_thread by recursion: the reference for the explicit-stack one."""
+    if t is STOP:
+        return "S"
+    if t is DEAD:
+        return "D"
+    if isinstance(t, Tau):
+        return f"tau . {recursive_render_thread(t.next)}"
+    if isinstance(t, PostCond):
+        on_true, on_false = recursive_render_thread(t.on_true), recursive_render_thread(t.on_false)
+        return f"({render_basic(t.action)} ? {on_true} : {on_false})"
+    if isinstance(t, Var):
+        return f"x{t.index}"
+    return f"[{recursive_render_thread(t.bound)}/x{t.var_index}] {recursive_render_thread(t.body)}"
+
+
+def test_render_thread_matches_recursive_reference():
+    rng = random.Random(41)
+    for _ in range(200):
+        x = gen_isbr(rng, 12, 3) if rng.random() < 0.5 else gen_sisbr(rng, 12, 2)
+        for t in (extract(x), extract_compact(x), Tau(extract(x)), Subst(1, Tau(DEAD), Var(1))):
+            assert render_thread(t) == recursive_render_thread(t)
+
+
+def chain(k: int) -> InstructionSequence:
+    """``+in:1.get`` k-1 times, then ``!``: its tree has about fib(k) nodes."""
+    return parse(" ; ".join(["+in:1.get"] * (k - 1) + ["!"]))
+
+
+def test_render_thread_bound_counts_tree_nodes(monkeypatch):
+    t = extract(chain(12))
+    nodes = tsize(t)
+    monkeypatch.setattr(threads, "MAX_RENDER_NODES", nodes)
+    assert render_thread(t) == recursive_render_thread(t)
+    monkeypatch.setattr(threads, "MAX_RENDER_NODES", nodes - 1)
+    with pytest.raises(ResourceBoundError, match=f"more than {nodes - 1} nodes to render"):
+        render_thread(t)
+
+
+def test_render_thread_past_the_recursion_limit():
+    x = chain(1200)
+    text = render_thread(extract_compact(x))
+    assert text.startswith("[S/x1200] [(in:1.get ? x1200 : x1201)/x1199] ")
+    assert text.count("in:1.get") == 1199
+    began = time.perf_counter()
+    with pytest.raises(ResourceBoundError, match="resource bound exceeded"):
+        render_thread(extract(x))
+    assert time.perf_counter() - began < 30
