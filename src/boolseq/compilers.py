@@ -38,6 +38,9 @@ from .instr import (
     TERM,
 )
 
+# Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
+MAX_FORMULA_VARS = 25
+
 # --- source ASTs -------------------------------------------------------------
 
 
@@ -254,7 +257,7 @@ def formula_vars(phi: BoolFormula) -> int:
 def formula_satisfiable(phi: BoolFormula, num_vars: int | None = None) -> bool:
     """Exhaustive satisfiability over the first ``num_vars`` variables."""
     n = formula_vars(phi) if num_vars is None else num_vars
-    if n > 25:
+    if n > MAX_FORMULA_VARS:
         raise ResourceBoundError(f"resource bound exceeded: {n} variables for exhaustive search")
     for bits in range(2**n):
         assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]

@@ -276,7 +276,7 @@ def lane_mask(bit: int, lanes: int) -> int:
 
 
 def lane_sweep(
-    x: InstructionSequence, n: int, block: int, input_lanes: Callable[[int, int], int], count: bool = False
+    x: InstructionSequence, n: int, block: int, input_lanes: Callable[[int, int], int]
 ) -> tuple[int, int, int, int]:
     """One forward sweep of ``x``'s decoded rows, one lane per branch of one vector.
 
@@ -285,8 +285,7 @@ def lane_sweep(
     least the first ``lanes``, where ``in:slot`` holds True (for slot <= n).
     Returns ``(dead, out, unserved, steps)``: the lanes that do not
     terminate, the lanes where ``out`` ends True, the lanes that read an
-    input past n, and, when ``count`` is set, the number of forking-run
-    action turns.
+    input past n, and the number of forking-run action turns.
 
     A split on p forks each lane that reaches it with p uninstantiated: the
     lane goes on with p True, its twin ``shift`` lanes up with p False.
@@ -325,8 +324,7 @@ def lane_sweep(
             m &= ~inst.get(slot, 0)  # a re-split deadlocks
             if not m:
                 continue
-            if count:
-                steps += m.bit_count()
+            steps += m.bit_count()
             # kin: the lanes of m's vectors.  Other vectors' lanes differ mod
             # block, so twins placed past kin land on free lanes.
             kin = lanes if block == 1 else lanes & _repeat(_fold(m, block), block, width)
@@ -371,8 +369,7 @@ def lane_sweep(
             else:
                 bank[slot] = reg & ~m
                 reply = 0
-        if count:
-            steps += m.bit_count()
+        steps += m.bit_count()
         taken = m & reply
         at[on_true] |= taken
         at[on_false] |= m ^ taken

@@ -165,9 +165,7 @@ def splitting_runner(x: InstructionSequence) -> Runner:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
 
     def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-        dead, out, unserved, steps = lane_sweep(
-            x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0, count=True
-        )
+        dead, out, unserved, steps = lane_sweep(x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0)
         if unserved:
             return queue_runner(x)(inputs)
         if dead:

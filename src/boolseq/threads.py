@@ -76,6 +76,7 @@ XThread = Union[Stop, Dead, Tau, PostCond, Var, Subst]
 
 STOP = Stop()
 DEAD = Dead()
+_LEAVES = frozenset((Stop, Dead, Var))
 
 # Most tree nodes ``render_thread`` emits (about 10 MB of text).
 MAX_RENDER_NODES = 1_000_000
@@ -135,26 +136,45 @@ def eval_xthread(t: XThread) -> Thread:
     """Resolve all substitution binders; free variables become deadlock.
 
     Binders are resolved innermost first (the order produced by
-    ``extract_compact``); each bound term is evaluated once and shared by
-    every occurrence of its variable, so evaluation is linear in the term
-    size.
+    ``extract_compact``); each bound term is evaluated once, at its binder,
+    and shared by every occurrence of its variable, so evaluation is linear
+    in the term size.  One explicit stack, so depth is not limited by
+    recursion: a node goes back on it as ``(node,)`` below its children,
+    and a binder's body above ``(var_index, outer binding)``, which undoes
+    the binding in the one environment once the body is evaluated.
     """
-
-    def ev(node: XThread, env: dict[int, Thread]) -> Thread:
-        if isinstance(node, (Stop, Dead)):
-            return node
-        if isinstance(node, Var):
-            return env.get(node.index, DEAD)
-        if isinstance(node, Tau):
-            return Tau(ev(node.next, env))
-        if isinstance(node, PostCond):
-            return PostCond(node.action, ev(node.on_true, env), ev(node.on_false, env))
-        bound = ev(node.bound, env)
-        inner = dict(env)
-        inner[node.var_index] = bound
-        return ev(node.body, inner)
-
-    return ev(t, {})
+    env: dict[int, Thread] = {}
+    done: list[Thread] = []  # evaluated children, the last on top
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(env.get(node.index, DEAD))
+        elif kind is PostCond:
+            stack += ((node,), node.on_false, node.on_true)
+        elif kind is Subst or kind is Tau:
+            stack += ((node,), node.bound if kind is Subst else node.next)
+        elif kind is not tuple:  # Stop, Dead
+            done.append(node)
+        elif len(node) == 2:
+            index, outer = node
+            if outer is None:
+                del env[index]
+            else:
+                env[index] = outer
+        else:
+            (node,) = node
+            kind = type(node)
+            if kind is PostCond:
+                on_false = done.pop()
+                done[-1] = PostCond(node.action, done[-1], on_false)
+            elif kind is Tau:
+                done[-1] = Tau(done[-1])
+            else:
+                stack += ((node.var_index, env.get(node.var_index)), node.body)
+                env[node.var_index] = done.pop()
+    return done[0]
 
 
 def tsize(t: XThread) -> int:
@@ -162,26 +182,34 @@ def tsize(t: XThread) -> int:
 
     ``Tau`` counts as a postconditional with two equal children.  Shared
     subterms are counted once per occurrence (tree size, not DAG size).
+    One explicit stack, so depth is not limited by recursion: a node stays
+    on it until both its children are sized, and sizes are memoised by
+    node identity.
     """
+    if type(t) in _LEAVES:
+        return 1
     memo: dict[int, int] = {}
-
-    def sz(node: XThread) -> int:
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, (Stop, Dead, Var)):
-            val = 1
-        elif isinstance(node, Tau):
-            val = 2 * sz(node.next) + 1
-        elif isinstance(node, PostCond):
-            val = sz(node.on_true) + sz(node.on_false) + 1
-        else:
-            val = sz(node.bound) + sz(node.body) + 1
-        memo[key] = val
-        return val
-
-    return sz(t)
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is PostCond:
+            left, right = node.on_true, node.on_false
+        elif kind is Subst:
+            left, right = node.bound, node.body
+        else:  # Tau
+            left = right = node.next
+        left_size = 1 if type(left) in _LEAVES else memo.get(id(left))
+        right_size = 1 if type(right) in _LEAVES else memo.get(id(right))
+        if left_size is None or right_size is None:
+            if left_size is None:
+                stack.append(left)
+            if right_size is None and right is not left:
+                stack.append(right)
+            continue
+        memo[id(node)] = left_size + right_size + 1
+        stack.pop()
+    return memo[id(t)]
 
 
 def render_thread(t: XThread) -> str:

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .instr import (
     GET,
-    SET_FALSE,
     SET_TRUE,
     AuxReg,
     InstructionSequence,
@@ -40,7 +38,6 @@ from .instr import (
     TERM,
     Term,
     classify,
-    psize,
 )
 
 
@@ -65,15 +62,14 @@ def _is_reg(u: PrimitiveInstruction, focus_type, method: str | None = None) -> b
     return method is None or b.method == method
 
 
-def _is_aux_write(u: PrimitiveInstruction) -> bool:
-    return _is_reg(u, AuxReg, SET_TRUE) or _is_reg(u, AuxReg, SET_FALSE)
+def _is_write(u: PrimitiveInstruction, focus_type) -> bool:
+    b = getattr(u, "basic", None)  # jumps and ``!`` have none
+    return isinstance(b, RegisterOp) and b.method != GET and isinstance(b.focus, focus_type)
 
 
 def _is_skipping_aux_write(u: PrimitiveInstruction) -> bool:
     """``-aux:j.set:T`` or ``+aux:j.set:F``: the reply is forced and always skips."""
-    return (isinstance(u, NegTest) and _is_reg(u, AuxReg, SET_TRUE)) or (
-        isinstance(u, PosTest) and _is_reg(u, AuxReg, SET_FALSE)
-    )
+    return _is_write(u, AuxReg) and _reach(u) == 2
 
 
 def _reach(u: PrimitiveInstruction) -> int:
@@ -164,32 +160,22 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("eliminate_output_false requires a register-only sequence")
     fresh = classify(x).max_aux_index + 1
+    readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
     trace: list[tuple[str, int]] = []
     items: list[PrimitiveInstruction] = []
+    blocks = {}
     for pos, u in enumerate(x.items, start=1):
         if _is_reg(u, OutReg):
-            renamed = RegisterOp(AuxReg(fresh), u.basic.method)
-            items.append(type(u)(renamed))
+            u = type(u)(RegisterOp(AuxReg(fresh), u.basic.method))
             trace.append(("rename-out", pos))
-        else:
-            items.append(u)
-
-    if isinstance(items[0], Term):
-        return _report(x, items, trace)
-
-    for j in range(2, len(items) + 1):
-        if isinstance(items[j - 1], Term) and _can_skip(items[j - 2]):
-            raise ValueError(
-                f"eliminate_output_false precondition violated: the test at position "
-                f"{j - 1} can bypass the termination instruction at position {j}"
-            )
-
-    readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
-    blocks = {
-        pos: ("insert-readback", readback)
-        for pos in range(2, len(items) + 1)
-        if isinstance(items[pos - 1], Term)
-    }
+        elif isinstance(u, Term) and pos > 1 and not isinstance(x.items[0], Term):
+            if _can_skip(items[-1]):
+                raise ValueError(
+                    f"eliminate_output_false precondition violated: the test at position "
+                    f"{pos - 1} can bypass the termination instruction at position {pos}"
+                )
+            blocks[pos] = ("insert-readback", readback)
+        items.append(u)
     return _report(x, _splice(items, blocks, trace), trace)
 
 
@@ -213,17 +199,15 @@ def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("normalize_set_tests requires a register-only sequence")
     items = list(x.items)
-    for i in range(2, len(items) + 1):
-        pred = items[i - 2]
-        if _is_skipping_aux_write(items[i - 1]) and _can_skip(pred) and not _is_skipping_aux_write(pred):
-            raise ValueError(
-                f"normalize_set_tests precondition violated: the test at position "
-                f"{i - 1} can bypass the write at position {i}"
-            )
     blocks = {}
     for pos, u in enumerate(items, start=1):
         if not _is_skipping_aux_write(u):
             continue
+        if pos > 1 and _can_skip(items[pos - 2]) and not _is_skipping_aux_write(items[pos - 2]):
+            raise ValueError(
+                f"normalize_set_tests precondition violated: the test at position "
+                f"{pos - 1} can bypass the write at position {pos}"
+            )
         if isinstance(u, NegTest):
             blocks[pos] = ("unskip-set-true", [PosTest(u.basic), Jump(2)])
         else:
@@ -246,7 +230,7 @@ def check_write_linear(x: InstructionSequence) -> int | None:
     auxiliary write, which is the domain on which the fork rewrite below is
     function-preserving.
     """
-    writes = [pos for pos, u in enumerate(x.items, start=1) if _is_aux_write(u)]
+    writes = [pos for pos, u in enumerate(x.items, start=1) if _is_write(u, AuxReg)]
     for pos, u in enumerate(x.items, start=1):
         first = bisect_right(writes, pos)
         if first < len(writes) and writes[first] < pos + _reach(u):
@@ -288,7 +272,7 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
 
     items = list(x.items)
     trace: list[tuple[str, int]] = []
-    writes = [pos for pos, u in enumerate(items, start=1) if _is_aux_write(u)]
+    writes = [pos for pos, u in enumerate(items, start=1) if _is_write(u, AuxReg)]
 
     # Reads never preceded by a write of the same register always reply False.
     first_write: dict[int, int] = {}
@@ -310,7 +294,7 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
         u = items[pos - 1]
         if _is_reg(u, AuxReg, GET):
             unbound.setdefault(u.basic.focus.index, []).append(pos)
-        elif _is_aux_write(u):
+        elif _is_write(u, AuxReg):
             fresh = len(forks) + 1
             if u.basic.method == SET_TRUE:
                 forks[pos] = [NegTest(SplitOp(fresh)), TERM]
@@ -341,28 +325,26 @@ def to_splitting(x: InstructionSequence) -> InstructionSequence:
 def collapse_jump_chains_report(x: InstructionSequence) -> RewriteReport:
     """Widen every jump landing on another jump to the chain's final target.
 
-    Processed back to front, so each jump needs at most a short burst of
-    rewrites; a chain reaching ``#0`` collapses to ``#0``.  The extracted
-    behaviour tree is unchanged.
+    Processed back to front, so a jump's target jump is already collapsed
+    and lands on no jump: one rewrite per jump suffices.  A chain reaching
+    ``#0`` collapses to ``#0``.  The extracted behaviour tree is unchanged.
     """
     items = list(x.items)
     k = len(items)
     trace: list[tuple[str, int]] = []
     for i in range(k, 0, -1):
-        while True:
-            u = items[i - 1]
-            if not (isinstance(u, Jump) and u.distance >= 1 and i + u.distance <= k):
-                break
-            target = items[i + u.distance - 1]
-            if not isinstance(target, Jump):
-                break
-            if target.distance == 0:
-                items[i - 1] = Jump(0)
-                trace.append(("redirect-to-dead", i))
-            else:
-                items[i - 1] = Jump(u.distance + target.distance)
-                trace.append(("collapse-chain", i))
-        assert len(trace) <= psize(x) * psize(x), "rewrite loop exceeded its bound"
+        u = items[i - 1]
+        if not (isinstance(u, Jump) and u.distance >= 1 and i + u.distance <= k):
+            continue
+        target = items[i + u.distance - 1]
+        if not isinstance(target, Jump):
+            continue
+        if target.distance == 0:
+            items[i - 1] = Jump(0)
+            trace.append(("redirect-to-dead", i))
+        else:
+            items[i - 1] = Jump(u.distance + target.distance)
+            trace.append(("collapse-chain", i))
     return _report(x, items, trace)
 
 
@@ -387,12 +369,13 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     in the same plain write.  Positions are preserved, so no jump needs
     adjusting.
 
-    A rewrite at i only turns a test at i into a plain write or ``#1``, and
-    a rule at j reads positions j and after.  So it can enable a rule only
-    at i - 1 or at a window whose plain write is at i, both left of i, and
-    it cannot disable one.  The scan goes on from the leftmost of those and
-    from i + 1, which is the order of a rescan from position 1 after every
-    rewrite, in linear time.
+    One forward scan, in the order of a rescan from position 1 after every
+    rewrite.  A rule at j reads positions j and after, and a rewrite at i
+    only turns the test at i into a plain write or ``#1``, so it disables
+    no rule elsewhere.  ``#1`` enables none; only ``drop-forced-test`` makes
+    a plain write, and a new plain write at i can enable a rule only at a
+    window ending at i or at i - 1.  So after a drop at i the scan checks
+    those, in position order, and goes on at i + 1.
     """
     if not classify(x).is_isbr:
         raise ValueError("behavioural_normalize requires a register-only sequence")
@@ -400,20 +383,14 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     k = len(items)
     trace: list[tuple[str, int]] = []
 
-    def writable_focus(u) -> bool:
-        return isinstance(u.basic, RegisterOp) and isinstance(u.basic.focus, (AuxReg, OutReg))
-
     def rule_at(i: int) -> str | None:
         u = items[i - 1]
-        if not isinstance(u, (PosTest, NegTest)) or not writable_focus(u):
+        if not isinstance(u, (PosTest, NegTest)) or not _is_write(u, (AuxReg, OutReg)):
             return None
-        method = u.basic.method
-        if method == (SET_TRUE if isinstance(u, PosTest) else SET_FALSE):
+        if _reach(u) == 1:
             return "drop-forced-test"
-        if method == GET:
-            return None
         # A skipping write: -set:T or +set:F.
-        if i + 1 <= k and _same_plain_write(u, items[i]):
+        if i < k and _same_plain_write(u, items[i]):
             return "skip-redone-write"
         if i in window_end and _same_plain_write(u, items[window_end[i] - 1]):
             return "skip-redone-write-window"
@@ -432,27 +409,20 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
                 window_end[j] = end
                 window_starts.setdefault(end, []).append(j)
 
-    # Positions left of ``scan`` hold no applicable rule, except perhaps
-    # those in ``pending``.
-    pending: list[int] = []
-    scan = 1
-    while True:
-        if pending and pending[0] < scan:
-            i = heappop(pending)
-        elif scan <= k:
-            i = scan
-            scan += 1
-        else:
-            break
+    def rewrite(i: int, rule: str) -> None:
+        items[i - 1] = Plain(items[i - 1].basic) if rule == "drop-forced-test" else Jump(1)
+        trace.append((rule, i))
+
+    for i in range(1, k + 1):
         rule = rule_at(i)
         if rule is None:
             continue
-        u = items[i - 1]
-        items[i - 1] = Plain(u.basic) if rule == "drop-forced-test" else Jump(1)
-        trace.append((rule, i))
-        for j in (i - 1, *window_starts.get(i, ())):
-            if j >= 1:
-                heappush(pending, j)
+        rewrite(i, rule)
+        if rule == "drop-forced-test":
+            for j in (*window_starts.get(i, ()), i - 1):
+                rule = rule_at(j) if j else None
+                if rule is not None:
+                    rewrite(j, rule)
     return _report(x, items, trace)
 
 

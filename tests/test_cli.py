@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boolseq import compilers, instr, satc, services, splitting, threads, transforms
+from boolseq import cli, compilers, instr, satc, services, splitting, threads, transforms
 from boolseq.cli import main
 
 
@@ -271,6 +271,15 @@ def test_syntax_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "parse", "bogus")
     assert code == 1
     assert "error:" in err
+
+
+def test_crash_is_not_a_domain_error(monkeypatch):
+    def crash(args):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "_cmd_parse", crash)
+    with pytest.raises(RuntimeError, match="crash"):
+        main(["parse", "!"])
 
 
 def test_usage_error_exits_two():

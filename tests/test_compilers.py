@@ -5,6 +5,7 @@ import random
 import pytest
 
 from boolseq.compilers import (
+    MAX_FORMULA_VARS,
     And,
     AndGate,
     Circuit,
@@ -178,6 +179,18 @@ def test_formula_measures_deep_nesting():
     for _ in range(depth):
         same_variable = And(Not(FVar(1)), same_variable)
     assert formula_satisfiable(same_variable) is False
+
+
+def test_formula_satisfiable_bound():
+    phi = FVar(1)
+    for index in range(2, MAX_FORMULA_VARS + 2):
+        phi = Or(phi, FVar(index))
+    assert formula_vars(phi) == MAX_FORMULA_VARS + 1 == 26
+    with pytest.raises(ResourceBoundError, match="resource bound exceeded: 26 variables for exhaustive search"):
+        formula_satisfiable(phi)
+    # An explicit count is bounded too, whatever the formula's variables.
+    with pytest.raises(ResourceBoundError, match="resource bound exceeded: 26 variables"):
+        formula_satisfiable(FVar(1), num_vars=26)
 
 
 def test_eval_circuit_deep_chains():

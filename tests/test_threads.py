@@ -124,6 +124,9 @@ def test_tsize_leaves_and_nodes():
     assert tsize(Var(3)) == 1
     assert tsize(PostCond(IN1_GET, STOP, DEAD)) == 3
     assert tsize(Tau(STOP)) == 3
+    shared = PostCond(IN1_GET, STOP, Var(1))
+    assert tsize(PostCond(IN1_GET, shared, shared)) == 7
+    assert tsize(Subst(1, Tau(shared), shared)) == 11
 
 
 ALPHABET = (
@@ -221,3 +224,11 @@ def test_render_thread_past_the_recursion_limit():
     with pytest.raises(ResourceBoundError, match="resource bound exceeded"):
         render_thread(extract(x))
     assert time.perf_counter() - began < 30
+
+
+def test_tsize_and_eval_xthread_past_the_recursion_limit():
+    x = chain(10_000)
+    compact = extract_compact(x)
+    assert tsize(compact) <= 4 * psize(x) + 1
+    # ``==`` on threads this deep recurses in the dataclass ``__eq__``.
+    assert tsize(eval_xthread(compact)) == tsize(extract(x))

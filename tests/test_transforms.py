@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolseq.compilers import Circuit, InputRef, NotGate, compile_circuit
 from boolseq.instr import (
@@ -22,6 +23,7 @@ from boolseq.instr import (
     psize,
     render,
 )
+from boolseq.lab import truth_table
 from boolseq.services import Deadlocked, Terminated, run
 from boolseq.splitting import run_splitting
 from boolseq.threads import extract
@@ -39,7 +41,7 @@ from boolseq.transforms import (
     to_splitting_report,
 )
 
-from util import gen_isbr
+from util import gen_isbr, gen_write_linear
 
 
 def _signature(x, n, runner=run):
@@ -585,3 +587,29 @@ def test_splicing_rewrites_pinned(rewrite, source, output, trace):
     assert render(report.output) == output
     assert report.rule_trace == trace
     assert report.steps == len(trace)
+
+
+# --- every rewrite keeps the truth table or rejects the input ---------------------
+
+REWRITES = (eliminate_output_false, normalize_set_tests, to_splitting, collapse_jump_chains, behavioural_normalize)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    n=st.integers(0, 3),
+    source=st.sampled_from(("isbr", "isbr without out.set:F", "write-linear")),
+)
+def test_property_rewrites_keep_the_truth_table_or_reject(rng, n, source):
+    if source == "write-linear":
+        x = gen_write_linear(rng, 16, n)
+    else:
+        x = gen_isbr(rng, 16, n, allow_out_set_false=source == "isbr")
+    table = truth_table(x, n)
+    for rewrite in REWRITES:
+        try:
+            y = rewrite(x)
+        except ValueError:
+            continue
+        splitting = rewrite is to_splitting
+        assert truth_table(y, n, splitting) == table, f"{rewrite.__name__}: {render(x)} -> {render(y)}"

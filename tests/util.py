@@ -135,6 +135,36 @@ def gen_isbr(
     return InstructionSequence(tuple(items))
 
 
+def gen_write_linear(rng: random.Random, max_len: int, n_inputs: int, max_aux: int = 2) -> InstructionSequence:
+    """A random register-only sequence in ``to_splitting``'s domain.
+
+    No ``out.set:F``, auxiliary writes in plain form only, and no jump or
+    test skip passes over a write: a jump stops at or before the next write,
+    and the instruction in front of a write is not a test.
+    """
+    length = rng.randint(1, max_len)
+    writes = [pos for pos in range(1, length + 1) if rng.random() < 0.2]
+    basics = [RegisterOp(InReg(j), GET) for j in range(1, n_inputs + 1)]
+    basics += [RegisterOp(AuxReg(j), GET) for j in range(1, max_aux + 1)]
+    basics.append(RegisterOp(OUT, SET_TRUE))
+    items = []
+    for pos in range(1, length + 1):
+        if pos in writes:
+            items.append(Plain(RegisterOp(AuxReg(rng.randint(1, max_aux)), rng.choice((SET_TRUE, SET_FALSE)))))
+            continue
+        next_write = next((w for w in writes if w > pos), None)
+        roll = rng.random()
+        if roll < 0.12:
+            items.append(TERM)
+        elif roll < 0.24:
+            items.append(Jump(rng.randint(0, max_len + 1 if next_write is None else next_write - pos)))
+        elif next_write == pos + 1:
+            items.append(Plain(rng.choice(basics)))
+        else:
+            items.append(_random_form(rng, rng.choice(basics)))
+    return InstructionSequence(tuple(items))
+
+
 def gen_sisbr(
     rng: random.Random,
     max_len: int,
