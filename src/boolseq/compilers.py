@@ -105,6 +105,10 @@ BoolFormula = Union[FVar, Not, Or, And]
 class InputRef:
     index: int
 
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError(f"input reference index must be >= 1, got in{self.index}")
+
 
 @dataclass(frozen=True)
 class GateRef:

@@ -9,7 +9,7 @@ while returning exactly the sequence plain enumeration would return first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Optional
@@ -225,6 +225,10 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     Sequences are enumerated first-instruction-major, so the first match is
     the length-lex least.
     """
+    # A jump of max_length or more can only land past the end, as #0 does.
+    # #0 comes first, so such a letter adds no state, and no window needs
+    # to reach that far.
+    spec = replace(spec, max_jump=min(spec.max_jump, spec.max_length - 1))
     n = spec.target.arity
     reg_bits = 5 if spec.splitting_mode else 3 if spec.allow_aux else 1
     size = (2**reg_bits) * 2**n

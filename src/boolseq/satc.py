@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .compilers import (
     And,
@@ -131,6 +131,8 @@ def _enumeration(k: int) -> Iterator[LiteralSet]:
 def alpha_rank(literal_set: LiteralSet) -> int:
     """Position of a literal set in the canonical enumeration; inverse of alpha."""
     m = literal_set.max_var()
+    if m > 2 * MAX_GUESSED_VARS:
+        raise ResourceBoundError("resource bound exceeded in alpha")
     return ndisj(m - 1) + _block(m).index(literal_set) + 1
 
 
@@ -143,10 +145,19 @@ class SatcInstance:
     @property
     def k(self) -> int:
         """Largest k with ndisj(k) <= len(bits)."""
-        k = 0
-        while ndisj(k + 1) <= len(self.bits):
-            k += 1
-        return k
+        return _selected_vars(len(self.bits))
+
+
+def _selected_vars(length: int) -> int:
+    """Largest k with ndisj(k) <= length, by bisection: ndisj(k) > k for k >= 1."""
+    low, high = 0, length
+    while low < high:
+        mid = (low + high + 1) // 2
+        if ndisj(mid) <= length:
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def satc_eval(inst: SatcInstance) -> bool:
@@ -156,30 +167,31 @@ def satc_eval(inst: SatcInstance) -> bool:
     exhaustive search over the k variables; the empty conjunction (no bit
     set, or too few bits to select anything) is satisfiable.  Kept
     independent of ``decode_to_cnf`` so the two can be checked against each
-    other.  Bit-sliced like ``cnf_satisfiable``: see ``_variable_lanes``.
+    other.
     """
     k = inst.k
-    if k > MAX_GUESSED_VARS:
-        raise ResourceBoundError(f"resource bound exceeded: {k} variables")
-    full, variables = _variable_lanes(k)
-    satisfying = full
-    for selected, literal_set in zip(inst.bits, _enumeration(k)):
-        if selected:
-            clause = 0
-            for lit in literal_set.literals:
-                clause |= full ^ variables[lit.var] if lit.negated else variables[lit.var]
-            satisfying &= clause
-    return satisfying != 0
+    return _satisfiable(k, (ls.literals for selected, ls in zip(inst.bits, _enumeration(k)) if selected))
 
 
 def cnf_satisfiable(phi: Cnf) -> bool:
     """Exhaustive satisfiability of a CNF over its declared variables, bit-sliced."""
-    n = phi.num_vars
-    if n > MAX_GUESSED_VARS:
-        raise ResourceBoundError(f"resource bound exceeded: {n} variables")
-    full, variables = _variable_lanes(n)
+    return _satisfiable(phi.num_vars, phi.clauses)
+
+
+def _satisfiable(k: int, clauses: Iterable[Iterable[Literal]]) -> bool:
+    """Does some assignment to v_1..v_k satisfy every clause?  All 2^k at once, bit-sliced.
+
+    Lane i is the assignment with v_j as bit j - 1 of i, and each variable
+    is the int of the lanes where it is True.  So a clause's lanes are the OR
+    of its literals' lanes, and a conjunction's the AND of its clauses'.
+    """
+    if k > MAX_GUESSED_VARS:
+        raise ResourceBoundError(f"resource bound exceeded: {k} variables")
+    lanes = 1 << k
+    full = (1 << lanes) - 1
+    variables = [0] + [lane_mask(j, lanes) for j in range(k)]
     satisfying = full
-    for clause in phi.clauses:
+    for clause in clauses:
         satisfied = 0
         for lit in clause:
             satisfied |= full ^ variables[lit.var] if lit.negated else variables[lit.var]
@@ -187,21 +199,10 @@ def cnf_satisfiable(phi: Cnf) -> bool:
     return satisfying != 0
 
 
-def _variable_lanes(k: int) -> tuple[int, list[int]]:
-    """The 2^k assignments to k variables as lanes: all lanes, and at [j] those where v_j is True.
-
-    An assignment's lane index has v_j as bit j - 1, so a clause's lanes are
-    the OR of its literals' lanes and a conjunction's the AND of its clauses'.
-    """
-    lanes = 1 << k
-    return (1 << lanes) - 1, [0] + [lane_mask(j, lanes) for j in range(k)]
-
-
 def decode_to_cnf(bits: tuple[bool, ...] | list[bool]) -> Cnf:
     """The 3-CNF a bit vector encodes: one clause per selected literal set."""
     bits = tuple(bits)
-    inst = SatcInstance(bits)
-    k = inst.k
+    k = _selected_vars(len(bits))
     clauses = tuple(ls.sorted_literals() for selected, ls in zip(bits, _enumeration(k)) if selected)
     return Cnf(k, clauses)
 
@@ -247,8 +248,7 @@ def build_satc_splitter(n: int) -> InstructionSequence:
     """
     if n < 0:
         raise ValueError("arity must be a natural number")
-    inst = SatcInstance((False,) * n)
-    k = inst.k
+    k = _selected_vars(n)
     if k > MAX_GUESSED_VARS:
         raise ResourceBoundError(f"resource bound exceeded: {k} guessed variables")
     accept = InstructionSequence((PosTest(RegisterOp(OUT, SET_TRUE)), TERM))

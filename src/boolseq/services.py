@@ -178,47 +178,9 @@ class Divergent:
 RunOutcome = Union[Terminated, Deadlocked, Divergent]
 
 
-Runner = Callable[[tuple[bool, ...]], tuple[RunOutcome, int]]
-
-
-def runner(x: InstructionSequence) -> Runner:
-    """Decode ``x`` once for runs on many input vectors.
-
-    The result maps an input vector to ``(outcome, executed instruction
-    count)`` with the semantics of ``run``.  Raises ``ValueError`` if ``x``
-    holds split/reply instructions.
-    """
-    profile = classify(x)
-    if profile.max_param_index:
-        raise ValueError("sequence contains split/reply instructions; use run_splitting")
-    max_aux = profile.max_aux_index
-    rows = decode(x)
-
-    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-        n = len(inputs)
-        # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
-        banks = [[False, *inputs], [False] * (max_aux + 1), [False]]
-        pc = 1
-        steps = 0
-        while pc:
-            kind, slot, method, on_true, on_false = rows[pc - 1]
-            steps += 1
-            if kind == KIND_TERM:
-                ins, aux, out = banks
-                return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
-            if kind == KIND_JUMP:
-                pc = on_true
-                continue
-            if kind == KIND_IN and slot > n:
-                return Divergent(f"unserved focus in:{slot}"), steps
-            bank = banks[kind]
-            # A register's new contents is also its reply.
-            reply = bank[slot] if method == GET else method == SET_TRUE
-            bank[slot] = reply
-            pc = on_true if reply else on_false
-        return Deadlocked(), steps
-
-    return execute
+# The bound on auxiliary register indices a register run provides: a run
+# holds every register up to the largest index, and reports all of them.
+MAX_AUX_INDEX = 1 << 16
 
 
 def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
@@ -235,8 +197,44 @@ def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOut
 
 
 def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[RunOutcome, int]:
-    """Like ``run`` but also reports the executed instruction count."""
-    return runner(x)(tuple(inputs))
+    """Like ``run`` but also reports the executed instruction count.
+
+    Raises ``ValueError`` if ``x`` holds split/reply instructions, and
+    ``ResourceBoundError`` if it names an auxiliary register past
+    ``MAX_AUX_INDEX``.
+    """
+    profile = classify(x)
+    if profile.max_param_index:
+        raise ValueError("sequence contains split/reply instructions; use run_splitting")
+    max_aux = profile.max_aux_index
+    if max_aux > MAX_AUX_INDEX:
+        raise ResourceBoundError(
+            f"resource bound exceeded: aux:{max_aux} is past the {MAX_AUX_INDEX} auxiliary registers of a run"
+        )
+    rows = decode(x)
+    inputs = tuple(inputs)
+    n = len(inputs)
+    # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
+    banks = [[False, *inputs], [False] * (max_aux + 1), [False]]
+    pc = 1
+    steps = 0
+    while pc:
+        kind, slot, method, on_true, on_false = rows[pc - 1]
+        steps += 1
+        if kind == KIND_TERM:
+            ins, aux, out = banks
+            return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
+        if kind == KIND_JUMP:
+            pc = on_true
+            continue
+        if kind == KIND_IN and slot > n:
+            return Divergent(f"unserved focus in:{slot}"), steps
+        bank = banks[kind]
+        # A register's new contents is also its reply.
+        reply = bank[slot] if method == GET else method == SET_TRUE
+        bank[slot] = reply
+        pc = on_true if reply else on_false
+    return Deadlocked(), steps
 
 
 # --- lane-parallel execution -------------------------------------------------

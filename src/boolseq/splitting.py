@@ -11,14 +11,13 @@ branches have finished.
 
 ``run_splitting`` is an equivalent executor over a shared register file.
 It sweeps the decoded rows once with a lane per branch; ``queue_runner``, a
-queue of program counters, is its reference.  The equivalence of both with
+queue of branches, is its reference.  The equivalence of both with
 the algebraic route is asserted by the test suite, not assumed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .instr import (
     GET,
@@ -40,7 +39,6 @@ from .services import (
     Deadlocked,
     Divergent,
     RegisterFile,
-    Runner,
     RunOutcome,
     Terminated,
     lane_sweep,
@@ -49,14 +47,6 @@ from .services import (
 from .threads import DEAD, STOP, Dead, PostCond, Stop, Tau, Thread
 
 ThreadVector = tuple[Thread, ...]
-
-
-@dataclass
-class BranchState:
-    """One interleaved branch: its program counter and parameter valuation."""
-
-    pc: int
-    valuation: dict[int, bool] = field(default_factory=dict)
 
 
 def instantiate(param: int, value: bool, t: Thread) -> Thread:
@@ -143,97 +133,82 @@ def run_splitting(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool])
 def run_splitting_with_steps(
     x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
 ) -> tuple[RunOutcome, int]:
-    """Like ``run_splitting`` but also reports the number of action turns."""
-    return splitting_runner(x)(tuple(inputs))
+    """Like ``run_splitting`` but also reports the number of action turns.
 
-
-def splitting_runner(x: InstructionSequence) -> Runner:
-    """Decode ``x`` once for forking runs on many input vectors.
-
-    The result maps an input vector to ``(outcome, action turns)`` with the
-    semantics of ``run_splitting``.  Raises ``ValueError`` unless ``x`` uses
-    input reads, ``out.set:T``, split and reply only.
-
-    A run is one ``lane_sweep`` that starts with one lane and gives each
-    branch a lane of its own.  Inputs are read-only and ``out`` only goes
-    from F to T, so neither the outcome nor the number of turns depends on
-    the branch order.  Where that fails, a run that reads an unserved input
-    and stops at the first such read in queue order, the queue executor
-    ``queue_runner`` runs it.
+    Raises ``ValueError`` unless ``x`` uses input reads, ``out.set:T``,
+    split and reply only.  A run is one ``lane_sweep`` that starts with one
+    lane and gives each branch a lane of its own.  Inputs are read-only and
+    ``out`` only goes from F to T, so neither the outcome nor the number of
+    turns depends on the branch order.  Where that fails, a run that reads
+    an unserved input and stops at the first such read in queue order, the
+    queue executor ``queue_runner`` runs it.
     """
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
-
-    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-        dead, out, unserved, steps = lane_sweep(x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0)
-        if unserved:
-            return queue_runner(x)(inputs)
-        if dead:
-            return Deadlocked(), steps
-        return Terminated(RegisterFile(inputs, {}, out != 0)), steps
-
-    return execute
+    inputs = tuple(inputs)
+    dead, out, unserved, steps = lane_sweep(x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0)
+    if unserved:
+        return queue_runner(x, inputs)
+    if dead:
+        return Deadlocked(), steps
+    return Terminated(RegisterFile(inputs, {}, out != 0)), steps
 
 
-def queue_runner(x: InstructionSequence) -> Runner:
-    """The reference forking executor: a queue of branch states, one action a turn.
+def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[RunOutcome, int]:
+    """The reference forking executor: a queue of branches, one action a turn.
 
-    Same results as ``splitting_runner``, which the tests check against it.
+    A branch is its program counter and its parameter valuation.  Same
+    results as ``run_splitting_with_steps``, which the tests check against it.
     """
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     rows = decode(x)
     k = len(rows)
     budget = 2 ** sum(1 for row in rows if row.kind == KIND_SPLIT) * k + k
+    inputs = tuple(inputs)
+    n = len(inputs)
+    # Banks indexed by register kind, then by slot (inputs from 1, out at 0);
+    # the vocabulary has no auxiliary registers.
+    banks = [[False, *inputs], None, [False]]
+    dead_flag = False
+    queue: deque[tuple[int, dict[int, bool]]] = deque([(1, {})])
+    steps = 0
+    while queue:
+        pc, valuation = queue.popleft()
+        # Silent resolution: no action happens, so no scheduling turn is spent.
+        while pc and rows[pc - 1].kind == KIND_JUMP:
+            pc = rows[pc - 1].on_true
+        if not pc:
+            dead_flag = True
+            continue
+        kind, slot, method, on_true, on_false = rows[pc - 1]
+        if kind == KIND_TERM:
+            continue
+        if kind == KIND_SPLIT and slot in valuation or kind == KIND_REPLY and slot not in valuation:
+            dead_flag = True
+            continue
 
-    def execute(inputs: tuple[bool, ...]) -> tuple[RunOutcome, int]:
-        n = len(inputs)
-        # Banks indexed by register kind, then by slot (inputs from 1, out at
-        # 0); the vocabulary has no auxiliary registers.
-        banks = [[False, *inputs], None, [False]]
-        dead_flag = False
-        queue: deque[BranchState] = deque([BranchState(1, {})])
-        steps = 0
-        while queue:
-            branch = queue.popleft()
-            pc, valuation = branch.pc, branch.valuation
-            # Silent resolution: no action happens, so no scheduling turn is spent.
-            while pc and rows[pc - 1].kind == KIND_JUMP:
-                pc = rows[pc - 1].on_true
-            if not pc:
-                dead_flag = True
-                continue
-            kind, slot, method, on_true, on_false = rows[pc - 1]
-            if kind == KIND_TERM:
-                continue
-            if kind == KIND_SPLIT and slot in valuation or kind == KIND_REPLY and slot not in valuation:
-                dead_flag = True
-                continue
+        steps += 1
+        if steps > budget:
+            raise ResourceBoundError("splitting executor exceeded its step budget")
 
-            steps += 1
-            if steps > budget:
-                raise ResourceBoundError("splitting executor exceeded its step budget")
+        if kind == KIND_SPLIT:
+            queue.append((on_true, {**valuation, slot: True}))
+            queue.append((on_false, {**valuation, slot: False}))
+            continue
+        if kind == KIND_REPLY:  # an internal step on an instantiated parameter
+            reply = valuation[slot]
+        else:
+            if kind == KIND_IN and slot > n:
+                return Divergent(f"unserved focus in:{slot}"), steps
+            bank = banks[kind]
+            reply = bank[slot] if method == GET else method == SET_TRUE
+            bank[slot] = reply
+        queue.append((on_true if reply else on_false, valuation))
 
-            if kind == KIND_SPLIT:
-                queue.append(BranchState(on_true, {**valuation, slot: True}))
-                queue.append(BranchState(on_false, {**valuation, slot: False}))
-                continue
-            if kind == KIND_REPLY:  # an internal step on an instantiated parameter
-                reply = valuation[slot]
-            else:
-                if kind == KIND_IN and slot > n:
-                    return Divergent(f"unserved focus in:{slot}"), steps
-                bank = banks[kind]
-                reply = bank[slot] if method == GET else method == SET_TRUE
-                bank[slot] = reply
-            branch.pc = on_true if reply else on_false
-            queue.append(branch)
-
-        if dead_flag:
-            return Deadlocked(), steps
-        return Terminated(RegisterFile(tuple(banks[KIND_IN][1:]), {}, banks[KIND_OUT][0])), steps
-
-    return execute
+    if dead_flag:
+        return Deadlocked(), steps
+    return Terminated(RegisterFile(tuple(banks[KIND_IN][1:]), {}, banks[KIND_OUT][0])), steps
 
 
 def check_splitting_computes(x: InstructionSequence, table) -> bool:

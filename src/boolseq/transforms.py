@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from .instr import (
     GET,
+    METHODS,
+    SET_FALSE,
     SET_TRUE,
     AuxReg,
     InstructionSequence,
@@ -53,23 +55,18 @@ def _report(x: InstructionSequence, items: list, trace: list) -> RewriteReport:
     return RewriteReport(x, InstructionSequence(tuple(items)), len(trace), tuple(trace))
 
 
-def _is_reg(u: PrimitiveInstruction, focus_type, method: str | None = None) -> bool:
-    if not isinstance(u, (Plain, PosTest, NegTest)):
-        return False
-    b = u.basic
-    if not isinstance(b, RegisterOp) or not isinstance(b.focus, focus_type):
-        return False
-    return method is None or b.method == method
+_WRITES = (SET_TRUE, SET_FALSE)
 
 
-def _is_write(u: PrimitiveInstruction, focus_type) -> bool:
+def _accesses(u: PrimitiveInstruction, focus_type, methods=METHODS) -> bool:
+    """Is ``u`` a register instruction on a ``focus_type`` register, with one of ``methods``?"""
     b = getattr(u, "basic", None)  # jumps and ``!`` have none
-    return isinstance(b, RegisterOp) and b.method != GET and isinstance(b.focus, focus_type)
+    return isinstance(b, RegisterOp) and isinstance(b.focus, focus_type) and b.method in methods
 
 
 def _is_skipping_aux_write(u: PrimitiveInstruction) -> bool:
     """``-aux:j.set:T`` or ``+aux:j.set:F``: the reply is forced and always skips."""
-    return _is_write(u, AuxReg) and _reach(u) == 2
+    return _accesses(u, AuxReg, _WRITES) and _reach(u) == 2
 
 
 def _reach(u: PrimitiveInstruction) -> int:
@@ -165,7 +162,7 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
     items: list[PrimitiveInstruction] = []
     blocks = {}
     for pos, u in enumerate(x.items, start=1):
-        if _is_reg(u, OutReg):
+        if _accesses(u, OutReg):
             u = type(u)(RegisterOp(AuxReg(fresh), u.basic.method))
             trace.append(("rename-out", pos))
         elif isinstance(u, Term) and pos > 1 and not isinstance(x.items[0], Term):
@@ -230,7 +227,7 @@ def check_write_linear(x: InstructionSequence) -> int | None:
     auxiliary write, which is the domain on which the fork rewrite below is
     function-preserving.
     """
-    writes = [pos for pos, u in enumerate(x.items, start=1) if _is_write(u, AuxReg)]
+    writes = [pos for pos, u in enumerate(x.items, start=1) if _accesses(u, AuxReg, _WRITES)]
     for pos, u in enumerate(x.items, start=1):
         first = bisect_right(writes, pos)
         if first < len(writes) and writes[first] < pos + _reach(u):
@@ -270,31 +267,22 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
             f"the auxiliary write at position {bypassed}"
         )
 
-    items = list(x.items)
-    trace: list[tuple[str, int]] = []
-    writes = [pos for pos, u in enumerate(items, start=1) if _is_write(u, AuxReg)]
-
-    # Reads never preceded by a write of the same register always reply False.
-    first_write: dict[int, int] = {}
-    for pos in writes:
-        first_write.setdefault(items[pos - 1].basic.focus.index, pos)
-    for pos, u in enumerate(items, start=1):
-        if _is_reg(u, AuxReg, GET) and first_write.get(u.basic.focus.index, len(items) + 1) > pos:
-            items[pos - 1] = Jump(u.offsets[1])
-            trace.append(("constant-false-read", pos))
-
     # Right to left, each write takes the next fresh parameter and the reads
     # of its register up to that register's next write.  A fork adds one
     # position, so a read is traced where it stands once its own fork and
-    # those to its right are in.  No jump crosses a write, so none changes.
+    # those to its right are in: a read with ``seen`` writes to its right
+    # moves by the ``fresh - seen`` writes from its own write on.  No jump
+    # crosses a write, so none changes.
+    items = list(x.items)
+    trace: list[tuple[str, int]] = []
     forks: dict[int, list[PrimitiveInstruction]] = {}
     replies: dict[int, int] = {}
-    unbound: dict[int, list[int]] = {}  # register -> its reads not yet bound, right to left
+    unbound: dict[int, list[tuple[int, int]]] = {}  # register -> its reads not yet bound, right to left
     for pos in range(len(items), 0, -1):
         u = items[pos - 1]
-        if _is_reg(u, AuxReg, GET):
-            unbound.setdefault(u.basic.focus.index, []).append(pos)
-        elif _is_write(u, AuxReg):
+        if _accesses(u, AuxReg, (GET,)):
+            unbound.setdefault(u.basic.focus.index, []).append((pos, len(forks)))
+        elif _accesses(u, AuxReg, _WRITES):
             fresh = len(forks) + 1
             if u.basic.method == SET_TRUE:
                 forks[pos] = [NegTest(SplitOp(fresh)), TERM]
@@ -302,9 +290,16 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
             else:
                 forks[pos] = [PosTest(SplitOp(fresh)), TERM]
                 trace.append(("fork-set-false", pos))
-            for read in reversed(unbound.pop(u.basic.focus.index, [])):
+            for read, seen in reversed(unbound.pop(u.basic.focus.index, [])):
                 replies[read] = fresh
-                trace.append(("rebind-read", read + bisect_left(writes, read) - bisect_left(writes, pos)))
+                trace.append(("rebind-read", read + fresh - seen))
+
+    # The reads still unbound have no write of their register to the left:
+    # they always see False and become the jump of a False reply.
+    constant_false = sorted(read for reads in unbound.values() for read, _ in reads)
+    for read in constant_false:
+        items[read - 1] = Jump(items[read - 1].offsets[1])
+    trace[:0] = [("constant-false-read", read) for read in constant_false]
 
     out: list[PrimitiveInstruction] = []
     for pos, u in enumerate(items, start=1):
@@ -385,7 +380,7 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
 
     def rule_at(i: int) -> str | None:
         u = items[i - 1]
-        if not isinstance(u, (PosTest, NegTest)) or not _is_write(u, (AuxReg, OutReg)):
+        if not isinstance(u, (PosTest, NegTest)) or not _accesses(u, (AuxReg, OutReg), _WRITES):
             return None
         if _reach(u) == 1:
             return "drop-forced-test"

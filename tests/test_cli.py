@@ -1,8 +1,11 @@
 """CLI dispatch: byte-exact output against the library and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolseq import cli, compilers, instr, satc, services, splitting, threads, transforms
 from boolseq.cli import main
@@ -186,7 +189,7 @@ def test_run_split_family_splitter(capsys, bits, sat):
     assert code == 0
     record = json.loads(out)
     inputs = services.parse_input_bits(bits)
-    outcome, steps = splitting.queue_runner(instr.parse(text))(inputs)
+    outcome, steps = splitting.queue_runner(instr.parse(text), inputs)
     assert record["steps"] == steps
     assert record["out"] == outcome.registers.out == satc.satc_eval(satc.SatcInstance(inputs)) == sat
 
@@ -286,3 +289,118 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def test_run_aux_index_past_the_bound_exits_one(capsys):
+    code, out, err = run_cli(capsys, "run", "aux:99999999999999999999.get ; !")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: resource bound exceeded: aux:99999999999999999999 is past the")
+
+
+# --- every subcommand on generated argument text ------------------------------------
+
+# Small sizes throughout: large arities, lengths and search bounds are slow,
+# not wrong.  Indices and numbers also come huge, where only bounds apply.
+NUMBERS = st.one_of(st.integers(-2, 4), st.integers(10**6, 10**22)).map(str)
+INDEX = st.one_of(st.integers(0, 3), st.integers(10**6, 10**22)).map(str)
+JUNK = st.text(alphabet="TF01 ;:#!+-.()@\nxgpcinoutaux", max_size=8)
+
+
+def instruction_text():
+    focus = st.one_of(INDEX.map(lambda i: f"in:{i}"), INDEX.map(lambda i: f"aux:{i}"), st.just("out"))
+    basic = st.one_of(
+        st.tuples(focus, st.sampled_from(("get", "set:T", "set:F"))).map(".".join),
+        INDEX.map(lambda i: f"split:{i}"),
+        INDEX.map(lambda i: f"reply:{i}"),
+    )
+    return st.one_of(
+        st.just("!"),
+        INDEX.map(lambda i: f"#{i}"),
+        st.tuples(st.sampled_from(("", "+", "-")), basic).map("".join),
+        JUNK,
+    )
+
+
+SEQUENCE = st.one_of(st.lists(instruction_text(), min_size=1, max_size=6).map(" ; ".join), JUNK)
+BITS = st.text(alphabet="TF10x", max_size=10)
+DIMACS = st.one_of(
+    st.tuples(NUMBERS, NUMBERS, st.lists(st.lists(NUMBERS, max_size=3).map(" ".join), max_size=4)).map(
+        lambda t: "\n".join([f"p cnf {t[0]} {t[1]}", *(f"{c} 0" for c in t[2])])
+    ),
+    JUNK,
+)
+NODE = st.one_of(INDEX.map(lambda i: f"in{i}"), INDEX.map(lambda i: f"g{i}"))
+NETLIST = st.one_of(
+    st.tuples(
+        st.lists(
+            st.tuples(INDEX, st.sampled_from(("NOT", "OR", "AND")), st.lists(NODE, min_size=1, max_size=2)).map(
+                lambda t: f"g{t[0]} = {t[1]} {' '.join(t[2])}"
+            ),
+            max_size=4,
+        ),
+        INDEX,
+    ).map(lambda t: "\n".join([*t[0], f"output g{t[1]}"])),
+    JUNK,
+)
+FORMULA = st.one_of(
+    st.recursive(
+        INDEX.map(lambda i: f"v{i}"),
+        lambda sub: st.one_of(
+            sub.map(lambda a: f"(not {a})"),
+            st.tuples(st.sampled_from(("and", "or", "xor")), st.lists(sub, max_size=3)).map(
+                lambda t: f"({t[0]} {' '.join(t[1])})"
+            ),
+        ),
+        max_leaves=6,
+    ),
+    JUNK,
+)
+SEARCH_FLAGS = ("--allow-jumps", "--allow-aux", "--allow-set-false", "--single-term", "--split")
+
+COMMANDS = {
+    "parse": st.tuples(SEQUENCE),
+    "classify": st.tuples(SEQUENCE),
+    "extract": st.tuples(SEQUENCE),
+    "extract-compact": st.tuples(SEQUENCE),
+    "run": st.tuples(SEQUENCE, st.just("--inputs"), BITS, st.just("--format"), st.sampled_from(("text", "json"))),
+    "run-split": st.tuples(SEQUENCE, st.just("--inputs"), BITS, st.just("--format"), st.sampled_from(("text", "json"))),
+    "truthtable": st.tuples(SEQUENCE, st.just("--n"), NUMBERS).flatmap(
+        lambda t: st.sampled_from((t, (*t, "--split")))
+    ),
+    "compile-cnf": st.tuples(DIMACS),
+    "compile-cnf-jumpfree": st.tuples(DIMACS),
+    "compile-formula": st.tuples(FORMULA),
+    "compile-circuit": st.tuples(NETLIST),
+    **{
+        name: st.tuples(SEQUENCE).flatmap(lambda t: st.sampled_from((t, (*t, "--trace"))))
+        for name in ("elim-setfalse", "normalize-set-tests", "to-split", "collapse-jumps", "behav-normalize")
+    },
+    "satc-eval": st.tuples(BITS),
+    "satc-decode": st.tuples(BITS),
+    "satc-encode": st.tuples(DIMACS),
+    "satc-build": st.tuples(st.one_of(st.integers(-2, 100).map(str), NUMBERS)),
+    "reduce-plsis": st.tuples(SEQUENCE, st.just("--inputs"), BITS),
+    "search": st.tuples(
+        st.text(alphabet="TF", max_size=8),
+        st.just("--max-length"),
+        st.one_of(st.integers(-1, 4).map(str), NUMBERS),
+        st.just("--max-jump"),
+        NUMBERS,
+        st.lists(st.sampled_from(SEARCH_FLAGS), unique=True),
+    ).map(lambda t: (*t[:5], *t[5])),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    argv=st.sampled_from(sorted(COMMANDS)).flatmap(lambda name: COMMANDS[name].map(lambda args: [name, *args])),
+    extra=st.lists(JUNK, max_size=1),
+)
+def test_property_every_subcommand_exits_cleanly(argv, extra):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + extra)
+        except SystemExit as exc:  # argparse: usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv + extra, code, err.getvalue())

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolseq.compilers import (
     MAX_FORMULA_VARS,
@@ -533,6 +534,15 @@ def test_netlist_round_trip():
     assert parse_netlist(render_netlist(circuit)) == circuit
 
 
+def test_input_reference_index_must_be_positive():
+    with pytest.raises(ValueError, match="input reference index must be >= 1, got in0"):
+        InputRef(0)
+    with pytest.raises(ValueError, match="got in0"):
+        parse_netlist("g1 = NOT in0\noutput g1")
+    with pytest.raises(ValueError, match="got in-1"):
+        Circuit(1, (NotGate(InputRef(-1)),), 1)
+
+
 def test_netlist_errors():
     with pytest.raises(ValueError):
         parse_netlist("g1 = NOT in1")  # missing output
@@ -540,3 +550,59 @@ def test_netlist_errors():
         parse_netlist("g1 = NOT in1 in2\noutput g1")
     with pytest.raises(ValueError):
         parse_netlist("g2 = NOT in1\noutput g2")  # gap in numbering
+
+
+# --- text-format round trips --------------------------------------------------------
+
+
+def formulas():
+    return st.recursive(
+        st.integers(1, 40).map(FVar),
+        lambda sub: st.one_of(sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=20,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=formulas())
+def test_property_formula_round_trip(phi):
+    # Formula trees compare by their text (their generated equality recurses).
+    assert render_formula(parse_formula(render_formula(phi))) == render_formula(phi)
+
+
+@st.composite
+def cnfs(draw):
+    num_vars = draw(st.integers(0, 30))
+    if not num_vars:
+        return Cnf(0, ())
+    literal = st.builds(Literal, st.integers(1, num_vars), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple), max_size=8))
+    return Cnf(num_vars, tuple(clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=cnfs())
+def test_property_dimacs_round_trip(phi):
+    assert parse_dimacs(render_dimacs(phi)) == phi
+
+
+@st.composite
+def circuits(draw):
+    """Circuits whose largest referenced input is ``num_inputs``: the netlist has no input-count line."""
+    m = draw(st.integers(1, 8))
+    node = st.one_of(st.integers(1, 6).map(InputRef), st.integers(0, m + 1).map(GateRef))
+    gates = draw(
+        st.lists(
+            st.one_of(st.builds(NotGate, node), st.builds(OrGate, node, node), st.builds(AndGate, node, node)),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    inputs = [ref.index for gate in gates for ref in vars(gate).values() if isinstance(ref, InputRef)]
+    return Circuit(max(inputs, default=0), tuple(gates), draw(st.integers(1, m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=circuits())
+def test_property_netlist_round_trip(circuit):
+    assert parse_netlist(render_netlist(circuit)) == circuit

@@ -25,6 +25,8 @@ from boolseq.instr import (
     Plain,
     PosTest,
     RegisterOp,
+    ReplyOp,
+    SplitOp,
     TERM,
     ClassProfile,
     Row,
@@ -271,3 +273,32 @@ def test_classify_of_a_concatenation_combines_the_parts(rng):
         has_out_set_false=px.has_out_set_false or py.has_out_set_false,
         last_param_use={**px.last_param_use, **{p: pos + len(x) for p, pos in py.last_param_use.items()}},
     )
+
+
+# --- round trip ------------------------------------------------------------------
+
+INDICES = st.one_of(st.integers(1, 4), st.integers(1, 10**22))
+
+
+def basics():
+    focus = st.one_of(INDICES.map(InReg), INDICES.map(AuxReg), st.just(OUT))
+    return st.one_of(
+        st.builds(RegisterOp, focus, st.sampled_from((GET, SET_TRUE, SET_FALSE))),
+        INDICES.map(SplitOp),
+        INDICES.map(ReplyOp),
+    )
+
+
+def primitive_instructions():
+    return st.one_of(
+        st.just(TERM),
+        st.one_of(st.integers(0, 5), st.integers(0, 10**22)).map(Jump),
+        st.builds(lambda form, b: form(b), st.sampled_from((Plain, PosTest, NegTest)), basics()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(primitive_instructions(), min_size=1, max_size=12))
+def test_property_parse_render_round_trip(items):
+    x = seq(*items)
+    assert parse(render(x)) == x

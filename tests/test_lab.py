@@ -148,6 +148,24 @@ def _naive_length(spec: SearchSpec, budget: int = 10000) -> int:
     return length
 
 
+@pytest.mark.parametrize("splitting_mode", [False, True])
+@pytest.mark.parametrize("max_length", [1, 2, 3, 4])
+def test_jumps_of_max_length_or_more_change_no_answer(max_length, splitting_mode):
+    # A jump of max_length or more can only land past the end, as #0 does.
+    for n in (0, 1, 2):
+        for spec in _every_restriction(n, splitting_mode):
+            # Each jump setting comes twice, with max_jump 1 and 3; it is reset here.
+            if not spec.allow_jumps or spec.max_jump != 1:
+                continue
+            spec = replace(spec, max_length=max_length, max_jump=max_length - 1)
+            answer = shortest_sequence_search(spec)
+            for max_jump in (max_length, max_length + 2, 40):
+                assert shortest_sequence_search(replace(spec, max_jump=max_jump)) == answer, spec
+            past = replace(spec, max_jump=max_length + 2)
+            if _naive_length(past, budget=2000) >= max_length:
+                assert naive_search(past) == answer, past
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_search_agrees_with_naive_under_every_restriction(n):
     for spec in _every_restriction(n):

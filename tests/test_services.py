@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from boolseq.instr import GET, InReg, OUT, RegisterOp, SET_TRUE, AuxReg, parse
+from boolseq.compilers import Circuit, GateRef, InputRef, NotGate, compile_circuit
+from boolseq.instr import GET, InReg, OUT, RegisterOp, SET_TRUE, AuxReg, ResourceBoundError, classify, parse
 from boolseq.lab import TruthTable
 from boolseq.services import (
     DIVERGENT,
+    MAX_AUX_INDEX,
     BoolRegister,
     Deadlocked,
     Divergent,
@@ -23,6 +25,7 @@ from boolseq.services import (
     use,
 )
 from boolseq.threads import DEAD, STOP, PostCond, Tau
+from boolseq.transforms import eliminate_output_false
 
 from util import algebraic_outcome, gen_isbr, outcome_matches_service
 
@@ -141,6 +144,29 @@ def test_run_aux_registers_default_false():
     outcome = run(parse("+aux:2.get ; out.set:T ; !"), ())
     assert isinstance(outcome, Terminated) and outcome.registers.out is False
     assert outcome.registers.aux == {1: False, 2: False}
+
+
+def test_run_aux_index_at_the_bound():
+    outcome, steps = run_with_steps(parse(f"aux:{MAX_AUX_INDEX}.set:T ; !"), ())
+    assert steps == 2
+    assert len(outcome.registers.aux) == MAX_AUX_INDEX and outcome.registers.aux[MAX_AUX_INDEX] is True
+
+
+@pytest.mark.parametrize("index", [MAX_AUX_INDEX + 1, 10**20])
+def test_run_aux_index_past_the_bound(index):
+    # Checked before the register bank is allocated.
+    with pytest.raises(ResourceBoundError, match=f"resource bound exceeded: aux:{index} is past the {MAX_AUX_INDEX} "):
+        run(parse(f"+in:1.get ; aux:{index}.get ; !"), (False,))
+
+
+def test_aux_bound_admits_compiled_circuits():
+    # compile_circuit gives gate k register aux:k, and eliminate_output_false
+    # adds one more; the benchmark compiles circuits of up to 2000 gates.
+    gates = (NotGate(InputRef(1)), *(NotGate(GateRef(k)) for k in range(1, 2000)))
+    x = eliminate_output_false(compile_circuit(Circuit(1, gates, 2000)))
+    assert classify(x).max_aux_index == 2001 < MAX_AUX_INDEX
+    # g2000 is in1 under 2000 negations.
+    assert [run(x, (b,)).registers.out for b in (False, True)] == [False, True]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Forking runs by lane sweep (`splitting_runner`) against the queue executor and the algebra.
+"""Forking runs by lane sweep (`run_splitting_with_steps`) against the queue executor and the algebra.
 
 `queue_runner` is the round-robin reference: its step count is the number of
 action turns over all branches.  The lane runner must give the same
@@ -19,7 +19,7 @@ from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, Ro
 from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
 from boolseq.services import MAX_TABLE_ARITY, RegisterFile, Terminated
-from boolseq.splitting import queue_runner, run_splitting_with_steps, splitting_runner
+from boolseq.splitting import queue_runner, run_splitting_with_steps
 from boolseq.transforms import to_splitting
 
 from util import algebraic_splitting_outcome, gen_sisbr, outcome_matches_service
@@ -40,10 +40,9 @@ def split_params(x):
 
 
 def assert_runs_agree(x, inputs_list, algebra=False):
-    lanes, queue = splitting_runner(x), queue_runner(x)
     for inputs in inputs_list:
-        got = lanes(inputs)
-        assert got == queue(inputs), f"{x} on {inputs}"
+        got = run_splitting_with_steps(x, inputs)
+        assert got == queue_runner(x, inputs), f"{x} on {inputs}"
         if algebra:
             assert outcome_matches_service(got[0], algebraic_splitting_outcome(x, inputs)), f"{x} on {inputs}"
 
@@ -105,7 +104,7 @@ def test_chain_of_distinct_parameters():
     # live branch, 24 forks and a write.
     x = parse(" ; ".join(f"+split:{p} ; !" for p in range(1, 25)) + " ; out.set:T ; !")
     assert len(split_params(x)) == 24
-    assert run_splitting_with_steps(x, ()) == queue_runner(x)(()) == (ACCEPTED, 25)
+    assert run_splitting_with_steps(x, ()) == queue_runner(x, ()) == (ACCEPTED, 25)
 
 
 def test_every_branch_of_24_parameters():
@@ -124,9 +123,9 @@ def test_queue_runner_step_budget(monkeypatch):
     # Decoded control only moves forward, so no sequence reaches the budget;
     # a row that leads back to itself does.
     monkeypatch.setattr(splitting, "decode", lambda x: (Row(KIND_OUT, 0, SET_TRUE, 1, 1),))
-    execute = queue_runner(parse("out.set:T ; !"))
+    x = parse("out.set:T ; !")
     with pytest.raises(ResourceBoundError, match="splitting executor exceeded its step budget"):
-        execute(())
+        queue_runner(x, ())
 
 
 def _bench_workloads():
