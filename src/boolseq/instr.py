@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 GET = "get"
 SET_TRUE = "set:T"
@@ -256,25 +256,18 @@ KIND_JUMP = 5
 KIND_TERM = 6
 
 
-class Row(NamedTuple):
-    """One decoded position: what it does and which position comes next.
-
-    ``slot`` is the register index (0 for ``out``) or the parameter of a
-    split or reply, 0 otherwise; ``method`` is the register method, None
-    otherwise.  ``on_true`` and ``on_false`` are the positions reached after
-    a True and after a False reply, 0 where control deadlocks (``#0``, or a
-    move past the end).  A jump has its target in both, ``!`` has 0 in both.
-    """
-
-    kind: int
-    slot: int
-    method: str | None
-    on_true: int
-    on_false: int
+# One decoded position, as a plain tuple ``(kind, slot, method, on_true,
+# on_false)``: what it does and which position comes next.  ``slot`` is the
+# register index (0 for ``out``) or the parameter of a split or reply, 0
+# otherwise; ``method`` is the register method, None otherwise.  ``on_true``
+# and ``on_false`` are the positions reached after a True and after a False
+# reply, 0 where control deadlocks (``#0``, or a move past the end).  A jump
+# has its target in both, ``!`` has 0 in both.  Readers unpack or index it.
+Row = tuple[int, int, str | None, int, int]
 
 
 _FOCUS_KINDS = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
-_TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
+_TERM_ROW = (KIND_TERM, 0, None, 0, 0)
 
 
 def decode(x: InstructionSequence) -> tuple[Row, ...]:
@@ -302,30 +295,31 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
     term_count = 0
     last_param_use = {}
     for pos, u in enumerate(items, start=1):
-        offsets = u.offsets
-        if offsets is None:
+        t = type(u)
+        if t is Term:
             rows.append(_TERM_ROW)
             term_count += 1
             continue
-        on_true = positions[pos + offsets[0]] if 0 < offsets[0] <= k - pos else 0
-        on_false = positions[pos + offsets[1]] if 0 < offsets[1] <= k - pos else 0
-        if isinstance(u, Jump):
-            rows.append(Row(KIND_JUMP, 0, None, on_true, on_false))
+        on_true, on_false = u.offsets
+        on_true = positions[pos + on_true] if 0 < on_true <= k - pos else 0
+        on_false = positions[pos + on_false] if 0 < on_false <= k - pos else 0
+        if t is Jump:
+            rows.append((KIND_JUMP, 0, None, on_true, on_false))
             if u.distance > top[KIND_JUMP]:
                 top[KIND_JUMP] = u.distance
             continue
         b = u.basic
-        if isinstance(b, RegisterOp):
+        if type(b) is RegisterOp:
             f = b.focus
             kind = _FOCUS_KINDS[type(f)]
             slot = 0 if kind == KIND_OUT else f.index
             method = b.method
         else:
-            kind = KIND_SPLIT if isinstance(b, SplitOp) else KIND_REPLY
+            kind = KIND_SPLIT if type(b) is SplitOp else KIND_REPLY
             slot = b.param
             method = None
             last_param_use[slot] = pos
-        rows.append(Row(kind, slot, method, on_true, on_false))
+        rows.append((kind, slot, method, on_true, on_false))
         shapes.add((kind, method))
         if slot > top[kind]:
             top[kind] = slot
@@ -434,12 +428,16 @@ def parse(text: str) -> InstructionSequence:
     if not text.strip():
         raise InstructionSyntaxError("empty instruction sequence", 0)
     items = []
+    parsed: dict[str, PrimitiveInstruction] = {}  # instructions are values, so a repeat reuses the first parse
     offset = 0
     for chunk in text.split(";"):
-        token = re.sub(r"\s+", "", chunk)
-        start = offset + len(chunk) - len(chunk.lstrip())
-        if not token:
-            raise InstructionSyntaxError("empty instruction between separators", start)
-        items.append(_parse_one(token, start))
+        token = "".join(chunk.split())
+        u = parsed.get(token)
+        if u is None:
+            start = offset + len(chunk) - len(chunk.lstrip())
+            if not token:
+                raise InstructionSyntaxError("empty instruction between separators", start)
+            u = parsed[token] = _parse_one(token, start)
+        items.append(u)
         offset += len(chunk) + 1
     return InstructionSequence(tuple(items))

@@ -288,15 +288,16 @@ def _successors(row: Row, inputs: tuple[bool, ...]) -> list[int]:
     fork and reply instructions contribute the successors of both replies.
     Successors past the end are dropped (those paths deadlock).
     """
-    if row.kind == KIND_IN:
-        if row.slot > len(inputs):
-            raise ValueError(f"input register in:{row.slot} beyond the given arity")
-        replies: tuple[bool, ...] = (inputs[row.slot - 1],)
-    elif row.kind == KIND_OUT:  # out.set:T always replies True
+    kind, slot, _, on_true, on_false = row
+    if kind == KIND_IN:
+        if slot > len(inputs):
+            raise ValueError(f"input register in:{slot} beyond the given arity")
+        replies: tuple[bool, ...] = (inputs[slot - 1],)
+    elif kind == KIND_OUT:  # out.set:T always replies True
         replies = (True,)
     else:  # split, reply, and the reply-independent jump and termination
         replies = (True, False)
-    return sorted({row.on_true if r else row.on_false for r in replies} - {0})
+    return sorted({on_true if r else on_false for r in replies} - {0})
 
 
 def _control_graph(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[int, list[list[int]]]:
@@ -308,7 +309,7 @@ def _control_graph(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
     if not classify(x).is_sisbr:
         raise ValueError("reachability_formula requires a split/reply vocabulary sequence")
     rows = decode(x)
-    accepts = [pos for pos, row in enumerate(rows, start=1) if row.kind == KIND_OUT and row.method == SET_TRUE]
+    accepts = [pos for pos, row in enumerate(rows, start=1) if row[0] == KIND_OUT and row[2] == SET_TRUE]
     if len(accepts) != 1:
         raise ValueError(
             f"reachability_formula requires exactly one out.set:T occurrence, found {len(accepts)}"

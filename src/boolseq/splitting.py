@@ -164,7 +164,7 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     rows = decode(x)
     k = len(rows)
-    budget = 2 ** sum(1 for row in rows if row.kind == KIND_SPLIT) * k + k
+    budget = 2 ** sum(1 for row in rows if row[0] == KIND_SPLIT) * k + k
     inputs = tuple(inputs)
     n = len(inputs)
     # Banks indexed by register kind, then by slot (inputs from 1, out at 0);
@@ -176,8 +176,8 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
     while queue:
         pc, valuation = queue.popleft()
         # Silent resolution: no action happens, so no scheduling turn is spent.
-        while pc and rows[pc - 1].kind == KIND_JUMP:
-            pc = rows[pc - 1].on_true
+        while pc and rows[pc - 1][0] == KIND_JUMP:
+            pc = rows[pc - 1][3]
         if not pc:
             dead_flag = True
             continue

@@ -237,6 +237,13 @@ def test_search_rejects_register_flags_in_splitting_mode(capsys):
     assert err.startswith("error: splitting mode allows neither")
 
 
+def test_search_rejects_negative_max_jump(capsys):
+    code, out, err = run_cli(capsys, "search", "TF", "--allow-jumps", "--max-jump", "-3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_jump must be >= 0\n"
+
+
 def test_truthtable_rejects_negative_arity(capsys):
     code, out, err = run_cli(capsys, "truthtable", "out.set:T ; !", "--n", "-1")
     assert code == 1

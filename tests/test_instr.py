@@ -1,6 +1,7 @@
 """Parsing, rendering, sizes, syntactic classification, and decoding."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,8 @@ from boolseq.instr import (
     SplitOp,
     TERM,
     ClassProfile,
-    Row,
+    InstructionSequence,
+    _parse_one,
     classify,
     decode,
     parse,
@@ -38,7 +40,9 @@ from boolseq.instr import (
     seq,
 )
 
-from util import gen_isbr, gen_sisbr
+from boolseq.compilers import compile_cnf
+from boolseq.transforms import eliminate_output_false, normalize_set_tests, to_splitting
+from util import gen_cnf, gen_isbr, gen_sisbr, gen_write_linear
 
 
 def test_parse_plain_and_term():
@@ -62,6 +66,28 @@ def test_parse_reports_position():
     with pytest.raises(InstructionSyntaxError) as err:
         parse("! ; bogus ; !")
     assert err.value.position == 4
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("in:1.get ; bogus ; in:1.get ; bogus", 11),
+        ("! ; in:0.get ; ! ;  in:0.get", 4),
+        ("! ; split:0 ; split:0", 4),
+        ("! ; ; ! ; ; !", 4),
+    ],
+)
+def test_parse_repeated_malformed_token_reports_first_offset(text, position):
+    with pytest.raises(InstructionSyntaxError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+def test_parse_repeats_of_a_token_are_one_object():
+    x = parse("+in:1.get ; + in:1 .get ; out.set:T ; +in:1.get ; #2 ; #2 ; !")
+    assert x[0] is x[1] is x[3]
+    assert x[4] is x[5]
+    assert x[2] is not x[0]
 
 
 def test_parse_whitespace_insensitive():
@@ -182,7 +208,7 @@ BASICS = {
 }
 # Each form: the successors at position 1 of ``u ; ! ; !``.
 FORMS = {"": (2, 2), "+": (2, 3), "-": (3, 2)}
-TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
+TERM_ROW = (KIND_TERM, 0, None, 0, 0)
 
 
 @pytest.mark.parametrize("form", FORMS, ids=["plain", "pos", "neg"])
@@ -190,8 +216,8 @@ TERM_ROW = Row(KIND_TERM, 0, None, 0, 0)
 def test_decode_basic_goldens(basic, form):
     shape, _ = BASICS[basic]
     # Alone, every successor is past the end.
-    assert decode(parse(form + basic)) == (Row(*shape, 0, 0),)
-    assert decode(parse(f"{form}{basic} ; ! ; !")) == (Row(*shape, *FORMS[form]), TERM_ROW, TERM_ROW)
+    assert decode(parse(form + basic)) == ((*shape, 0, 0),)
+    assert decode(parse(f"{form}{basic} ; ! ; !")) == ((*shape, *FORMS[form]), TERM_ROW, TERM_ROW)
 
 
 @pytest.mark.parametrize(
@@ -199,16 +225,16 @@ def test_decode_basic_goldens(basic, form):
     [
         ("!", (TERM_ROW,)),
         ("! ; ! ; !", (TERM_ROW,) * 3),
-        ("#0", (Row(KIND_JUMP, 0, None, 0, 0),)),
-        ("#0 ; ! ; !", (Row(KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
-        ("#1", (Row(KIND_JUMP, 0, None, 0, 0),)),
-        ("#1 ; ! ; !", (Row(KIND_JUMP, 0, None, 2, 2), TERM_ROW, TERM_ROW)),
-        ("#2 ; ! ; !", (Row(KIND_JUMP, 0, None, 3, 3), TERM_ROW, TERM_ROW)),
-        ("#3 ; ! ; !", (Row(KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
+        ("#0", ((KIND_JUMP, 0, None, 0, 0),)),
+        ("#0 ; ! ; !", ((KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
+        ("#1", ((KIND_JUMP, 0, None, 0, 0),)),
+        ("#1 ; ! ; !", ((KIND_JUMP, 0, None, 2, 2), TERM_ROW, TERM_ROW)),
+        ("#2 ; ! ; !", ((KIND_JUMP, 0, None, 3, 3), TERM_ROW, TERM_ROW)),
+        ("#3 ; ! ; !", ((KIND_JUMP, 0, None, 0, 0), TERM_ROW, TERM_ROW)),
         # Past the end from a later position: only the reply that stays in range has a successor.
         (
             "in:1.get ; +in:1.get ; !",
-            (Row(KIND_IN, 1, GET, 2, 2), Row(KIND_IN, 1, GET, 3, 0), TERM_ROW),
+            ((KIND_IN, 1, GET, 2, 2), (KIND_IN, 1, GET, 3, 0), TERM_ROW),
         ),
     ],
 )
@@ -302,3 +328,54 @@ def primitive_instructions():
 def test_property_parse_render_round_trip(items):
     x = seq(*items)
     assert parse(render(x)) == x
+
+
+def reference_parse(text):
+    """``parse`` as it read before it parsed each distinct token once: one regex substitution per chunk."""
+    if not text.strip():
+        raise InstructionSyntaxError("empty instruction sequence", 0)
+    items = []
+    offset = 0
+    for chunk in text.split(";"):
+        token = re.sub(r"\s+", "", chunk)
+        start = offset + len(chunk) - len(chunk.lstrip())
+        if not token:
+            raise InstructionSyntaxError("empty instruction between separators", start)
+        items.append(_parse_one(token, start))
+        offset += len(chunk) + 1
+    return InstructionSequence(tuple(items))
+
+
+# Token fragments, separators and whitespace (ASCII and Unicode), joined in any
+# order: whitespace lands inside and between tokens, tokens repeat, and some
+# texts are malformed.
+TEXT_PIECES = (
+    "in:1.get", "+", "-", "in:", "aux:", "2", "0", ".get", ".set:T", ".set:F", "out", "split:1", "reply:",
+    "!", "#", "#2", "bogus", ";", ";", " ", "\t", "\n", "\x1c", "\u3000", "\x85",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pieces=st.lists(st.sampled_from(TEXT_PIECES), max_size=30))
+def test_property_parse_matches_reference(pieces):
+    text = "".join(pieces)
+    try:
+        expected = reference_parse(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            parse(text)
+        assert str(err.value) == str(exc)
+        assert err.value.position == exc.position
+    else:
+        assert parse(text).items == expected.items
+
+
+def test_decoded_rows_are_exact_tuples():
+    rng = random.Random(12)
+    sequences = [parse("+in:1.get ; #2 ; split:1 ; reply:1 ; aux:1.set:F ; -out.get ; #0 ; !")]
+    for _ in range(20):
+        compiled = compile_cnf(gen_cnf(rng, 4, 5))
+        sequences += [compiled, parse(render(compiled)), eliminate_output_false(compiled), normalize_set_tests(compiled)]
+        sequences.append(to_splitting(gen_write_linear(rng, 12, 3)))
+    for x in sequences:
+        assert all(type(row) is tuple and len(row) == 5 for row in decode(x)), render(x)

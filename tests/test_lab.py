@@ -91,6 +91,12 @@ def test_search_returns_none_when_no_match():
     assert shortest_sequence_search(spec) is None
 
 
+@pytest.mark.parametrize("allow_jumps", [False, True])
+def test_search_rejects_negative_max_jump(allow_jumps):
+    with pytest.raises(ValueError, match=r"^max_jump must be >= 0$"):
+        SearchSpec(target=TruthTable(1, (True, False)), max_length=3, allow_jumps=allow_jumps, max_jump=-3)
+
+
 def test_search_agrees_with_naive_enumeration():
     cases = [
         SearchSpec(target=TruthTable(1, (True, False)), max_length=3),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolseq import splitting
-from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, Row, classify, decode, parse
+from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, decode, parse
 from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
 from boolseq.services import MAX_TABLE_ARITY, RegisterFile, Terminated
@@ -36,7 +36,7 @@ def vectors(n):
 
 def split_params(x):
     """The distinct parameters that ``x`` splits on."""
-    return {row.slot for row in decode(x) if row.kind == KIND_SPLIT}
+    return {slot for kind, slot, *_ in decode(x) if kind == KIND_SPLIT}
 
 
 def assert_runs_agree(x, inputs_list, algebra=False):
@@ -122,7 +122,7 @@ def test_25_parameters_exceed_the_lane_bound():
 def test_queue_runner_step_budget(monkeypatch):
     # Decoded control only moves forward, so no sequence reaches the budget;
     # a row that leads back to itself does.
-    monkeypatch.setattr(splitting, "decode", lambda x: (Row(KIND_OUT, 0, SET_TRUE, 1, 1),))
+    monkeypatch.setattr(splitting, "decode", lambda x: ((KIND_OUT, 0, SET_TRUE, 1, 1),))
     x = parse("out.set:T ; !")
     with pytest.raises(ResourceBoundError, match="splitting executor exceeded its step budget"):
         queue_runner(x, ())
