@@ -177,7 +177,7 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
         pc, valuation = queue.popleft()
         # Silent resolution: no action happens, so no scheduling turn is spent.
         while pc and rows[pc - 1][0] == KIND_JUMP:
-            pc = rows[pc - 1][3]
+            pc = rows[pc - 1][3]  # the jump's target
         if not pc:
             dead_flag = True
             continue

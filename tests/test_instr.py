@@ -331,7 +331,7 @@ def test_property_parse_render_round_trip(items):
 
 
 def reference_parse(text):
-    """``parse`` as it read before it parsed each distinct token once: one regex substitution per chunk."""
+    """The reference for ``parse``: one regex substitution and one parse per chunk, nothing shared."""
     if not text.strip():
         raise InstructionSyntaxError("empty instruction sequence", 0)
     items = []
@@ -361,9 +361,10 @@ def test_property_parse_matches_reference(pieces):
     text = "".join(pieces)
     try:
         expected = reference_parse(text)
-    except ValueError as exc:
-        with pytest.raises(type(exc)) as err:
+    except InstructionSyntaxError as exc:
+        with pytest.raises(InstructionSyntaxError) as err:
             parse(text)
+        assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
         assert err.value.position == exc.position
     else:
