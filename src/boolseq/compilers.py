@@ -64,6 +64,8 @@ class Cnf:
     clauses: tuple[tuple[Literal, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(f"CNF num_vars must be >= 0, got {self.num_vars}")
         for clause in self.clauses:
             if not clause:
                 raise ValueError("CNF clause must be nonempty")
@@ -335,31 +337,28 @@ def _compile_formula_block(
 
     A variable's block is its test; ``not`` appends ``#2`` to its operand's,
     ``or`` puts ``#(r + 1)`` and ``and`` puts ``#2 ; #(r + 2)`` between its
-    operands' blocks, r being the right one's length.  The lengths are worked
-    out bottom-up first, then the blocks are emitted from one explicit stack.
+    operands' blocks, r being the right one's length.  The block is emitted
+    back to front from one explicit stack, so the right operand's block is
+    complete, and r known, when the jump before it is emitted.
     """
-    size: dict[int, int] = {}  # by id: a subformula's block length
-    for node in reversed(list(_occurrences(phi))):  # operands before their operator
-        if isinstance(node, FVar):
-            size[id(node)] = 1
-        elif isinstance(node, Not):
-            size[id(node)] = size[id(node.operand)] + 1
-        else:
-            size[id(node)] = size[id(node.left)] + size[id(node.right)] + (2 if isinstance(node, And) else 1)
-    items: list[PrimitiveInstruction] = []
-    stack: list[BoolFormula | Jump] = [phi]
+    items: list[PrimitiveInstruction] = []  # the block, back to front
+    # A pair (start, gap) stands for the jump before a right operand whose block began at ``start``.
+    stack: list[BoolFormula | tuple[int, int]] = [phi]
     while stack:
         node = stack.pop()
-        if isinstance(node, Jump):
-            items.append(node)
+        if isinstance(node, tuple):
+            start, gap = node
+            items.append(Jump(len(items) - start + gap))
+            if gap == 2:
+                items.append(Jump(2))
         elif isinstance(node, FVar):
             items.append(PosTest(leaf(node.index)))
         elif isinstance(node, Not):
-            stack += (Jump(2), node.operand)
-        elif isinstance(node, Or):
-            stack += (node.right, Jump(size[id(node.right)] + 1), node.left)
+            items.append(Jump(2))
+            stack.append(node.operand)
         else:
-            stack += (node.right, Jump(size[id(node.right)] + 2), Jump(2), node.left)
+            stack += (node.left, (len(items), 2 if isinstance(node, And) else 1), node.right)
+    items.reverse()
     return items
 
 

@@ -57,9 +57,14 @@ class TruthTable:
 
     def vector(self, idx: int) -> tuple[bool, ...]:
         n = self.arity
+        if not 0 <= idx < len(self.values):
+            raise ValueError(f"vector index {idx} out of range for arity {n}")
         return tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n))
 
     def lookup(self, bits) -> Optional[bool]:
+        bits = tuple(bits)
+        if len(bits) != self.arity:
+            raise ValueError(f"expected {self.arity} input bits, got {len(bits)}")
         idx = 0
         for b in bits:
             idx = (idx << 1) | (1 if b else 0)

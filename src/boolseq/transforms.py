@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 from .instr import (
     GET,
-    METHODS,
+    KIND_AUX,
+    KIND_JUMP,
+    KIND_OUT,
+    KIND_TERM,
     SET_FALSE,
     SET_TRUE,
     AuxReg,
@@ -30,7 +33,6 @@ from .instr import (
     Jump,
     NegTest,
     OUT,
-    OutReg,
     Plain,
     PosTest,
     PrimitiveInstruction,
@@ -38,8 +40,8 @@ from .instr import (
     ReplyOp,
     SplitOp,
     TERM,
-    Term,
     classify,
+    decode,
 )
 
 
@@ -55,41 +57,26 @@ def _report(x: InstructionSequence, items: list, trace: list) -> RewriteReport:
     return RewriteReport(x, InstructionSequence(tuple(items)), len(trace), tuple(trace))
 
 
-_WRITES = (SET_TRUE, SET_FALSE)
+def _reach(u: PrimitiveInstruction, method: str | None) -> int:
+    """The farthest offset control can move by from ``u``, whose row has ``method``; 0 for ``!``.
 
-
-def _accesses(u: PrimitiveInstruction, focus_type, methods=METHODS) -> bool:
-    """Is ``u`` a register instruction on a ``focus_type`` register, with one of ``methods``?"""
-    b = getattr(u, "basic", None)  # jumps and ``!`` have none
-    return isinstance(b, RegisterOp) and isinstance(b.focus, focus_type) and b.method in methods
-
-
-def _is_skipping_aux_write(u: PrimitiveInstruction) -> bool:
-    """``-aux:j.set:T`` or ``+aux:j.set:F``: the reply is forced and always skips."""
-    return _accesses(u, AuxReg, _WRITES) and _reach(u) == 2
-
-
-def _reach(u: PrimitiveInstruction) -> int:
-    """The farthest offset control can move by from ``u``; 0 for ``!``.
-
-    A write replies the value it writes, so only that reply's offset counts.
+    A write replies the value it writes, so only that reply's offset counts:
+    ``+set:T`` and ``-set:F`` always fall through, ``-set:T`` and ``+set:F``
+    always skip.  The offsets come from ``u``: rows clip moves past the end to 0.
     """
     offsets = u.offsets
     if offsets is None:
         return 0
-    if not isinstance(u, Jump) and isinstance(u.basic, RegisterOp) and u.basic.method != GET:
-        return offsets[0] if u.basic.method == SET_TRUE else offsets[1]
-    return max(offsets)
+    return offsets[0] if method == SET_TRUE else offsets[1] if method == SET_FALSE else max(offsets)
 
 
-def _can_skip(u: PrimitiveInstruction) -> bool:
-    """Can this instruction, not being a jump, move control two positions ahead?
-
-    Write tests have forced replies: a positive test of ``set:T`` and a
-    negative test of ``set:F`` always fall through, their mirror images
-    always skip, and read tests can go either way.
-    """
-    return not isinstance(u, Jump) and _reach(u) == 2
+def _skipping_aux_writes(x: InstructionSequence) -> set[int]:
+    """The positions of ``-aux:j.set:T`` and ``+aux:j.set:F``: the reply is forced and always skips."""
+    return {
+        pos
+        for pos, (u, (kind, _, method, _, _)) in enumerate(zip(x.items, decode(x)), start=1)
+        if kind == KIND_AUX and method != GET and _reach(u, method) == 2
+    }
 
 
 def _splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
@@ -158,21 +145,22 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
         raise ValueError("eliminate_output_false requires a register-only sequence")
     fresh = classify(x).max_aux_index + 1
     readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
+    rows = decode(x)
     trace: list[tuple[str, int]] = []
-    items: list[PrimitiveInstruction] = []
+    items = list(x.items)
     blocks = {}
-    for pos, u in enumerate(x.items, start=1):
-        if _accesses(u, OutReg):
-            u = type(u)(RegisterOp(AuxReg(fresh), u.basic.method))
+    for pos, (kind, _, method, _, _) in enumerate(rows, start=1):
+        if kind == KIND_OUT:
+            items[pos - 1] = type(items[pos - 1])(RegisterOp(AuxReg(fresh), method))
             trace.append(("rename-out", pos))
-        elif isinstance(u, Term) and pos > 1 and not isinstance(x.items[0], Term):
-            if _can_skip(items[-1]):
+        elif kind == KIND_TERM and rows[0][0] != KIND_TERM:  # so pos > 1
+            before = rows[pos - 2]
+            if before[0] != KIND_JUMP and _reach(items[pos - 2], before[2]) == 2:
                 raise ValueError(
                     f"eliminate_output_false precondition violated: the test at position "
                     f"{pos - 1} can bypass the termination instruction at position {pos}"
                 )
             blocks[pos] = ("insert-readback", readback)
-        items.append(u)
     return _report(x, _splice(items, blocks, trace), trace)
 
 
@@ -196,19 +184,22 @@ def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("normalize_set_tests requires a register-only sequence")
     items = list(x.items)
+    rows = decode(x)
+    skipping = _skipping_aux_writes(x)
     blocks = {}
-    for pos, u in enumerate(items, start=1):
-        if not _is_skipping_aux_write(u):
-            continue
-        if pos > 1 and _can_skip(items[pos - 2]) and not _is_skipping_aux_write(items[pos - 2]):
-            raise ValueError(
-                f"normalize_set_tests precondition violated: the test at position "
-                f"{pos - 1} can bypass the write at position {pos}"
-            )
-        if isinstance(u, NegTest):
-            blocks[pos] = ("unskip-set-true", [PosTest(u.basic), Jump(2)])
+    for pos in sorted(skipping):
+        if pos > 1 and pos - 1 not in skipping:
+            kind, _, method, _, _ = rows[pos - 2]
+            if kind != KIND_JUMP and _reach(items[pos - 2], method) == 2:
+                raise ValueError(
+                    f"normalize_set_tests precondition violated: the test at position "
+                    f"{pos - 1} can bypass the write at position {pos}"
+                )
+        basic = items[pos - 1].basic
+        if rows[pos - 1][2] == SET_TRUE:
+            blocks[pos] = ("unskip-set-true", [PosTest(basic), Jump(2)])
         else:
-            blocks[pos] = ("unskip-set-false", [NegTest(u.basic), Jump(2)])
+            blocks[pos] = ("unskip-set-false", [NegTest(basic), Jump(2)])
     trace: list[tuple[str, int]] = []
     return _report(x, _splice(items, blocks, trace), trace)
 
@@ -227,10 +218,11 @@ def check_write_linear(x: InstructionSequence) -> int | None:
     auxiliary write, which is the domain on which the fork rewrite below is
     function-preserving.
     """
-    writes = [pos for pos, u in enumerate(x.items, start=1) if _accesses(u, AuxReg, _WRITES)]
-    for pos, u in enumerate(x.items, start=1):
+    rows = decode(x)
+    writes = [pos for pos, (kind, _, method, _, _) in enumerate(rows, start=1) if kind == KIND_AUX and method != GET]
+    for pos, (u, (_, _, method, _, _)) in enumerate(zip(x.items, rows), start=1):
         first = bisect_right(writes, pos)
-        if first < len(writes) and writes[first] < pos + _reach(u):
+        if first < len(writes) and writes[first] < pos + _reach(u, method):
             return writes[first]
     return None
 
@@ -254,12 +246,12 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
         raise ValueError("to_splitting requires a register-only sequence")
     if profile.has_out_set_false:
         raise ValueError("to_splitting requires out.set:F to be eliminated first")
-    for pos, u in enumerate(x.items, start=1):
-        if _is_skipping_aux_write(u):
-            raise ValueError(
-                f"to_splitting requires normalize_set_tests output; "
-                f"skipping write form at position {pos}"
-            )
+    skipping = _skipping_aux_writes(x)
+    if skipping:
+        raise ValueError(
+            f"to_splitting requires normalize_set_tests output; "
+            f"skipping write form at position {min(skipping)}"
+        )
     bypassed = check_write_linear(x)
     if bypassed is not None:
         raise ValueError(
@@ -274,23 +266,24 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
     # moves by the ``fresh - seen`` writes from its own write on.  No jump
     # crosses a write, so none changes.
     items = list(x.items)
+    rows = decode(x)
     trace: list[tuple[str, int]] = []
     forks: dict[int, list[PrimitiveInstruction]] = {}
     replies: dict[int, int] = {}
     unbound: dict[int, list[tuple[int, int]]] = {}  # register -> its reads not yet bound, right to left
     for pos in range(len(items), 0, -1):
-        u = items[pos - 1]
-        if _accesses(u, AuxReg, (GET,)):
-            unbound.setdefault(u.basic.focus.index, []).append((pos, len(forks)))
-        elif _accesses(u, AuxReg, _WRITES):
+        kind, slot, method, _, _ = rows[pos - 1]
+        if kind == KIND_AUX and method == GET:
+            unbound.setdefault(slot, []).append((pos, len(forks)))
+        elif kind == KIND_AUX:
             fresh = len(forks) + 1
-            if u.basic.method == SET_TRUE:
+            if method == SET_TRUE:
                 forks[pos] = [NegTest(SplitOp(fresh)), TERM]
                 trace.append(("fork-set-true", pos))
             else:
                 forks[pos] = [PosTest(SplitOp(fresh)), TERM]
                 trace.append(("fork-set-false", pos))
-            for read, seen in reversed(unbound.pop(u.basic.focus.index, [])):
+            for read, seen in reversed(unbound.pop(slot, [])):
                 replies[read] = fresh
                 trace.append(("rebind-read", read + fresh - seen))
 
@@ -350,10 +343,6 @@ def collapse_jump_chains(x: InstructionSequence) -> InstructionSequence:
 # --- behavioural normalization ------------------------------------------------------
 
 
-def _same_plain_write(u: PrimitiveInstruction, v: PrimitiveInstruction) -> bool:
-    return isinstance(v, Plain) and v.basic == u.basic
-
-
 def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     """Leftmost-first normalization under reply-aware identities.
 
@@ -375,19 +364,25 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("behavioural_normalize requires a register-only sequence")
     items = list(x.items)
+    rows = decode(x)
     k = len(items)
     trace: list[tuple[str, int]] = []
 
+    # A rewrite keeps a position's basic instruction or makes it ``#1``, so
+    # its row still names that basic, but only its item says whether it is
+    # still a test or a plain write.
     def rule_at(i: int) -> str | None:
         u = items[i - 1]
-        if not isinstance(u, (PosTest, NegTest)) or not _accesses(u, (AuxReg, OutReg), _WRITES):
+        basic = rows[i - 1][:3]
+        if not isinstance(u, (PosTest, NegTest)) or basic[2] == GET:
             return None
-        if _reach(u) == 1:
+        if _reach(u, basic[2]) == 1:
             return "drop-forced-test"
         # A skipping write: -set:T or +set:F.
-        if i < k and _same_plain_write(u, items[i]):
+        if i < k and isinstance(items[i], Plain) and rows[i][:3] == basic:
             return "skip-redone-write"
-        if i in window_end and _same_plain_write(u, items[window_end[i] - 1]):
+        end = window_end.get(i)
+        if end and isinstance(items[end - 1], Plain) and rows[end - 1][:3] == basic:
             return "skip-redone-write-window"
         return None
 

@@ -175,6 +175,14 @@ def test_satc_encode(capsys):
     assert out == "TTF\n"
 
 
+@pytest.mark.parametrize("command", ["compile-cnf", "compile-cnf-jumpfree", "satc-encode"])
+def test_cnf_commands_reject_negative_num_vars(capsys, command):
+    code, out, err = run_cli(capsys, command, "p cnf -2 0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: CNF num_vars must be >= 0, got -2\n"
+
+
 def test_satc_build(capsys):
     code, out, _ = run_cli(capsys, "satc-build", "0")
     assert code == 0

@@ -240,6 +240,13 @@ def test_compile_cnf_empty_clause_rejected():
         Cnf(1, ((),))
 
 
+def test_cnf_rejects_negative_num_vars():
+    with pytest.raises(ValueError, match="num_vars must be >= 0"):
+        Cnf(-1, ())
+    with pytest.raises(ValueError, match="num_vars must be >= 0"):
+        parse_dimacs("p cnf -2 0")
+
+
 def test_compile_cnf_matches_oracle():
     rng = random.Random(53)
     for _ in range(150):

@@ -33,6 +33,18 @@ def test_truth_table_indexing():
     assert table.render() == "FTTF"
 
 
+def test_truth_table_rejects_out_of_range_vectors():
+    table = TruthTable(2, (False, True, True, False))
+    for bits in [(), (True,), (False, True, False)]:
+        with pytest.raises(ValueError, match="expected 2 input bits"):
+            table.lookup(bits)
+    for idx in [-1, 4]:
+        with pytest.raises(ValueError, match="out of range for arity 2"):
+            table.vector(idx)
+    assert TruthTable(0, (True,)).lookup(()) is True
+    assert TruthTable(0, (True,)).vector(0) == ()
+
+
 def test_truth_table_tabulate_orders_first_input_most_significant():
     table = TruthTable.tabulate(2, lambda v: v[0])
     assert table.values == (False, False, True, True)

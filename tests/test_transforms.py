@@ -589,6 +589,32 @@ def test_splicing_rewrites_pinned(rewrite, source, output, trace):
     assert report.steps == len(trace)
 
 
+# --- cases the decoded rows cannot tell apart -------------------------------------
+
+# Rows clip every move past the end to 0: ``#9`` past the end reads as ``#0``,
+# and at the last position ``-aux:1.set:T`` reads as ``+aux:1.set:T``.  The
+# rewrites take distances from the instructions, so these differ.
+
+
+def test_skipping_write_at_the_end():
+    assert render(normalize_set_tests(parse("in:1.get ; -aux:1.set:T"))) == "in:1.get ; +aux:1.set:T ; #2"
+    assert render(normalize_set_tests(parse("in:1.get ; aux:1.set:T"))) == "in:1.get ; aux:1.set:T"
+    assert render(behavioural_normalize(parse("+aux:1.set:T"))) == "aux:1.set:T"
+    assert render(behavioural_normalize(parse("-aux:1.set:T"))) == "-aux:1.set:T"
+    with pytest.raises(ValueError, match="skipping write form at position 2"):
+        to_splitting(parse("aux:1.set:T ; -aux:1.set:T"))
+
+
+def test_jump_past_the_end_is_not_a_deadlock():
+    assert check_write_linear(parse("#9 ; aux:1.set:T ; !")) == 2
+    assert check_write_linear(parse("#0 ; aux:1.set:T ; !")) is None
+
+
+def test_skip_past_the_end_bypasses_termination():
+    with pytest.raises(ValueError, match="test at position 2 can bypass the termination instruction at position 3"):
+        eliminate_output_false(parse("out.set:T ; +aux:1.set:F ; !"))
+
+
 # --- every rewrite keeps the truth table or rejects the input ---------------------
 
 REWRITES = (eliminate_output_false, normalize_set_tests, to_splitting, collapse_jump_chains, behavioural_normalize)
