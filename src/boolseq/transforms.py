@@ -373,9 +373,9 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     # still a test or a plain write.
     def rule_at(i: int) -> str | None:
         u = items[i - 1]
-        basic = rows[i - 1][:3]
-        if not isinstance(u, (PosTest, NegTest)) or basic[2] == GET:
+        if not isinstance(u, (PosTest, NegTest)) or rows[i - 1][2] == GET:
             return None
+        basic = rows[i - 1][:3]
         if _reach(u, basic[2]) == 1:
             return "drop-forced-test"
         # A skipping write: -set:T or +set:F.
