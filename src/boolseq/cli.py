@@ -257,8 +257,22 @@ def _cmd_search(args) -> int:
     return 0
 
 
+# A sequence text that starts with a negative test begins like an option.
+_NEGATIVE_TESTS = ("-in:", "-aux:", "-out.", "-split:", "-reply:")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-in:1.get;!`` and the like as positionals."""
+
+    def _parse_optional(self, arg_string):
+        # No option starts like an instruction, so such text is never an option.
+        if arg_string.startswith(_NEGATIVE_TESTS):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boolseq",
         description="Single-pass instruction sequences over Boolean registers.",
     )

@@ -11,6 +11,7 @@ Everything here is immutable and purely syntactic: parsing, canonical
 rendering, length, and one walk over a sequence that gives both its
 ``decode`` rows (each position's successor after each reply) and its
 ``classify`` profile (the vocabularies used elsewhere in the package).
+``actions`` derives from the rows a jump-free view for the lane sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Union
 
 GET = "get"
@@ -199,6 +201,11 @@ class InstructionSequence:
         # Sequences are immutable, so each is walked at most once.
         return _decode(self)
 
+    @cached_property
+    def _actions(self) -> tuple[tuple["Row", ...], tuple[int, ...], int]:
+        # Apart from _decoded: only the sequences that are swept pay for it.
+        return _actions(self)
+
 
 def seq(*items: PrimitiveInstruction) -> InstructionSequence:
     """Convenience constructor."""
@@ -338,6 +345,43 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
         last_param_use=last_param_use,
     )
     return tuple(rows), profile
+
+
+def actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:
+    """The jump-free view of ``decode(x)``: ``(rows, where, entry)``, kept on ``x``.
+
+    A jump is not an action: control passes it on to its target.  ``rows``
+    holds the rows of the other positions, in order, and ``rows[j - 1]``
+    describes action j; its targets are action indices, found by following
+    every jump chain, and 0 where control deadlocks (``#0``, or a move past
+    the end).  ``where[j]`` is action j's position in ``x`` (``where[0]`` is
+    0), and ``entry`` the action that control reaches from position 1.
+    """
+    return x._actions
+
+
+def _actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:
+    rows = decode(x)
+    k = len(rows)
+    count = k - list(map(itemgetter(0), rows)).count(KIND_JUMP)
+    if count == k:  # no jumps: action j is position j, and the rows are the view
+        return rows, tuple(range(k + 1)), 1
+    acts = [None] * count
+    where = [0] * (count + 1)
+    # to[p]: the action that control at position p reaches, 0 where it
+    # deadlocks.  Targets only go forward, so one backward pass resolves
+    # every chain by the time it is reached.
+    to = [0] * (k + 1)
+    j = count
+    for pos, (kind, slot, method, on_true, on_false) in zip(range(k, 0, -1), reversed(rows)):
+        if kind == KIND_JUMP:
+            to[pos] = to[on_true]
+        else:
+            to[pos] = j
+            where[j] = pos
+            j -= 1
+            acts[j] = (kind, slot, method, to[on_true], to[on_false])
+    return tuple(acts), tuple(where), to[1]
 
 
 # --- rendering --------------------------------------------------------------

@@ -10,9 +10,11 @@ and returns the residual thread, ``apply`` returns the residual service.
 deliberately independent of the thread-algebra route (extract, use chain,
 apply); the test suite checks the two against each other.  ``lane_values``
 tabulates a sequence on every input vector at once, in one forward sweep
-with one bit per vector, or per branch of a vector for forking code; it is
-checked against ``run`` and ``run_splitting``.  That sweep, ``lane_sweep``,
-also runs forking code one vector at a time.
+over its actions (``instr.actions``: the rows with the jumps passed
+through) with one bit per vector, or per branch of a vector for forking
+code; it is checked against ``run`` and ``queue_runner``, which read the
+``decode`` rows.  That sweep, ``lane_sweep``, also runs forking code one
+vector at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .instr import (
     InstructionSequence,
     RegisterOp,
     ResourceBoundError,
+    actions,
     classify,
     decode,
 )
@@ -276,7 +279,7 @@ def lane_mask(bit: int, lanes: int) -> int:
 def lane_sweep(
     x: InstructionSequence, n: int, block: int, input_lanes: Callable[[int, int], int]
 ) -> tuple[int, int, int, int]:
-    """One forward sweep of ``x``'s decoded rows, one lane per branch of one vector.
+    """One forward sweep of ``x``'s actions, one lane per branch of one vector.
 
     The sweep starts with ``block`` lanes, and lane i runs input vector
     ``i mod block``: ``input_lanes(slot, lanes)`` gives the lanes, out of at
@@ -294,34 +297,38 @@ def lane_sweep(
     is never read.  Each lane is one branch, so an action adds the number
     of lanes that take it.  Raises ``ValueError`` where a split would take
     the lane index space past 2^MAX_TABLE_ARITY.
+
+    The sweep reads ``actions(x)``, so a lane spends no visit on a jump;
+    a split maps back to its position in ``x`` through ``where``.
     """
-    rows = decode(x)
+    rows, where, entry = actions(x)
+    lanes = (1 << block) - 1  # every lane allocated so far
+    if not entry:  # control deadlocks before the first action
+        return lanes, 0, 0, 0
     last_use = classify(x).last_param_use
-    at = [0] * (len(rows) + 1)  # at[0] collects the lanes that deadlock
-    at[1] = lanes = (1 << block) - 1  # lanes: every lane allocated so far
+    at = [0] * (len(rows) + 1)  # at[j]: the lanes at action j; at[0] collects those that deadlock
+    at[entry] = lanes
     width = block  # every lane so far is below width
     # By register kind, then slot: the lanes where the register holds True.
     regs: tuple[dict[int, int], ...] = ({}, {}, {})
     inst: dict[int, int] = {}  # live parameter -> the lanes where it is instantiated
     val: dict[int, int] = {}  # live parameter -> the lanes where it is True
     term = unserved = steps = 0
-    # The iterator reads at[pos] when the sweep gets to pos, after every lane
-    # that moves there; at[0] is still empty when read.
-    for pos, m in enumerate(at):
+    # The iterator reads at[j] when the sweep gets to action j, after every
+    # lane that moves there; at[0] is still empty when read.
+    for j, m in enumerate(at):
         if not m:
             continue
-        at[pos] = 0
-        kind, slot, method, on_true, on_false = rows[pos - 1]
+        at[j] = 0
+        kind, slot, method, on_true, on_false = rows[j - 1]
         if kind == KIND_TERM:
             term |= m
-            continue
-        if kind == KIND_JUMP:
-            at[on_true] |= m
             continue
         if kind == KIND_SPLIT:
             m &= ~inst.get(slot, 0)  # a re-split deadlocks
             if not m:
                 continue
+            pos = where[j]
             steps += m.bit_count()
             # kin: the lanes of m's vectors.  Other vectors' lanes differ mod
             # block, so twins placed past kin land on free lanes.
@@ -383,10 +390,10 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     under ``run``, or under ``run_splitting`` when ``splitting`` is set.
 
     Bit-slicing: a lane is an input vector, or for forking code one branch
-    of one; a register or ``at[p]`` (the lanes that reach position p) is an
+    of one; a register or ``at[j]`` (the lanes that reach action j) is an
     int with one bit per lane.  Control only moves forward, so one sweep
-    over positions 1..k finishes every lane, and an operation at p changes
-    only the bits of lanes at p.  Forking code is exact lane by lane because
+    over the actions finishes every lane, and action j changes only the
+    bits of lanes at j.  Forking code is exact lane by lane because
     its vocabulary leaves inputs read-only and ``out`` raise-only, so branch
     order cannot matter: a vector terminates when all its branches do, with
     ``out`` the OR over them.  Raises ``ValueError`` where the lanes would

@@ -57,6 +57,23 @@ def test_run_split(capsys):
     assert out.splitlines()[0] == "TERMINATED out=T"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["behav-normalize", "-aux:1.set:T"], "-aux:1.set:T\n"),
+        (["run", "-in:1.get;!", "--inputs", "T"], "DEADLOCK\n"),
+        (["run", "--inputs", "F", "-in:1.get;!"], "TERMINATED out=F\nin=F\n"),
+        (["run", "--inputs", "F", "--", "-in:1.get;!"], "TERMINATED out=F\nin=F\n"),
+        (["run-split", "-split:1;out.set:T;!"], "TERMINATED out=T\n"),
+        (["truthtable", "-in:1.get;out.set:T;!", "--n", "1"], "TF\n"),
+        (["parse", "-reply:1;!"], "-reply:1 ; !\n"),
+    ],
+)
+def test_sequence_that_starts_with_a_negative_test(capsys, argv, expected):
+    # With no space in it, such text looks like an option to argparse.
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_extract_matches_library(capsys):
     text = "+in:1.get ; !"
     code, out, _ = run_cli(capsys, "extract", text)

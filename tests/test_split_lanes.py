@@ -119,6 +119,14 @@ def test_25_parameters_exceed_the_lane_bound():
         run_splitting_with_steps(x, ())
 
 
+def test_the_lane_bound_names_the_position_of_the_split():
+    # With a jump before each split, the 25th split is action 25 but
+    # position 50 of the sequence.
+    x = parse(" ; ".join(f"#1 ; split:{p}" for p in range(1, 26)) + " ; out.set:T ; !")
+    with pytest.raises(ResourceBoundError, match="the split at position 50 needs "):
+        run_splitting_with_steps(x, ())
+
+
 def test_queue_runner_step_budget(monkeypatch):
     # Decoded control only moves forward, so no sequence reaches the budget;
     # a row that leads back to itself does.
