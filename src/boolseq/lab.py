@@ -9,9 +9,10 @@ while returning exactly the sequence plain enumeration would return first.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
-from itertools import product
-from operator import itemgetter
+from itertools import compress, count, product
+from operator import add, itemgetter, not_
 from typing import Callable, Optional
 
 from .instr import (
@@ -153,11 +154,12 @@ def shortest_sequence_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     return _behaviour_search(spec)
 
 
-def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple[int, ...]], int]:
-    """Compile one letter into the map from a window of suffix summaries to its own.
+def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, int, Callable[[tuple[int, ...]], int]]:
+    """Compile one letter into ``(shape, reach, map)``.
 
-    A summary is one int over the states ``i = s * 2^n + a``: register state
-    ``s`` (``out`` is bit 0, ``aux:j`` bit j; split parameter p has its
+    The map takes a window of suffix summaries to the letter's own.  A summary
+    is one int over the states ``i = s * 2^n + a``: register state ``s``
+    (``out`` is bit 0, ``aux:j`` bit j; split parameter p has its
     instantiated bit 2p - 1 and its value bit 2p) and input vector ``a``
     (first input most significant).  Bit ``i`` is set when the suffix halts with ``out = T``
     from state ``i``, bit ``size + i`` when it halts with ``out = F``; neither
@@ -166,6 +168,10 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple
     window entries by the masks of states where it replies True and False, a
     write moves the state where the reply goes by a shift, and a split joins
     the states its two branches go on from.
+
+    ``reach`` is the number of window entries the map reads, and ``shape``
+    names the map with everything it depends on: letters of equal shape
+    compute the same map.
     """
     shift = 2**n
     size = (2**reg_bits) * shift
@@ -179,10 +185,12 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple
     if isinstance(u, Term):
         halts_true = states(lambda s, a: s & 1)
         summary = halts_true & plane | ~halts_true & plane << size
-        return lambda window: summary
+        return ("const", summary), 0, lambda window: summary
     on_true, on_false = u.offsets
     if isinstance(u, Jump):
-        return itemgetter(on_true - 1) if on_true else lambda window: 0
+        if not on_true:
+            return ("const", 0), 0, lambda window: 0
+        return ("read", on_true - 1), on_true, itemgetter(on_true - 1)
     t, f = on_true - 1, on_false - 1
     if isinstance(u.basic, RegisterOp):
         focus, method = u.basic.focus, u.basic.method
@@ -193,7 +201,7 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple
             holds = states(lambda s, a: s & bit)
         fails = (plane | plane << size) ^ holds
         if method == GET and t == f:
-            return itemgetter(t)
+            return ("read", t), t + 1, itemgetter(t)
     else:
         inst = 1 << 2 * u.basic.param - 1
         both = inst | inst << 1
@@ -208,18 +216,19 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> Callable[[tuple
                 halts = (yes | yes >> size) & (no | no >> size) & fresh
                 return (yes | no) & halts | yes & no & fresh << size
 
-            return split
+            return ("split", t, f, to_true, to_false), max(t, f) + 1, split
         # A reply reads the parameter's value; it never halts where the parameter is fresh.
         method = GET
         holds = states(lambda s, a: s & both == both)
         fails = states(lambda s, a: s & both == inst)
     if method == GET:
-        return lambda window: (window[t] & holds) | (window[f] & fails)
-    # A write replies True (False), continuing from the state with the bit set (clear).
+        return ("get", t, f, holds, fails), max(t, f) + 1, lambda window: (window[t] & holds) | (window[f] & fails)
+    # A write replies True (False), continuing from the state with the bit set (clear);
+    # the other reply's entry is never read.
     distance = bit * shift
     if method == SET_TRUE:
-        return lambda window: (kept := window[t] & holds) | kept >> distance
-    return lambda window: (kept := window[f] & fails) | kept << distance
+        return ("set:T", t, holds, distance), t + 1, lambda window: (kept := window[t] & holds) | kept >> distance
+    return ("set:F", f, fails, distance), f + 1, lambda window: (kept := window[f] & fails) | kept << distance
 
 
 def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
@@ -240,47 +249,73 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     reg_bits = 5 if spec.splitting_mode else 3 if spec.allow_aux else 1
     size = (2**reg_bits) * 2**n
     lookahead = max(2, spec.max_jump if spec.allow_jumps else 2)
+    keep = lookahead - 1
     track_terms = not spec.allow_multiple_term
-    letters = [
-        (u, 1 if track_terms and isinstance(u, Term) else 0, _transfer(u, n, reg_bits))
-        for u in _search_alphabet(spec)
-    ]
+    alphabet = _search_alphabet(spec)
+    # A letter whose shape matches an earlier letter's gives the keys that
+    # one gave first, so it never adds a key.  A letter that reads no more
+    # than the head (the first ``keep`` window entries and the ! count)
+    # gives the same key on every state with the same head.
+    letters, shapes = [], set()
+    for index, u in enumerate(alphabet):
+        step = 1 if track_terms and isinstance(u, Term) else 0
+        shape, reach, transfer = _transfer(u, n, reg_bits)
+        if (shape, step) not in shapes:
+            shapes.add((shape, step))
+            letters.append((index, step, transfer, reach <= keep))
 
     # The target is read from the all-False register state, s = 0.
     rows = (1 << 2**n) - 1
     match_mask = rows | rows << size
     target = sum(1 << (a if v else size + a) for a, v in enumerate(spec.target.values))
 
-    keep = lookahead - 1
-    # Each entry: the dedup key (window, terms) and the sequence as a linked
-    # list (first instruction, rest), so a state adds one pair, not a copy.
-    frontier: list[tuple[tuple, Optional[tuple]]] = [(((0,) * lookahead, 0), None)]
+    # A state is the flat tuple (window..., ! count), and it is its own dedup
+    # key.  State i puts alphabet[letter[i]] in front of state parent[i];
+    # state 0 is the empty sequence.  The states of one length are numbered
+    # in a row, in frontier order.
+    frontier = [(0,) * (lookahead + 1)]
+    parent, letter = array("q", [-1]), array("B", [0])
     seen: set = set()
+    head_of = itemgetter(*range(keep), lookahead)
     for length in range(1, spec.max_length + 1):
-        new_frontier = []
-        for u, term_step, transfer in letters:
-            for (window, terms), witness in frontier:
-                new_terms = terms + term_step
-                if new_terms > 1:
-                    continue
-                behaviour = transfer(window)
-                key = ((behaviour,) + window[:keep], new_terms)
-                if key in seen:
-                    continue
+        base = len(parent) - len(frontier)
+        heads = list(map(head_of, frontier))
+        # The first state of each head, in frontier order: the reversed
+        # pairs leave each head with its first position.
+        firsts = sorted(dict(zip(reversed(heads), reversed(range(len(frontier))))).values())
+        views = {(False, 0): (range(len(frontier)), frontier, heads)}
+        new_frontier: list[tuple[int, ...]] = []
+        for index, step, transfer, head_only in letters:
+            if (head_only, step) not in views:
+                positions = firsts if head_only else range(len(frontier))
+                if step:  # a second ! only follows states with none
+                    positions = [p for p in positions if not heads[p][keep]]
+                views[head_only, step] = (
+                    positions,
+                    [frontier[p] for p in positions],
+                    [heads[p][:keep] + (heads[p][keep] + step,) for p in positions],
+                )
+            positions, states, new_heads = views[head_only, step]
+            keys = list(map(add, zip(map(transfer, states)), new_heads))
+            # Lazily, so a key repeated later in the same letter is seen by then.
+            for i in compress(count(), map(not_, map(seen.__contains__, keys))):
+                key = keys[i]
                 seen.add(key)
                 if len(seen) > _SEARCH_STATE_CAP:
                     raise ResourceBoundError(
                         f"resource bound exceeded in behaviour search at length {length}: "
                         f"{len(seen)} states seen, cap {_SEARCH_STATE_CAP}"
                     )
-                new_witness = (u, witness)
-                if behaviour & match_mask == target:
+                parent.append(base + positions[i])
+                letter.append(index)
+                new_frontier.append(key)
+                if key[0] & match_mask == target:
                     items = []
-                    while new_witness is not None:
-                        head, new_witness = new_witness
-                        items.append(head)
+                    state = len(parent) - 1
+                    while state:
+                        items.append(alphabet[letter[state]])
+                        state = parent[state]
                     return InstructionSequence(tuple(items))
-                new_frontier.append((key, new_witness))
         frontier = new_frontier
         if not frontier:
             break

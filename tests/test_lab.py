@@ -202,7 +202,7 @@ def _fold(x, n: int, reg_bits: int) -> tuple:
     """The table of ``x`` from its behaviour summary, folded right to left by ``_transfer``."""
     window = (0,) * max([2] + [u.distance for u in x.items if isinstance(u, Jump)])
     for u in reversed(x.items):
-        window = (_transfer(u, n, reg_bits)(window),) + window[:-1]
+        window = (_transfer(u, n, reg_bits)[2](window),) + window[:-1]
     size = 2**reg_bits * 2**n
     return tuple(
         True if window[0] >> a & 1 else False if window[0] >> size + a & 1 else None for a in range(2**n)
@@ -328,6 +328,53 @@ def test_search_pinned_splitting_bench_answers():
         target = TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table))
         result = shortest_sequence_search(SearchSpec(target=target, max_length=max_length, splitting_mode=True))
         assert (None if result is None else render(result)) == answer, table
+
+
+# The plain-mode cases of the benchmark's search workload that no other test
+# pins (FFFT and FFTF with aux are in ARITY2_ANSWERS), recorded from the
+# engine with one (u, rest) witness per state that preceded the flat states.
+BENCH_ANSWERS = [
+    ("FFFFFFFT", dict(max_length=10, allow_multiple_term=False), None),
+    ("FFFT", dict(max_length=7, allow_multiple_term=False), None),
+    ("FTTF", dict(max_length=7, allow_out_set_false=True), None),
+    (
+        "FFFT",
+        dict(max_length=7, allow_jumps=True, allow_aux=True, allow_out_set_false=True),
+        "out.set:T ; +in:1.get ; -in:2.get ; out.set:F ; !",
+    ),
+]
+
+
+def test_search_pinned_bench_answers():
+    for table, restrictions, answer in BENCH_ANSWERS:
+        target = TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table))
+        result = shortest_sequence_search(SearchSpec(target=target, **restrictions))
+        assert (None if result is None else render(result)) == answer, (table, restrictions)
+
+
+# C_L, the states seen through each length L = 1, 2, ..., recorded from the
+# same engine as BENCH_ANSWERS (the last case finds its answer at length 6).
+# The cap error always reads cap + 1 states, so a cap of C_L - 1 stops at
+# length L and a cap of C_L at length L + 1: the search keeps no more and no
+# fewer states than it did.
+SEEN_THROUGH_LENGTH = [
+    ("FFFFFFFT", dict(max_length=10, allow_multiple_term=False), [2, 11, 74, 345, 1311, 3935, 9003, 15391, 20939, 24927]),
+    ("FTTF", dict(max_length=7, allow_jumps=True, max_jump=3), [2, 9, 54, 298, 1143, 3563, 7431]),
+    ("FFFFFFFT", dict(max_length=14, allow_jumps=True, max_jump=5, allow_out_set_false=True), [2, 12, 112, 1032, 9538]),
+    ("FTTF", dict(max_length=5, splitting_mode=True), [2, 17, 212, 2300, 20334]),
+]
+
+
+@pytest.mark.parametrize("table, restrictions, seen", SEEN_THROUGH_LENGTH)
+def test_search_state_cap_pins_the_work_per_length(monkeypatch, table, restrictions, seen):
+    spec = SearchSpec(target=TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table)), **restrictions)
+    for length, total in enumerate(seen, start=1):
+        for cap, stop in ((total - 1, length), (total, length + 1)):
+            if stop > spec.max_length:
+                continue
+            monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", cap)
+            with pytest.raises(ResourceBoundError, match=rf"at length {stop}: {cap + 1} states seen, cap {cap}$"):
+                shortest_sequence_search(spec)
 
 
 @pytest.mark.parametrize("splitting_mode, length", [(False, 3), (True, 2)], ids=["plain", "splitting"])

@@ -17,7 +17,7 @@ from boolseq.services import (
     lane_values,
     run,
 )
-from boolseq.splitting import check_splitting_computes, run_splitting
+from boolseq.splitting import check_splitting_computes, queue_runner
 
 from util import algebraic_outcome, algebraic_splitting_outcome, gen_isbr, gen_sisbr
 
@@ -27,11 +27,14 @@ def vectors(n):
 
 
 def per_vector_values(x, n, splitting=False):
-    """The table as the per-vector executor gives it."""
-    execute = run_splitting if splitting else run
+    """The table as the per-vector executor gives it.
+
+    Forking code runs on ``queue_runner``, which follows the ``decode`` rows
+    one branch at a time; ``run_splitting`` is the lane sweep itself.
+    """
     values = []
     for v in vectors(n):
-        outcome = execute(x, v)
+        outcome = queue_runner(x, v)[0] if splitting else run(x, v)
         values.append(outcome.registers.out if isinstance(outcome, Terminated) else None)
     return tuple(values)
 
