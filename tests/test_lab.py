@@ -314,6 +314,11 @@ def test_splitting_search_equals_naive_property(n, bits, jumps, max_jump, multip
     assert shortest_sequence_search(spec) == naive_search(spec)
 
 
+def _table(text: str) -> TruthTable:
+    """The table written as T/F letters, first input most significant."""
+    return TruthTable(len(text).bit_length() - 1, tuple(c == "T" for c in text))
+
+
 # The splitting-mode cases of the benchmark's search workload, recorded from
 # the plain enumeration that ran splitting mode before the bit-plane summaries.
 SPLIT_BENCH_ANSWERS = [
@@ -325,8 +330,7 @@ SPLIT_BENCH_ANSWERS = [
 
 def test_search_pinned_splitting_bench_answers():
     for table, max_length, answer in SPLIT_BENCH_ANSWERS:
-        target = TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table))
-        result = shortest_sequence_search(SearchSpec(target=target, max_length=max_length, splitting_mode=True))
+        result = shortest_sequence_search(SearchSpec(target=_table(table), max_length=max_length, splitting_mode=True))
         assert (None if result is None else render(result)) == answer, table
 
 
@@ -347,8 +351,7 @@ BENCH_ANSWERS = [
 
 def test_search_pinned_bench_answers():
     for table, restrictions, answer in BENCH_ANSWERS:
-        target = TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table))
-        result = shortest_sequence_search(SearchSpec(target=target, **restrictions))
+        result = shortest_sequence_search(SearchSpec(target=_table(table), **restrictions))
         assert (None if result is None else render(result)) == answer, (table, restrictions)
 
 
@@ -358,16 +361,24 @@ def test_search_pinned_bench_answers():
 # length L and a cap of C_L at length L + 1: the search keeps no more and no
 # fewer states than it did.
 SEEN_THROUGH_LENGTH = [
-    ("FFFFFFFT", dict(max_length=10, allow_multiple_term=False), [2, 11, 74, 345, 1311, 3935, 9003, 15391, 20939, 24927]),
+    (
+        "FFFFFFFT",
+        dict(max_length=10, allow_multiple_term=False),
+        [2, 11, 74, 345, 1311, 3935, 9003, 15391, 20939, 24927],
+    ),
     ("FTTF", dict(max_length=7, allow_jumps=True, max_jump=3), [2, 9, 54, 298, 1143, 3563, 7431]),
-    ("FFFFFFFT", dict(max_length=14, allow_jumps=True, max_jump=5, allow_out_set_false=True), [2, 12, 112, 1032, 9538]),
+    (
+        "FFFFFFFT",
+        dict(max_length=14, allow_jumps=True, max_jump=5, allow_out_set_false=True),
+        [2, 12, 112, 1032, 9538],
+    ),
     ("FTTF", dict(max_length=5, splitting_mode=True), [2, 17, 212, 2300, 20334]),
 ]
 
 
 @pytest.mark.parametrize("table, restrictions, seen", SEEN_THROUGH_LENGTH)
 def test_search_state_cap_pins_the_work_per_length(monkeypatch, table, restrictions, seen):
-    spec = SearchSpec(target=TruthTable(len(table).bit_length() - 1, tuple(c == "T" for c in table)), **restrictions)
+    spec = SearchSpec(target=_table(table), **restrictions)
     for length, total in enumerate(seen, start=1):
         for cap, stop in ((total - 1, length), (total, length + 1)):
             if stop > spec.max_length:
