@@ -34,12 +34,8 @@ from .instr import (
     PosTest,
     PrimitiveInstruction,
     RegisterOp,
-    ResourceBoundError,
     TERM,
 )
-
-# Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
-MAX_FORMULA_VARS = 25
 
 # --- source ASTs -------------------------------------------------------------
 
@@ -253,23 +249,6 @@ def _occurrences(phi: BoolFormula) -> Iterator[BoolFormula]:
             stack.append(node.operand)
         elif not isinstance(node, FVar):
             stack += (node.right, node.left)
-
-
-def formula_vars(phi: BoolFormula) -> int:
-    """Largest variable index occurring in the formula (0 if impossible)."""
-    return max(node.index for node in _occurrences(phi) if isinstance(node, FVar))
-
-
-def formula_satisfiable(phi: BoolFormula, num_vars: int | None = None) -> bool:
-    """Exhaustive satisfiability over the first ``num_vars`` variables."""
-    n = formula_vars(phi) if num_vars is None else num_vars
-    if n > MAX_FORMULA_VARS:
-        raise ResourceBoundError(f"resource bound exceeded: {n} variables for exhaustive search")
-    for bits in range(2**n):
-        assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]
-        if _eval_bform(phi, assignment):
-            return True
-    return False
 
 
 # --- CNF compilers ------------------------------------------------------------

@@ -12,14 +12,17 @@ rendering, length, and one walk over a sequence that gives both its
 ``decode`` rows (each position's successor after each reply) and its
 ``classify`` profile (the vocabularies used elsewhere in the package).
 ``actions`` derives from the rows a jump-free view for the lane sweep.
+Instructions are interned values: equal instructions are one object, which
+carries its row of ``decode`` with the targets left to fill in.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from operator import itemgetter
+import operator
+from operator import attrgetter, itemgetter
 from typing import Iterator, Union
 
 GET = "get"
@@ -41,76 +44,176 @@ class ResourceBoundError(ValueError):
     """A documented resource bound (lanes, variables, states or steps) would be exceeded."""
 
 
+# Decoded kinds (see ``Row``).  The register kinds come first, so that a
+# register kind indexes a list of register banks.
+KIND_IN = 0
+KIND_AUX = 1
+KIND_OUT = 2
+KIND_SPLIT = 3
+KIND_REPLY = 4
+KIND_JUMP = 5
+KIND_TERM = 6
+
+
+# --- interned values -----------------------------------------------------------
+
+# Every instruction value made so far, keyed by (class, *fields).  Entries are
+# never removed: README's resource bounds give the size of one.
+_INTERNED: dict[tuple, "_Interned"] = {}
+
+
+class _Interned:
+    """Base of the instruction classes: one object per distinct value.
+
+    Each class's ``__new__`` looks ``(cls, *fields)`` up in ``_INTERNED`` (its
+    objects are all true, so ``get(...) or`` tells a miss) and builds a new
+    object only on a miss.  So equality is identity and hashing is by ``id``.
+    The objects are frozen, ``__match_args__`` names the fields, ``repr`` is
+    the dataclass form, and a copy or an unpickled object is the interned
+    object itself.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _intern(cls, *fields):
+        # Validate and normalise the new value, then publish it: setdefault
+        # keeps one object per value when threads race on the same miss.
+        fields = cls._check(*fields)
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            object.__setattr__(obj, name, value)
+        obj._setup()
+        return _INTERNED.setdefault((cls, *fields), obj)
+
+    @classmethod
+    def _check(cls, *fields):
+        """The fields of a new value, normalised; raises if they are invalid."""
+        return fields
+
+    def _setup(self) -> None:
+        """Work out what each use of the new object would otherwise redo."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _positive(value, noun: str) -> int:
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{noun} must be >= 1, got {value}")
+    return value
+
+
 # --- register foci ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InReg:
+class _Indexed(_Interned):
+    __slots__ = __match_args__ = ("index",)
+
+    def __new__(cls, index: int):
+        return _INTERNED.get((cls, index)) or cls._intern(index)
+
+    @classmethod
+    def _check(cls, index):
+        return (_positive(index, cls._noun),)
+
+
+class InReg(_Indexed):
     """The i-th input register."""
 
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"input register index must be >= 1, got {self.index}")
+    __slots__ = ()
+    _noun = "input register index"
 
 
-@dataclass(frozen=True)
-class AuxReg:
+class AuxReg(_Indexed):
     """The i-th auxiliary register."""
 
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"auxiliary register index must be >= 1, got {self.index}")
+    __slots__ = ()
+    _noun = "auxiliary register index"
 
 
-@dataclass(frozen=True)
-class OutReg:
+class OutReg(_Interned):
     """The single output register."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _INTERNED.get((cls,)) or cls._intern()
 
 
 OUT = OutReg()
 
 Focus = Union[InReg, AuxReg, OutReg]
 
+_FOCUS_KINDS = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
+
 
 # --- basic instructions ----------------------------------------------------
 
+# Each basic instruction has ``_shape``: the (kind, slot, method) of its rows.
 
-@dataclass(frozen=True)
-class RegisterOp:
+
+class RegisterOp(_Interned):
     """A register method call ``focus.method``."""
 
-    focus: Focus
-    method: str
+    __slots__ = ("focus", "method", "_shape")
+    __match_args__ = ("focus", "method")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown register method {self.method!r}")
+    def __new__(cls, focus: Focus, method: str):
+        return _INTERNED.get((cls, focus, method)) or cls._intern(focus, method)
+
+    @classmethod
+    def _check(cls, focus, method):
+        if type(focus) not in _FOCUS_KINDS:
+            raise TypeError(f"register focus must be InReg, AuxReg or OutReg, got {focus!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown register method {method!r}")
+        return focus, method
+
+    def _setup(self) -> None:
+        kind = _FOCUS_KINDS[type(self.focus)]
+        object.__setattr__(self, "_shape", (kind, 0 if kind == KIND_OUT else self.focus.index, self.method))
 
 
-@dataclass(frozen=True)
-class SplitOp:
+class _ParamOp(_Interned):
+    __slots__ = ("param", "_shape")
+    __match_args__ = ("param",)
+
+    def __new__(cls, param: int):
+        return _INTERNED.get((cls, param)) or cls._intern(param)
+
+    @classmethod
+    def _check(cls, param):
+        return (_positive(param, cls._noun),)
+
+    def _setup(self) -> None:
+        object.__setattr__(self, "_shape", (self._kind, self.param, None))
+
+
+class SplitOp(_ParamOp):
     """Fork execution on Boolean parameter ``param``."""
 
-    param: int
-
-    def __post_init__(self):
-        if self.param < 1:
-            raise ValueError(f"split parameter must be >= 1, got {self.param}")
+    __slots__ = ()
+    _noun, _kind = "split parameter", KIND_SPLIT
 
 
-@dataclass(frozen=True)
-class ReplyOp:
+class ReplyOp(_ParamOp):
     """Reply with the instantiated value of Boolean parameter ``param``."""
 
-    param: int
-
-    def __post_init__(self):
-        if self.param < 1:
-            raise ValueError(f"reply parameter must be >= 1, got {self.param}")
+    __slots__ = ()
+    _noun, _kind = "reply parameter", KIND_REPLY
 
 
 BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
@@ -121,49 +224,76 @@ BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
 # Each primitive instruction has ``offsets``: how far control moves on after
 # a True and after a False reply (None for ``!``).  This is the one place the
 # rule is written; ``decode`` and everything else that needs a successor use it.
+# When an instruction is interned, its ``_row`` is read from them: its decode
+# row ``(kind, slot, method, d_true, d_false)`` with the offsets in place of
+# the targets (0 for ``!``, which has no successor).
 
 
-@dataclass(frozen=True)
-class Plain:
-    basic: BasicInstruction
+class _Form(_Interned):
+    __slots__ = ("basic", "_row")
+    __match_args__ = ("basic",)
 
+    def __new__(cls, basic: BasicInstruction):
+        return _INTERNED.get((cls, basic)) or cls._intern(basic)
+
+    @classmethod
+    def _check(cls, basic):
+        if type(basic) not in (RegisterOp, SplitOp, ReplyOp):
+            raise TypeError(f"basic instruction must be RegisterOp, SplitOp or ReplyOp, got {basic!r}")
+        return (basic,)
+
+    def _setup(self) -> None:
+        object.__setattr__(self, "_row", (*self.basic._shape, *self.offsets))
+
+
+class Plain(_Form):
+    __slots__ = ()
     offsets = (1, 1)
 
 
-@dataclass(frozen=True)
-class PosTest:
-    basic: BasicInstruction
-
+class PosTest(_Form):
+    __slots__ = ()
     offsets = (1, 2)
 
 
-@dataclass(frozen=True)
-class NegTest:
-    basic: BasicInstruction
-
+class NegTest(_Form):
+    __slots__ = ()
     offsets = (2, 1)
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(_Interned):
     """Forward jump over ``distance`` instructions; 0 deadlocks by definition."""
 
-    distance: int
+    __slots__ = ("distance", "_row")
+    __match_args__ = ("distance",)
 
-    def __post_init__(self):
-        if self.distance < 0:
+    def __new__(cls, distance: int):
+        return _INTERNED.get((cls, distance)) or cls._intern(distance)
+
+    @classmethod
+    def _check(cls, distance):
+        distance = operator.index(distance)
+        if distance < 0:
             raise ValueError("jump distance must be a natural number")
+        return (distance,)
+
+    def _setup(self) -> None:
+        object.__setattr__(self, "_row", (KIND_JUMP, 0, None, *self.offsets))
 
     @property
     def offsets(self) -> tuple[int, int]:
         return self.distance, self.distance
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Interned):
     """The termination instruction ``!``."""
 
+    __slots__ = ()
     offsets = None
+    _row = (KIND_TERM, 0, None, 0, 0)
+
+    def __new__(cls):
+        return _INTERNED.get((cls,)) or cls._intern()
 
 
 TERM = Term()
@@ -252,17 +382,6 @@ def classify(x: InstructionSequence) -> ClassProfile:
 # --- decoded control flow ----------------------------------------------------
 
 
-# Decoded kinds.  The register kinds come first, so that a register kind
-# indexes a list of register banks.
-KIND_IN = 0
-KIND_AUX = 1
-KIND_OUT = 2
-KIND_SPLIT = 3
-KIND_REPLY = 4
-KIND_JUMP = 5
-KIND_TERM = 6
-
-
 # One decoded position, as a plain tuple ``(kind, slot, method, on_true,
 # on_false)``: what it does and which position comes next.  ``slot`` is the
 # register index (0 for ``out``) or the parameter of a split or reply, 0
@@ -271,10 +390,6 @@ KIND_TERM = 6
 # reply, 0 where control deadlocks (``#0``, or a move past the end).  A jump
 # has its target in both, ``!`` has 0 in both.  Readers unpack or index it.
 Row = tuple[int, int, str | None, int, int]
-
-
-_FOCUS_KINDS = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
-_TERM_ROW = (KIND_TERM, 0, None, 0, 0)
 
 
 def decode(x: InstructionSequence) -> tuple[Row, ...]:
@@ -292,44 +407,46 @@ _NOT_ISBR = {(KIND_IN, SET_TRUE), (KIND_IN, SET_FALSE), (KIND_OUT, GET), (KIND_S
 _SISBR = {(KIND_IN, GET), (KIND_OUT, SET_TRUE), (KIND_SPLIT, None), (KIND_REPLY, None)}
 
 
+_ROW_TEMPLATE = attrgetter("_row")
+
+
 def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
     items = x.items
     k = len(items)
     positions = list(range(k + 1))  # one int per position, shared by the rows leading there
-    rows = []
+    # Each instruction's row template, its offsets turned into targets.
+    rows = tuple(
+        [
+            (
+                kind,
+                slot,
+                method,
+                positions[pos + d_true] if 0 < d_true <= k - pos else 0,
+                positions[pos + d_false] if 0 < d_false <= k - pos else 0,
+            )
+            for pos, (kind, slot, method, d_true, d_false) in enumerate(map(_ROW_TEMPLATE, items), start=1)
+        ]
+    )
+
+    # The profile depends only on which instructions occur, except for the
+    # ``!`` count and the positions of the splits and replies.
     shapes = set()  # the (kind, method) pairs of the basic instructions
     top = [0] * (KIND_JUMP + 1)  # per kind, the largest slot, and at KIND_JUMP the largest distance
-    term_count = 0
-    last_param_use = {}
-    for pos, u in enumerate(items, start=1):
-        t = type(u)
-        if t is Term:
-            rows.append(_TERM_ROW)
-            term_count += 1
+    for u in set(items):
+        kind, slot, method, _, _ = u._row
+        if kind == KIND_TERM:
             continue
-        on_true, on_false = u.offsets
-        on_true = positions[pos + on_true] if 0 < on_true <= k - pos else 0
-        on_false = positions[pos + on_false] if 0 < on_false <= k - pos else 0
-        if t is Jump:
-            rows.append((KIND_JUMP, 0, None, on_true, on_false))
-            if u.distance > top[KIND_JUMP]:
-                top[KIND_JUMP] = u.distance
-            continue
-        b = u.basic
-        if type(b) is RegisterOp:
-            f = b.focus
-            kind = _FOCUS_KINDS[type(f)]
-            slot = 0 if kind == KIND_OUT else f.index
-            method = b.method
+        if kind == KIND_JUMP:
+            slot = u.distance
         else:
-            kind = KIND_SPLIT if type(b) is SplitOp else KIND_REPLY
-            slot = b.param
-            method = None
-            last_param_use[slot] = pos
-        rows.append((kind, slot, method, on_true, on_false))
-        shapes.add((kind, method))
+            shapes.add((kind, method))
         if slot > top[kind]:
             top[kind] = slot
+    last_param_use = {}
+    if top[KIND_SPLIT] or top[KIND_REPLY]:
+        for pos, (kind, slot, _, _, _) in enumerate(rows, start=1):
+            if kind == KIND_SPLIT or kind == KIND_REPLY:
+                last_param_use[slot] = pos
 
     is_isbr = shapes.isdisjoint(_NOT_ISBR)
     profile = ClassProfile(
@@ -340,11 +457,11 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
         max_aux_index=top[KIND_AUX],
         max_input_index=top[KIND_IN],
         max_param_index=max(top[KIND_SPLIT], top[KIND_REPLY]),
-        term_count=term_count,
+        term_count=items.count(TERM),
         has_out_set_false=(KIND_OUT, SET_FALSE) in shapes,
         last_param_use=last_param_use,
     )
-    return tuple(rows), profile
+    return rows, profile
 
 
 def actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolseq.compilers import (
-    MAX_FORMULA_VARS,
     And,
     AndGate,
     Circuit,
@@ -27,9 +26,7 @@ from boolseq.compilers import (
     compile_formula,
     eval_formula,
     formula_block_size,
-    formula_satisfiable,
     formula_size,
-    formula_vars,
     parse_dimacs,
     parse_formula,
     parse_netlist,
@@ -53,7 +50,7 @@ from boolseq.instr import (
 )
 from boolseq.lab import TruthTable, truth_table
 
-from util import gen_circuit, gen_cnf, gen_formula
+from util import MAX_FORMULA_VARS, formula_satisfiable, formula_vars, gen_circuit, gen_cnf, gen_formula
 
 EXAMPLE_CNF = Cnf(2, ((Literal(1), Literal(2, negated=True)), (Literal(2),)))
 

@@ -1,7 +1,13 @@
-"""Parsing, rendering, sizes, syntactic classification, and decoding."""
+"""Interned instructions, parsing, rendering, sizes, syntactic classification, and decoding."""
 
+import copy
+import pickle
 import random
 import re
+import sys
+import threading
+from dataclasses import FrozenInstanceError
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +29,7 @@ from boolseq.instr import (
     Jump,
     NegTest,
     OUT,
+    OutReg,
     Plain,
     PosTest,
     RegisterOp,
@@ -31,6 +38,8 @@ from boolseq.instr import (
     TERM,
     ClassProfile,
     InstructionSequence,
+    Term,
+    _INTERNED,
     _parse_one,
     classify,
     decode,
@@ -40,9 +49,133 @@ from boolseq.instr import (
     seq,
 )
 
-from boolseq.compilers import compile_cnf
-from boolseq.transforms import eliminate_output_false, normalize_set_tests, to_splitting
-from util import gen_cnf, gen_isbr, gen_sisbr, gen_write_linear
+from boolseq.compilers import compile_circuit, compile_cnf, compile_cnf_jumpfree, compile_formula
+from boolseq.transforms import (
+    behavioural_normalize,
+    collapse_jump_chains,
+    eliminate_output_false,
+    normalize_set_tests,
+    to_splitting,
+)
+from util import gen_circuit, gen_cnf, gen_formula, gen_isbr, gen_sisbr, gen_write_linear, reference_decode
+
+
+# --- interned values -------------------------------------------------------------
+
+# One value of each instruction class: its class, fields and repr.
+VALUES = [
+    (InReg, (2,), "InReg(index=2)"),
+    (AuxReg, (3,), "AuxReg(index=3)"),
+    (OutReg, (), "OutReg()"),
+    (RegisterOp, (InReg(1), GET), "RegisterOp(focus=InReg(index=1), method='get')"),
+    (SplitOp, (2,), "SplitOp(param=2)"),
+    (ReplyOp, (5,), "ReplyOp(param=5)"),
+    (Plain, (RegisterOp(InReg(1), GET),), "Plain(basic=RegisterOp(focus=InReg(index=1), method='get'))"),
+    (PosTest, (RegisterOp(OUT, SET_FALSE),), "PosTest(basic=RegisterOp(focus=OutReg(), method='set:F'))"),
+    (NegTest, (SplitOp(1),), "NegTest(basic=SplitOp(param=1))"),
+    (Jump, (4,), "Jump(distance=4)"),
+    (Term, (), "Term()"),
+]
+VALUE_IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_equal_instructions_are_one_object(cls, fields, text):
+    u = cls(*fields)
+    assert cls(*fields) is u
+    assert cls(**dict(zip(cls.__match_args__, fields))) is u
+    assert tuple(getattr(u, name) for name in cls.__match_args__) == fields
+    assert u == cls(*fields) and hash(u) == hash(cls(*fields))
+    assert repr(u) == text
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_copies_and_pickles_are_the_interned_object(cls, fields, text):
+    u = cls(*fields)
+    assert copy.copy(u) is u
+    assert copy.deepcopy(u) is u
+    assert copy.deepcopy([u, (u,)])[1][0] is u
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(u, protocol)) is u
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=VALUE_IDS)
+def test_instructions_are_frozen(cls, fields, text):
+    u = cls(*fields)
+    for name in (*cls.__match_args__, "index", "_row"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(u, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(u, name)
+    assert repr(u) == text
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (InReg, (0,), "input register index must be >= 1, got 0"),
+        (AuxReg, (-7,), "auxiliary register index must be >= 1, got -7"),
+        (SplitOp, (0,), "split parameter must be >= 1, got 0"),
+        (ReplyOp, (-1,), "reply parameter must be >= 1, got -1"),
+        (Jump, (-1,), "jump distance must be a natural number"),
+        (RegisterOp, (OUT, "set:X"), "unknown register method 'set:X'"),
+        (RegisterOp, (AuxReg(9), "put"), "unknown register method 'put'"),
+    ],
+)
+def test_rejected_values_leave_no_table_entry(cls, fields, message):
+    before = dict(_INTERNED)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*fields)
+    assert _INTERNED == before
+
+
+def test_fields_of_the_wrong_kind_are_rejected():
+    before = dict(_INTERNED)
+    with pytest.raises(TypeError, match="register focus must be"):
+        RegisterOp(SplitOp(1), GET)
+    with pytest.raises(TypeError, match="basic instruction must be"):
+        PosTest(Jump(1))
+    with pytest.raises(TypeError):
+        InReg(1.5)
+    with pytest.raises(TypeError):
+        Jump()
+    assert _INTERNED == before
+
+
+def test_integer_fields_are_normalised():
+    assert Jump(True) is Jump(1)
+    assert render(seq(Jump(True))) == "#1"
+    assert InReg(True) is InReg(1)
+    assert type(Jump(True).distance) is int
+    # Equal instructions are one object however the value was first spelled.
+    assert type(SplitOp(False + 17).param) is int
+
+
+def test_interning_from_many_threads_gives_one_object_per_value():
+    # 8 threads (more than the cores) build the same 1,000 values, each new
+    # to the table, with a thread switch after about every microsecond.
+    base = 10**40
+    assert (InReg, base) not in _INTERNED
+    results = [None] * 8
+
+    def build(t):
+        results[t] = [(PosTest(RegisterOp(InReg(base + i), GET)), Jump(base + i)) for i in range(1000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result is not None for result in results)
+    for i, (test, jump) in enumerate(results[0]):
+        assert test is PosTest(RegisterOp(InReg(base + i), GET)) and jump is Jump(base + i)
+        assert all(result[i][0] is test and result[i][1] is jump for result in results)
 
 
 def test_parse_plain_and_term():
@@ -380,3 +513,71 @@ def test_decoded_rows_are_exact_tuples():
         sequences.append(to_splitting(gen_write_linear(rng, 12, 3)))
     for x in sequences:
         assert all(type(row) is tuple and len(row) == 5 for row in decode(x)), render(x)
+
+
+# --- decode and classify against the reference decoder -----------------------------
+
+# Tests, plain and test-form writes of every register kind (``out.set:F``
+# included), split and reply, ``#0``-``#3`` and ``!``.
+MIXED_LETTERS = [
+    form(basic)
+    for basic in (
+        RegisterOp(InReg(1), GET),
+        RegisterOp(InReg(2), SET_FALSE),
+        RegisterOp(AuxReg(1), GET),
+        RegisterOp(AuxReg(2), SET_TRUE),
+        RegisterOp(OUT, GET),
+        RegisterOp(OUT, SET_TRUE),
+        RegisterOp(OUT, SET_FALSE),
+        SplitOp(2),
+        ReplyOp(1),
+    )
+    for form in (Plain, PosTest, NegTest)
+] + [Jump(d) for d in range(4)] + [TERM]
+
+
+def assert_decodes_as_reference(x):
+    rows, profile = reference_decode(x)
+    assert decode(x) == rows, render(x)
+    assert all(type(row) is tuple for row in decode(x))
+    assert classify(x) == profile, render(x)
+
+
+def test_decode_matches_reference_on_every_short_sequence():
+    for length in (1, 2, 3):
+        for items in product(MIXED_LETTERS, repeat=length):
+            assert_decodes_as_reference(InstructionSequence(items))
+
+
+def test_decode_matches_reference_on_random_sequences():
+    rng = random.Random(1606)
+    for _ in range(2000):
+        roll = rng.random()
+        if roll < 0.4:
+            x = gen_isbr(rng, 30, 4, max_aux=3)
+        elif roll < 0.8:
+            x = gen_sisbr(rng, 30, 3, max_params=4)
+        else:
+            x = gen_write_linear(rng, 30, 3)
+        assert_decodes_as_reference(x)
+
+
+def test_decode_matches_reference_on_compiled_and_rewritten_code():
+    rng = random.Random(1616)
+    for _ in range(30):
+        compiled = [
+            compile_cnf(cnf := gen_cnf(rng, 5, 8)),
+            compile_cnf_jumpfree(cnf),
+            compile_formula(gen_formula(rng, 4, 12)),
+            compile_circuit(gen_circuit(rng, 4, 8)),
+        ]
+        outputs = [to_splitting(gen_write_linear(rng, 20, 3))]
+        for x in compiled + [gen_isbr(rng, 20, 3)]:
+            outputs += [collapse_jump_chains(x), behavioural_normalize(x)]
+            for rewrite in (eliminate_output_false, normalize_set_tests):
+                try:
+                    outputs.append(rewrite(x))
+                except ValueError:  # outside the rewrite's domain
+                    pass
+        for x in compiled + outputs:
+            assert_decodes_as_reference(x)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from boolseq.compilers import Cnf, Literal, eval_cnf, formula_satisfiable, render_formula
+from boolseq.compilers import Cnf, Literal, eval_cnf, render_formula
 from boolseq.instr import InstructionSequence, Plain, ResourceBoundError, SplitOp, parse, psize, render
 from boolseq.lab import TruthTable, truth_table
 from boolseq.satc import (
@@ -27,7 +27,7 @@ from boolseq.satc import (
 from boolseq.services import parse_input_bits
 from boolseq.splitting import Terminated, check_splitting_computes, run_splitting
 
-from util import gen_cnf, gen_sisbr, gen_sisbr_single_read
+from util import formula_satisfiable, gen_cnf, gen_sisbr, gen_sisbr_single_read
 
 
 def lits(*pairs) -> LiteralSet:

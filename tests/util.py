@@ -4,7 +4,10 @@ The algebraic oracle composes the published semantics literally (behaviour
 tree, use chain over the registers, apply on the output register) and is
 kept independent of the program-counter executors it checks.  The naive
 search enumerates and tabulates every sequence, independent of the merged
-behaviour summaries of ``lab.shortest_sequence_search``.
+behaviour summaries of ``lab.shortest_sequence_search``.  The reference
+decoder works out every row from its instruction, independent of the row
+templates the interned instructions carry.  Exhaustive formula
+satisfiability is the reference for ``satc.reachability_satisfiable``.
 """
 
 from __future__ import annotations
@@ -13,23 +16,37 @@ import random
 from itertools import product
 from typing import Optional
 
+from boolseq.compilers import BoolFormula, FVar, _occurrences, eval_formula
 from boolseq.instr import (
     GET,
+    KIND_AUX,
+    KIND_IN,
+    KIND_JUMP,
+    KIND_OUT,
+    KIND_REPLY,
+    KIND_SPLIT,
+    KIND_TERM,
     SET_FALSE,
     SET_TRUE,
     AuxReg,
+    ClassProfile,
     InReg,
     InstructionSequence,
     Jump,
     NegTest,
     OUT,
+    OutReg,
     Plain,
     PosTest,
     RegisterOp,
     ReplyOp,
+    ResourceBoundError,
+    Row,
     SplitOp,
     TERM,
     Term,
+    _NOT_ISBR,
+    _SISBR,
     classify,
 )
 from boolseq.lab import SearchSpec, _search_alphabet, truth_table
@@ -61,6 +78,84 @@ def algebraic_splitting_outcome(x: InstructionSequence, inputs):
     for i, b in enumerate(inputs, start=1):
         t = use(t, InReg(i), BoolRegister(RegState.of(b)))
     return apply(t, OUT, BoolRegister(RegState.FALSE))
+
+
+def reference_decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
+    """The rows and class profile of ``x``, one instruction at a time.
+
+    Each row is read from the instruction's type and its ``offsets``; the
+    reference for ``decode`` and ``classify``.
+    """
+    focus_kinds = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
+    items = x.items
+    k = len(items)
+    rows = []
+    shapes = set()  # the (kind, method) pairs of the basic instructions
+    top = [0] * (KIND_JUMP + 1)  # per kind, the largest slot, and at KIND_JUMP the largest distance
+    term_count = 0
+    last_param_use = {}
+    for pos, u in enumerate(items, start=1):
+        t = type(u)
+        if t is Term:
+            rows.append((KIND_TERM, 0, None, 0, 0))
+            term_count += 1
+            continue
+        on_true, on_false = u.offsets
+        on_true = pos + on_true if 0 < on_true <= k - pos else 0
+        on_false = pos + on_false if 0 < on_false <= k - pos else 0
+        if t is Jump:
+            rows.append((KIND_JUMP, 0, None, on_true, on_false))
+            top[KIND_JUMP] = max(top[KIND_JUMP], u.distance)
+            continue
+        b = u.basic
+        if type(b) is RegisterOp:
+            kind = focus_kinds[type(b.focus)]
+            slot = 0 if kind == KIND_OUT else b.focus.index
+            method = b.method
+        else:
+            kind = KIND_SPLIT if type(b) is SplitOp else KIND_REPLY
+            slot = b.param
+            method = None
+            last_param_use[slot] = pos
+        rows.append((kind, slot, method, on_true, on_false))
+        shapes.add((kind, method))
+        top[kind] = max(top[kind], slot)
+
+    is_isbr = shapes.isdisjoint(_NOT_ISBR)
+    profile = ClassProfile(
+        is_isbr=is_isbr,
+        is_isbrna=is_isbr and not top[KIND_AUX],
+        is_sisbr=shapes <= _SISBR,
+        max_jump=top[KIND_JUMP],
+        max_aux_index=top[KIND_AUX],
+        max_input_index=top[KIND_IN],
+        max_param_index=max(top[KIND_SPLIT], top[KIND_REPLY]),
+        term_count=term_count,
+        has_out_set_false=(KIND_OUT, SET_FALSE) in shapes,
+        last_param_use=last_param_use,
+    )
+    return tuple(rows), profile
+
+
+# Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
+MAX_FORMULA_VARS = 25
+
+
+def formula_vars(phi: BoolFormula) -> int:
+    """Largest variable index occurring in the formula (0 if impossible)."""
+    return max(node.index for node in _occurrences(phi) if isinstance(node, FVar))
+
+
+def formula_satisfiable(phi: BoolFormula, num_vars: int | None = None) -> bool:
+    """Exhaustive satisfiability over the first ``num_vars`` variables."""
+    n = formula_vars(phi) if num_vars is None else num_vars
+    if n > MAX_FORMULA_VARS:
+        raise ResourceBoundError(f"resource bound exceeded: {n} variables for exhaustive search")
+    for bits in range(2**n):
+        assignment = [(bits >> (n - 1 - i)) & 1 == 1 for i in range(n)]
+        if eval_formula(phi, assignment):
+            return True
+    return False
 
 
 NAIVE_CAP = 5_000_000
