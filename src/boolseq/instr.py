@@ -67,7 +67,10 @@ class _Interned:
 
     Each class's ``__new__`` looks ``(cls, *fields)`` up in ``_INTERNED`` (its
     objects are all true, so ``get(...) or`` tells a miss) and builds a new
-    object only on a miss.  So equality is identity and hashing is by ``id``.
+    object only on a miss, so equality is identity and hashing is by ``id``.
+    An integer field takes the lookup only when it is an exact ``int``:
+    another number equal to one (``True``, ``1.0``) goes through ``_check``,
+    which normalises or rejects it whatever the table holds.
     The objects are frozen, ``__match_args__`` names the fields, ``repr`` is
     the dataclass form, and a copy or an unpickled object is the interned
     object itself.
@@ -123,7 +126,7 @@ class _Indexed(_Interned):
     __slots__ = __match_args__ = ("index",)
 
     def __new__(cls, index: int):
-        return _INTERNED.get((cls, index)) or cls._intern(index)
+        return type(index) is int and _INTERNED.get((cls, index)) or cls._intern(index)
 
     @classmethod
     def _check(cls, index):
@@ -162,14 +165,11 @@ _FOCUS_KINDS = {InReg: KIND_IN, AuxReg: KIND_AUX, OutReg: KIND_OUT}
 
 # --- basic instructions ----------------------------------------------------
 
-# Each basic instruction has ``_shape``: the (kind, slot, method) of its rows.
-
 
 class RegisterOp(_Interned):
     """A register method call ``focus.method``."""
 
-    __slots__ = ("focus", "method", "_shape")
-    __match_args__ = ("focus", "method")
+    __slots__ = __match_args__ = ("focus", "method")
 
     def __new__(cls, focus: Focus, method: str):
         return _INTERNED.get((cls, focus, method)) or cls._intern(focus, method)
@@ -182,38 +182,30 @@ class RegisterOp(_Interned):
             raise ValueError(f"unknown register method {method!r}")
         return focus, method
 
-    def _setup(self) -> None:
-        kind = _FOCUS_KINDS[type(self.focus)]
-        object.__setattr__(self, "_shape", (kind, 0 if kind == KIND_OUT else self.focus.index, self.method))
-
 
 class _ParamOp(_Interned):
-    __slots__ = ("param", "_shape")
-    __match_args__ = ("param",)
+    __slots__ = __match_args__ = ("param",)
 
     def __new__(cls, param: int):
-        return _INTERNED.get((cls, param)) or cls._intern(param)
+        return type(param) is int and _INTERNED.get((cls, param)) or cls._intern(param)
 
     @classmethod
     def _check(cls, param):
         return (_positive(param, cls._noun),)
-
-    def _setup(self) -> None:
-        object.__setattr__(self, "_shape", (self._kind, self.param, None))
 
 
 class SplitOp(_ParamOp):
     """Fork execution on Boolean parameter ``param``."""
 
     __slots__ = ()
-    _noun, _kind = "split parameter", KIND_SPLIT
+    _noun = "split parameter"
 
 
 class ReplyOp(_ParamOp):
     """Reply with the instantiated value of Boolean parameter ``param``."""
 
     __slots__ = ()
-    _noun, _kind = "reply parameter", KIND_REPLY
+    _noun = "reply parameter"
 
 
 BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
@@ -243,7 +235,13 @@ class _Form(_Interned):
         return (basic,)
 
     def _setup(self) -> None:
-        object.__setattr__(self, "_row", (*self.basic._shape, *self.offsets))
+        basic = self.basic
+        if type(basic) is RegisterOp:
+            kind = _FOCUS_KINDS[type(basic.focus)]
+            shape = (kind, 0 if kind == KIND_OUT else basic.focus.index, basic.method)
+        else:
+            shape = (KIND_SPLIT if type(basic) is SplitOp else KIND_REPLY, basic.param, None)
+        object.__setattr__(self, "_row", (*shape, *self.offsets))
 
 
 class Plain(_Form):
@@ -268,7 +266,7 @@ class Jump(_Interned):
     __match_args__ = ("distance",)
 
     def __new__(cls, distance: int):
-        return _INTERNED.get((cls, distance)) or cls._intern(distance)
+        return type(distance) is int and _INTERNED.get((cls, distance)) or cls._intern(distance)
 
     @classmethod
     def _check(cls, distance):
