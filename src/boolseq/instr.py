@@ -8,12 +8,12 @@ Basic instructions address named Boolean registers (``in:i``, ``aux:i``,
 Boolean parameter (``split:p``, ``reply:p``).
 
 Everything here is immutable and purely syntactic: parsing, canonical
-rendering, length, and one walk over a sequence that gives both its
-``decode`` rows (each position's successor after each reply) and its
-``classify`` profile (the vocabularies used elsewhere in the package).
-``actions`` derives from the rows a jump-free view for the lane sweep.
-Instructions are interned values: equal instructions are one object, which
-carries its row of ``decode`` with the targets left to fill in.
+rendering, length, ``classify`` profiles, and ``decode`` rows (each
+position's successor after each reply) with ``actions``, their jump-free
+view for the lane sweep.  Instructions are interned values: one object per
+value, which carries its text and its row template, its row of ``decode``
+with offsets for targets.  The profile, the rewrites and register runs read
+a sequence's templates; only readers that follow targets pay for its rows.
 """
 
 from __future__ import annotations
@@ -218,11 +218,11 @@ BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
 # rule is written; ``decode`` and everything else that needs a successor use it.
 # When an instruction is interned, its ``_row`` is read from them: its decode
 # row ``(kind, slot, method, d_true, d_false)`` with the offsets in place of
-# the targets (0 for ``!``, which has no successor).
+# the targets (0 for ``!``, which has no successor); ``_text`` is its text.
 
 
 class _Form(_Interned):
-    __slots__ = ("basic", "_row")
+    __slots__ = ("basic", "_row", "_text")
     __match_args__ = ("basic",)
 
     def __new__(cls, basic: BasicInstruction):
@@ -242,27 +242,31 @@ class _Form(_Interned):
         else:
             shape = (KIND_SPLIT if type(basic) is SplitOp else KIND_REPLY, basic.param, None)
         object.__setattr__(self, "_row", (*shape, *self.offsets))
+        object.__setattr__(self, "_text", self._sign + render_basic(basic))
 
 
 class Plain(_Form):
     __slots__ = ()
     offsets = (1, 1)
+    _sign = ""
 
 
 class PosTest(_Form):
     __slots__ = ()
     offsets = (1, 2)
+    _sign = "+"
 
 
 class NegTest(_Form):
     __slots__ = ()
     offsets = (2, 1)
+    _sign = "-"
 
 
 class Jump(_Interned):
     """Forward jump over ``distance`` instructions; 0 deadlocks by definition."""
 
-    __slots__ = ("distance", "_row")
+    __slots__ = ("distance", "_row", "_text")
     __match_args__ = ("distance",)
 
     def __new__(cls, distance: int):
@@ -277,6 +281,7 @@ class Jump(_Interned):
 
     def _setup(self) -> None:
         object.__setattr__(self, "_row", (KIND_JUMP, 0, None, *self.offsets))
+        object.__setattr__(self, "_text", f"#{self.distance}")
 
     @property
     def offsets(self) -> tuple[int, int]:
@@ -289,6 +294,7 @@ class Term(_Interned):
     __slots__ = ()
     offsets = None
     _row = (KIND_TERM, 0, None, 0, 0)
+    _text = "!"
 
     def __new__(cls):
         return _INTERNED.get((cls,)) or cls._intern()
@@ -324,14 +330,22 @@ class InstructionSequence:
     def __str__(self) -> str:
         return render(self)
 
+    # Sequences are immutable: each of these is worked out when first read.
     @cached_property
-    def _decoded(self) -> tuple[tuple["Row", ...], "ClassProfile"]:
-        # Sequences are immutable, so each is walked at most once.
+    def _moves(self) -> tuple["Row", ...]:
+        # The instructions' row templates, in position order: offsets, not targets.
+        return tuple(map(attrgetter("_row"), self.items))
+
+    @cached_property
+    def _profile(self) -> "ClassProfile":
+        return _classify(self)
+
+    @cached_property
+    def _decoded(self) -> tuple["Row", ...]:
         return _decode(self)
 
     @cached_property
     def _actions(self) -> tuple[tuple["Row", ...], tuple[int, ...], int]:
-        # Apart from _decoded: only the sequences that are swept pay for it.
         return _actions(self)
 
 
@@ -373,8 +387,8 @@ class ClassProfile:
 
 
 def classify(x: InstructionSequence) -> ClassProfile:
-    """The syntactic class profile of ``x``, worked out with ``decode(x)`` and kept on ``x``."""
-    return x._decoded[1]
+    """The syntactic class profile of ``x``, worked out from its distinct instructions and kept on ``x``."""
+    return x._profile
 
 
 # --- decoded control flow ----------------------------------------------------
@@ -387,15 +401,13 @@ def classify(x: InstructionSequence) -> ClassProfile:
 # and ``on_false`` are the positions reached after a True and after a False
 # reply, 0 where control deadlocks (``#0``, or a move past the end).  A jump
 # has its target in both, ``!`` has 0 in both.  Readers unpack or index it.
+# A row template (``_row``, ``x._moves``) has the offsets in their place.
 Row = tuple[int, int, str | None, int, int]
 
 
 def decode(x: InstructionSequence) -> tuple[Row, ...]:
-    """The rows of ``x``: ``decode(x)[i - 1]`` describes position i.
-
-    Worked out with ``classify(x)`` and kept on ``x``.
-    """
-    return x._decoded[0]
+    """The rows of ``x``, worked out from its row templates and kept on ``x``: ``decode(x)[i - 1]`` is position i."""
+    return x._decoded
 
 
 # Classes by the (kind, method) pairs that occur.  Writes of inputs, reads of
@@ -405,15 +417,12 @@ _NOT_ISBR = {(KIND_IN, SET_TRUE), (KIND_IN, SET_FALSE), (KIND_OUT, GET), (KIND_S
 _SISBR = {(KIND_IN, GET), (KIND_OUT, SET_TRUE), (KIND_SPLIT, None), (KIND_REPLY, None)}
 
 
-_ROW_TEMPLATE = attrgetter("_row")
-
-
-def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
-    items = x.items
-    k = len(items)
+def _decode(x: InstructionSequence) -> tuple[Row, ...]:
+    moves = x._moves
+    k = len(moves)
     positions = list(range(k + 1))  # one int per position, shared by the rows leading there
-    # Each instruction's row template, its offsets turned into targets.
-    rows = tuple(
+    # Each row template with its offsets turned into targets.
+    return tuple(
         [
             (
                 kind,
@@ -422,12 +431,15 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
                 positions[pos + d_true] if 0 < d_true <= k - pos else 0,
                 positions[pos + d_false] if 0 < d_false <= k - pos else 0,
             )
-            for pos, (kind, slot, method, d_true, d_false) in enumerate(map(_ROW_TEMPLATE, items), start=1)
+            for pos, (kind, slot, method, d_true, d_false) in enumerate(moves, start=1)
         ]
     )
 
+
+def _classify(x: InstructionSequence) -> ClassProfile:
     # The profile depends only on which instructions occur, except for the
     # ``!`` count and the positions of the splits and replies.
+    items = x.items
     shapes = set()  # the (kind, method) pairs of the basic instructions
     top = [0] * (KIND_JUMP + 1)  # per kind, the largest slot, and at KIND_JUMP the largest distance
     for u in set(items):
@@ -442,12 +454,12 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
             top[kind] = slot
     last_param_use = {}
     if top[KIND_SPLIT] or top[KIND_REPLY]:
-        for pos, (kind, slot, _, _, _) in enumerate(rows, start=1):
+        for pos, (kind, slot, _, _, _) in enumerate(x._moves, start=1):
             if kind == KIND_SPLIT or kind == KIND_REPLY:
                 last_param_use[slot] = pos
 
     is_isbr = shapes.isdisjoint(_NOT_ISBR)
-    profile = ClassProfile(
+    return ClassProfile(
         is_isbr=is_isbr,
         is_isbrna=is_isbr and not top[KIND_AUX],
         is_sisbr=shapes <= _SISBR,
@@ -459,7 +471,6 @@ def _decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProfile]:
         has_out_set_false=(KIND_OUT, SET_FALSE) in shapes,
         last_param_use=last_param_use,
     )
-    return rows, profile
 
 
 def actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:
@@ -519,20 +530,12 @@ def render_basic(b: BasicInstruction) -> str:
 
 
 def render_instruction(u: PrimitiveInstruction) -> str:
-    if isinstance(u, Term):
-        return "!"
-    if isinstance(u, Jump):
-        return f"#{u.distance}"
-    if isinstance(u, Plain):
-        return render_basic(u.basic)
-    if isinstance(u, PosTest):
-        return "+" + render_basic(u.basic)
-    return "-" + render_basic(u.basic)
+    return u._text
 
 
 def render(x: InstructionSequence) -> str:
     """Canonical text: instructions joined by ``" ; "``."""
-    return " ; ".join(render_instruction(u) for u in x.items)
+    return " ; ".join(map(attrgetter("_text"), x.items))
 
 
 # --- parsing ----------------------------------------------------------------

@@ -12,9 +12,9 @@ apply); the test suite checks the two against each other.  ``lane_values``
 tabulates a sequence on every input vector at once, in one forward sweep
 over its actions (``instr.actions``: the rows with the jumps passed
 through) with one bit per vector, or per branch of a vector for forking
-code; it is checked against ``run`` and ``queue_runner``, which read the
-``decode`` rows.  That sweep, ``lane_sweep``, also runs forking code one
-vector at a time.
+code; it is checked against ``run``, which adds up the instructions'
+offsets, and ``queue_runner``, which follows the ``decode`` rows.  That
+sweep, ``lane_sweep``, also runs forking code one vector at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .instr import (
     ResourceBoundError,
     actions,
     classify,
-    decode,
 )
 from .threads import DEAD, Dead, PostCond, Stop, Tau, Thread
 
@@ -214,21 +213,22 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
         raise ResourceBoundError(
             f"resource bound exceeded: aux:{max_aux} is past the {MAX_AUX_INDEX} auxiliary registers of a run"
         )
-    rows = decode(x)
+    moves = x._moves  # the walk adds offsets, so pc counts positions from 0
+    k = len(moves)
     inputs = tuple(inputs)
     n = len(inputs)
     # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
     banks = [[False, *inputs], [False] * (max_aux + 1), [False]]
-    pc = 1
+    pc = 0
     steps = 0
-    while pc:
-        kind, slot, method, on_true, on_false = rows[pc - 1]
+    while pc < k:
+        kind, slot, method, d_true, d_false = moves[pc]
         steps += 1
         if kind == KIND_TERM:
             ins, aux, out = banks
             return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
         if kind == KIND_JUMP:
-            pc = on_true
+            pc += d_true or k  # ``#0`` deadlocks: it moves control out of the sequence
             continue
         if kind == KIND_IN and slot > n:
             return Divergent(f"unserved focus in:{slot}"), steps
@@ -236,7 +236,7 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
         # A register's new contents is also its reply.
         reply = bank[slot] if method == GET else method == SET_TRUE
         bank[slot] = reply
-        pc = on_true if reply else on_false
+        pc += d_true if reply else d_false
     return Deadlocked(), steps
 
 

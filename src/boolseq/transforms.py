@@ -38,10 +38,10 @@ from .instr import (
     PrimitiveInstruction,
     RegisterOp,
     ReplyOp,
+    Row,
     SplitOp,
     TERM,
     classify,
-    decode,
 )
 
 
@@ -57,26 +57,22 @@ def _report(x: InstructionSequence, items: list, trace: list) -> RewriteReport:
     return RewriteReport(x, InstructionSequence(tuple(items)), len(trace), tuple(trace))
 
 
-def _reach(u: PrimitiveInstruction, method: str | None) -> int:
-    """The farthest offset control can move by from ``u``, whose row has ``method``; 0 for ``!``.
+def _reach(move: Row) -> int:
+    """The farthest offset control can move by from the row template ``move``; 0 for ``!``.
 
     A write replies the value it writes, so only that reply's offset counts:
     ``+set:T`` and ``-set:F`` always fall through, ``-set:T`` and ``+set:F``
-    always skip.  The offsets come from ``u``: rows clip moves past the end to 0.
+    always skip.  The rewrites read the templates of ``x._moves``, not the
+    rows of ``decode``: none of them follows a target.
     """
-    offsets = u.offsets
-    if offsets is None:
-        return 0
-    return offsets[0] if method == SET_TRUE else offsets[1] if method == SET_FALSE else max(offsets)
+    _, _, method, d_true, d_false = move
+    return d_true if method == SET_TRUE else d_false if method == SET_FALSE else max(d_true, d_false)
 
 
 def _skipping_aux_writes(x: InstructionSequence) -> set[int]:
     """The positions of ``-aux:j.set:T`` and ``+aux:j.set:F``: the reply is forced and always skips."""
-    return {
-        pos
-        for pos, (u, (kind, _, method, _, _)) in enumerate(zip(x.items, decode(x)), start=1)
-        if kind == KIND_AUX and method != GET and _reach(u, method) == 2
-    }
+    moves = enumerate(x._moves, start=1)
+    return {pos for pos, move in moves if move[0] == KIND_AUX and move[2] != GET and _reach(move) == 2}
 
 
 def _splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
@@ -145,17 +141,17 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
         raise ValueError("eliminate_output_false requires a register-only sequence")
     fresh = classify(x).max_aux_index + 1
     readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
-    rows = decode(x)
+    moves = x._moves
     trace: list[tuple[str, int]] = []
     items = list(x.items)
     blocks = {}
-    for pos, (kind, _, method, _, _) in enumerate(rows, start=1):
+    for pos, (kind, _, method, _, _) in enumerate(moves, start=1):
         if kind == KIND_OUT:
             items[pos - 1] = type(items[pos - 1])(RegisterOp(AuxReg(fresh), method))
             trace.append(("rename-out", pos))
-        elif kind == KIND_TERM and rows[0][0] != KIND_TERM:  # so pos > 1
-            before = rows[pos - 2]
-            if before[0] != KIND_JUMP and _reach(items[pos - 2], before[2]) == 2:
+        elif kind == KIND_TERM and moves[0][0] != KIND_TERM:  # so pos > 1
+            before = moves[pos - 2]
+            if before[0] != KIND_JUMP and _reach(before) == 2:
                 raise ValueError(
                     f"eliminate_output_false precondition violated: the test at position "
                     f"{pos - 1} can bypass the termination instruction at position {pos}"
@@ -184,19 +180,19 @@ def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("normalize_set_tests requires a register-only sequence")
     items = list(x.items)
-    rows = decode(x)
+    moves = x._moves
     skipping = _skipping_aux_writes(x)
     blocks = {}
     for pos in sorted(skipping):
         if pos > 1 and pos - 1 not in skipping:
-            kind, _, method, _, _ = rows[pos - 2]
-            if kind != KIND_JUMP and _reach(items[pos - 2], method) == 2:
+            before = moves[pos - 2]
+            if before[0] != KIND_JUMP and _reach(before) == 2:
                 raise ValueError(
                     f"normalize_set_tests precondition violated: the test at position "
                     f"{pos - 1} can bypass the write at position {pos}"
                 )
         basic = items[pos - 1].basic
-        if rows[pos - 1][2] == SET_TRUE:
+        if moves[pos - 1][2] == SET_TRUE:
             blocks[pos] = ("unskip-set-true", [PosTest(basic), Jump(2)])
         else:
             blocks[pos] = ("unskip-set-false", [NegTest(basic), Jump(2)])
@@ -218,11 +214,11 @@ def check_write_linear(x: InstructionSequence) -> int | None:
     auxiliary write, which is the domain on which the fork rewrite below is
     function-preserving.
     """
-    rows = decode(x)
-    writes = [pos for pos, (kind, _, method, _, _) in enumerate(rows, start=1) if kind == KIND_AUX and method != GET]
-    for pos, (u, (_, _, method, _, _)) in enumerate(zip(x.items, rows), start=1):
+    moves = x._moves
+    writes = [pos for pos, (kind, _, method, _, _) in enumerate(moves, start=1) if kind == KIND_AUX and method != GET]
+    for pos, move in enumerate(moves, start=1):
         first = bisect_right(writes, pos)
-        if first < len(writes) and writes[first] < pos + _reach(u, method):
+        if first < len(writes) and writes[first] < pos + _reach(move):
             return writes[first]
     return None
 
@@ -266,13 +262,13 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
     # moves by the ``fresh - seen`` writes from its own write on.  No jump
     # crosses a write, so none changes.
     items = list(x.items)
-    rows = decode(x)
+    moves = x._moves
     trace: list[tuple[str, int]] = []
     forks: dict[int, list[PrimitiveInstruction]] = {}
     replies: dict[int, int] = {}
     unbound: dict[int, list[tuple[int, int]]] = {}  # register -> its reads not yet bound, right to left
     for pos in range(len(items), 0, -1):
-        kind, slot, method, _, _ = rows[pos - 1]
+        kind, slot, method, _, _ = moves[pos - 1]
         if kind == KIND_AUX and method == GET:
             unbound.setdefault(slot, []).append((pos, len(forks)))
         elif kind == KIND_AUX:
@@ -291,7 +287,7 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
     # they always see False and become the jump of a False reply.
     constant_false = sorted(read for reads in unbound.values() for read, _ in reads)
     for read in constant_false:
-        items[read - 1] = Jump(items[read - 1].offsets[1])
+        items[read - 1] = Jump(moves[read - 1][4])
     trace[:0] = [("constant-false-read", read) for read in constant_false]
 
     out: list[PrimitiveInstruction] = []
@@ -364,25 +360,25 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     if not classify(x).is_isbr:
         raise ValueError("behavioural_normalize requires a register-only sequence")
     items = list(x.items)
-    rows = decode(x)
+    moves = x._moves
     k = len(items)
     trace: list[tuple[str, int]] = []
 
     # A rewrite keeps a position's basic instruction or makes it ``#1``, so
-    # its row still names that basic, but only its item says whether it is
+    # its move still names that basic, but only its item says whether it is
     # still a test or a plain write.
     def rule_at(i: int) -> str | None:
         u = items[i - 1]
-        if not isinstance(u, (PosTest, NegTest)) or rows[i - 1][2] == GET:
+        if not isinstance(u, (PosTest, NegTest)) or moves[i - 1][2] == GET:
             return None
-        basic = rows[i - 1][:3]
-        if _reach(u, basic[2]) == 1:
+        basic = moves[i - 1][:3]
+        if _reach(u._row) == 1:
             return "drop-forced-test"
         # A skipping write: -set:T or +set:F.
-        if i < k and isinstance(items[i], Plain) and rows[i][:3] == basic:
+        if i < k and isinstance(items[i], Plain) and moves[i][:3] == basic:
             return "skip-redone-write"
         end = window_end.get(i)
-        if end and isinstance(items[end - 1], Plain) and rows[end - 1][:3] == basic:
+        if end and isinstance(items[end - 1], Plain) and moves[end - 1][:3] == basic:
             return "skip-redone-write-window"
         return None
 

@@ -1,11 +1,30 @@
 """Register semantics, the use/apply operators, and the register executor."""
 
 import random
+from itertools import product
 
 import pytest
 
-from boolseq.compilers import Circuit, GateRef, InputRef, NotGate, compile_circuit
-from boolseq.instr import GET, InReg, OUT, RegisterOp, SET_TRUE, AuxReg, ResourceBoundError, classify, parse
+from boolseq.compilers import Circuit, GateRef, InputRef, NotGate, compile_circuit, compile_cnf, compile_formula
+from boolseq.instr import (
+    GET,
+    METHODS,
+    OUT,
+    SET_TRUE,
+    TERM,
+    AuxReg,
+    InReg,
+    InstructionSequence,
+    Jump,
+    NegTest,
+    Plain,
+    PosTest,
+    RegisterOp,
+    ResourceBoundError,
+    classify,
+    parse,
+    render,
+)
 from boolseq.lab import TruthTable
 from boolseq.services import (
     DIVERGENT,
@@ -25,9 +44,22 @@ from boolseq.services import (
     use,
 )
 from boolseq.threads import DEAD, STOP, PostCond, Tau
-from boolseq.transforms import eliminate_output_false
+from boolseq.transforms import (
+    behavioural_normalize,
+    collapse_jump_chains,
+    eliminate_output_false,
+    normalize_set_tests,
+)
 
-from util import algebraic_outcome, gen_isbr, outcome_matches_service
+from util import (
+    algebraic_outcome,
+    gen_circuit,
+    gen_cnf,
+    gen_formula,
+    gen_isbr,
+    outcome_matches_service,
+    reference_run,
+)
 
 IN1 = InReg(1)
 IN1_GET = RegisterOp(IN1, GET)
@@ -226,6 +258,55 @@ def test_run_agrees_with_algebraic_chain_on_input_writes():
     ):
         x = parse(text)
         assert outcome_matches_service(run(x, inputs), algebraic_outcome(x, inputs))
+
+
+# --- the offset walk against the rows loop --------------------------------------
+
+# ``!``, ``#0``-``#3``, and every method of in:1, in:2, aux:1 and out in all
+# three forms: run at n = 0..2, so reads of in:1 and in:2 go unserved too.
+WALK_LETTERS = [TERM, *map(Jump, range(4))] + [
+    form(RegisterOp(focus, method))
+    for focus in (InReg(1), InReg(2), AuxReg(1), OUT)
+    for method in METHODS
+    for form in (Plain, PosTest, NegTest)
+]
+
+
+def assert_walks_as_reference(x, arities=range(3)):
+    for n in arities:
+        for inputs in product((False, True), repeat=n):
+            assert run_with_steps(x, inputs) == reference_run(x, inputs), (render(x), inputs)
+
+
+def test_run_matches_reference_on_every_short_sequence():
+    for length in (1, 2, 3):
+        for items in product(WALK_LETTERS, repeat=length):
+            assert_walks_as_reference(InstructionSequence(items))
+
+
+def test_run_matches_reference_on_generated_and_rewritten_code():
+    rng = random.Random(1707)
+    for _ in range(300):
+        assert_walks_as_reference(gen_isbr(rng, 30, 3, max_aux=3), range(4))
+    for _ in range(20):
+        compiled = [
+            compile_cnf(gen_cnf(rng, 4, 6)),
+            compile_formula(gen_formula(rng, 4, 10)),
+            compile_circuit(gen_circuit(rng, 4, 8)),
+        ]
+        for x in compiled:
+            rewritten = [eliminate_output_false(x), collapse_jump_chains(x), behavioural_normalize(x)]
+            for y in [x, normalize_set_tests(rewritten[0]), *rewritten]:
+                assert_walks_as_reference(y, (4,))
+
+
+def test_run_walks_a_long_jump_chain():
+    # 10^5 positions: a #1 chain into ``!``, and one into a jump past the end.
+    k = 10**5
+    chain = (Jump(1),) * (k - 1)
+    for last, outcome in ((TERM, Terminated(RegisterFile((), {}, False))), (Jump(2), Deadlocked())):
+        x = InstructionSequence(chain + (last,))
+        assert run_with_steps(x, ()) == reference_run(x, ()) == (outcome, k)
 
 
 def test_parse_input_bits():

@@ -1,11 +1,13 @@
 """Function-preserving rewrites: goldens, preservation, bounds, and domain limits."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.compilers import Circuit, InputRef, NotGate, compile_circuit
+from boolseq import instr
+from boolseq.compilers import Circuit, InputRef, NotGate, compile_circuit, compile_cnf, eval_cnf
 from boolseq.instr import (
     AuxReg,
     InReg,
@@ -41,7 +43,7 @@ from boolseq.transforms import (
     to_splitting_report,
 )
 
-from util import gen_isbr, gen_write_linear
+from util import gen_cnf, gen_isbr, gen_write_linear
 
 
 def _signature(x, n, runner=run):
@@ -639,3 +641,26 @@ def test_property_rewrites_keep_the_truth_table_or_reject(rng, n, source):
             continue
         splitting = rewrite is to_splitting
         assert truth_table(y, n, splitting) == table, f"{rewrite.__name__}: {render(x)} -> {render(y)}"
+
+
+def test_rewrite_chain_and_register_runs_build_no_rows(monkeypatch):
+    # The rewrites, classify and run read the row templates; only readers
+    # that follow targets build decode's rows.
+    rng = random.Random(1717)
+    cnfs = [(phi, render(compile_cnf(phi))) for phi in (gen_cnf(rng, 5, 8) for _ in range(10))]
+    linear = [gen_write_linear(rng, 30, 3) for _ in range(30)]
+
+    def no_rows(x):
+        raise AssertionError(f"decode rows built for {render(x)}")
+
+    monkeypatch.setattr(instr, "_decode", no_rows)
+    for phi, text in cnfs:
+        x = parse(text)
+        for rewrite in (eliminate_output_false, normalize_set_tests, collapse_jump_chains, behavioural_normalize):
+            x = rewrite(x)
+        assert classify(x).is_isbr and not classify(x).has_out_set_false
+        for inputs in product((False, True), repeat=phi.num_vars):
+            assert run(x, inputs).registers.out == eval_cnf(phi, inputs)
+    for x in linear:
+        assert check_write_linear(x) is None
+        assert classify(to_splitting(x)).is_sisbr

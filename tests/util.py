@@ -6,8 +6,10 @@ kept independent of the program-counter executors it checks.  The naive
 search enumerates and tabulates every sequence, independent of the merged
 behaviour summaries of ``lab.shortest_sequence_search``.  The reference
 decoder works out every row from its instruction, independent of the row
-templates the interned instructions carry.  Exhaustive formula
-satisfiability is the reference for ``satc.reachability_satisfiable``.
+templates the interned instructions carry, and the reference register run
+follows its rows, where ``services.run_with_steps`` adds up the templates'
+offsets.  Exhaustive formula satisfiability is the reference for
+``satc.reachability_satisfiable``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from boolseq.lab import SearchSpec, _search_alphabet, truth_table
 from boolseq.services import (
     DIVERGENT,
     BoolRegister,
+    Deadlocked,
+    Divergent,
+    RegisterFile,
     RegState,
     Terminated,
     apply,
@@ -135,6 +140,40 @@ def reference_decode(x: InstructionSequence) -> tuple[tuple[Row, ...], ClassProf
         last_param_use=last_param_use,
     )
     return tuple(rows), profile
+
+
+def reference_run(x: InstructionSequence, inputs) -> tuple:
+    """``(outcome, steps)`` of a register run of ``x``, following the rows of ``reference_decode``.
+
+    The reference for ``services.run_with_steps`` on the sequences it runs:
+    control moves to a row's target, and a target of 0 deadlocks.
+    """
+    rows, profile = reference_decode(x)
+    if profile.max_param_index:
+        raise ValueError("sequence contains split/reply instructions; use run_splitting")
+    inputs = tuple(inputs)
+    n = len(inputs)
+    # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
+    banks = [[False, *inputs], [False] * (profile.max_aux_index + 1), [False]]
+    pc = 1
+    steps = 0
+    while pc:
+        kind, slot, method, on_true, on_false = rows[pc - 1]
+        steps += 1
+        if kind == KIND_TERM:
+            ins, aux, out = banks
+            return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
+        if kind == KIND_JUMP:
+            pc = on_true
+            continue
+        if kind == KIND_IN and slot > n:
+            return Divergent(f"unserved focus in:{slot}"), steps
+        bank = banks[kind]
+        # A register's new contents is also its reply.
+        reply = bank[slot] if method == GET else method == SET_TRUE
+        bank[slot] = reply
+        pc = on_true if reply else on_false
+    return Deadlocked(), steps
 
 
 # Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
