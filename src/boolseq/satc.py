@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .compilers import (
     And,
@@ -122,10 +122,17 @@ def alpha(i: int) -> LiteralSet:
     return _block(m)[i - ndisj(m - 1) - 1]
 
 
-def _enumeration(k: int) -> Iterator[LiteralSet]:
-    """alpha(1), ..., alpha(ndisj(k)) in order, block by block."""
-    for m in range(1, k + 1):
-        yield from _block(m)
+@lru_cache(maxsize=8)
+def _tables(k: int) -> tuple[tuple[frozenset[Literal], ...], tuple[tuple[Literal, ...], ...]]:
+    """alpha(1), ..., alpha(ndisj(k)) as their ``literals`` and as their ``sorted_literals()``.
+
+    Built once per k, block by block: the evaluators select from them with
+    a bit vector.  Each holds ndisj(k) entries, no more than the bits of a
+    vector that selects k variables, and the cache keeps the last 8 values
+    of k.
+    """
+    sets = [ls for m in range(1, k + 1) for ls in _block(m)]
+    return tuple(ls.literals for ls in sets), tuple(ls.sorted_literals() for ls in sets)
 
 
 def alpha_rank(literal_set: LiteralSet) -> int:
@@ -148,6 +155,7 @@ class SatcInstance:
         return _selected_vars(len(self.bits))
 
 
+@lru_cache(maxsize=256)
 def _selected_vars(length: int) -> int:
     """Largest k with ndisj(k) <= length, by bisection: ndisj(k) > k for k >= 1."""
     low, high = 0, length
@@ -163,14 +171,15 @@ def _selected_vars(length: int) -> int:
 def satc_eval(inst: SatcInstance) -> bool:
     """Is the selected conjunction of disjunctions satisfiable?
 
-    Builds the selected literal sets directly and decides satisfiability by
-    exhaustive search over the k variables; the empty conjunction (no bit
-    set, or too few bits to select anything) is satisfiable.  Kept
-    independent of ``decode_to_cnf`` so the two can be checked against each
-    other.
+    Selects the literal sets from the enumeration's table for k and decides
+    satisfiability by exhaustive search over the k variables; the empty
+    conjunction (no bit set, or too few bits to select anything) is
+    satisfiable.  Kept independent of ``decode_to_cnf`` so the two can be
+    checked against each other.
     """
     k = inst.k
-    return _satisfiable(k, (ls.literals for selected, ls in zip(inst.bits, _enumeration(k)) if selected))
+    literals, _ = _tables(k)
+    return _satisfiable(k, compress(literals, inst.bits))
 
 
 def cnf_satisfiable(phi: Cnf) -> bool:
@@ -203,8 +212,8 @@ def decode_to_cnf(bits: tuple[bool, ...] | list[bool]) -> Cnf:
     """The 3-CNF a bit vector encodes: one clause per selected literal set."""
     bits = tuple(bits)
     k = _selected_vars(len(bits))
-    clauses = tuple(ls.sorted_literals() for selected, ls in zip(bits, _enumeration(k)) if selected)
-    return Cnf(k, clauses)
+    _, sorted_literals = _tables(k)
+    return Cnf(k, tuple(compress(sorted_literals, bits)))
 
 
 def encode_cnf(phi: Cnf) -> tuple[bool, ...]:
@@ -263,9 +272,10 @@ def build_satc_splitter(n: int) -> InstructionSequence:
         return RegisterOp(InReg(index - k), GET)
 
     conjuncts: list[BoolFormula] = []
-    for i, literal_set in enumerate(_enumeration(k), start=1):
+    _, sorted_literals = _tables(k)
+    for i, literals in enumerate(sorted_literals, start=1):
         disjunction: BoolFormula = Not(FVar(k + i))
-        for lit in literal_set.sorted_literals():
+        for lit in literals:
             term: BoolFormula = Not(FVar(lit.var)) if lit.negated else FVar(lit.var)
             disjunction = Or(disjunction, term)
         conjuncts.append(disjunction)

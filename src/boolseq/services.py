@@ -299,7 +299,13 @@ def lane_sweep(
     the lane index space past 2^MAX_TABLE_ARITY.
 
     The sweep reads ``actions(x)``, so a lane spends no visit on a jump;
-    a split maps back to its position in ``x`` through ``where``.
+    a split maps back to its position in ``x`` through ``where``.  Lanes
+    that all get the same reply, as every input read gives when
+    ``block == 1``, are chased through the register reads after it that
+    also reply the same to all of them, and are handed to the first action
+    that is not one.  That is exact: lanes are independent and targets only
+    go forward, so every action the chase does not pass still sees the same
+    lanes, before the sweep gets to it.
     """
     rows, where, entry = actions(x)
     lanes = (1 << block) - 1  # every lane allocated so far
@@ -357,6 +363,8 @@ def lane_sweep(
             continue
         if kind == KIND_REPLY:
             m &= inst.get(slot, 0)  # a reply on an uninstantiated parameter deadlocks
+            if not m:
+                continue
             reply = val.get(slot, 0)
         elif kind == KIND_IN and slot > n:
             unserved |= m
@@ -374,10 +382,31 @@ def lane_sweep(
             else:
                 bank[slot] = reg & ~m
                 reply = 0
-        steps += m.bit_count()
+        count = m.bit_count()
+        steps += count
         taken = m & reply
-        at[on_true] |= taken
-        at[on_false] |= m ^ taken
+        if taken and taken != m:
+            at[on_true] |= taken
+            at[on_false] |= m ^ taken
+            continue
+        # Every lane got the same reply: follow it through the register reads
+        # that give every lane the same reply too, and hand the lanes to the
+        # first action that is not one.
+        j = on_true if taken else on_false
+        while j:
+            kind, slot, method, on_true, on_false = rows[j - 1]
+            if method != GET or kind == KIND_IN and slot > n:
+                break
+            bank = regs[kind]
+            reg = bank.get(slot)
+            if reg is None:
+                reg = bank[slot] = input_lanes(slot, width) if kind == KIND_IN else 0
+            taken = m & reg
+            if taken and taken != m:
+                break
+            steps += count
+            j = on_true if taken else on_false
+        at[j] |= m
     # A lane's registers stop changing when it terminates.
     return lanes & ~term, regs[KIND_OUT].get(0, 0), unserved, steps
 

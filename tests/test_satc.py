@@ -186,6 +186,12 @@ def loop_satc_eval(inst: SatcInstance) -> bool:
     return False
 
 
+def alpha_decode(bits) -> Cnf:
+    """decode_to_cnf by alpha, one position at a time: its reference."""
+    k = SatcInstance(tuple(bits)).k
+    return Cnf(k, tuple(alpha(i).sorted_literals() for i in range(1, ndisj(k) + 1) if bits[i - 1]))
+
+
 def loop_cnf_satisfiable(phi: Cnf) -> bool:
     """cnf_satisfiable one assignment at a time: the reference for the bit-sliced one."""
     n = phi.num_vars
@@ -221,8 +227,22 @@ def test_decode_to_cnf_matches_alpha_reference():
         for _ in range(20):
             density = rng.choice((0.02, 0.1, 0.5))
             w = tuple(rng.random() < density for _ in range(ndisj(k) + rng.randint(0, 3 * k + 2)))
-            selected = [alpha(i) for i in range(1, ndisj(k) + 1) if w[i - 1]]
-            assert decode_to_cnf(w) == Cnf(k, tuple(ls.sorted_literals() for ls in selected)), w
+            assert decode_to_cnf(w) == alpha_decode(w), w
+
+
+def test_evaluators_match_alpha_at_every_length():
+    # Every length up to a few bits past ndisj(3), in an order that switches
+    # k back and forth; the bits past ndisj(k) are inert, set or not.
+    rng = random.Random(173)
+    lengths = list(range(ndisj(3) + 4))
+    rng.shuffle(lengths)
+    for length in lengths:
+        batch = [(False,) * length, (True,) * length, tuple(i % 2 == 0 for i in range(length))]
+        batch += [tuple(rng.random() < d for _ in range(length)) for d in (0.05, 0.2, 0.5)]
+        for w in batch:
+            inst = SatcInstance(w)
+            assert satc_eval(inst) == loop_satc_eval(inst), w
+            assert decode_to_cnf(w) == decode_to_cnf(list(w)) == alpha_decode(w), w
 
 
 def test_cnf_satisfiable_matches_assignment_loop():

@@ -18,11 +18,21 @@ from boolseq import splitting
 from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, decode, parse
 from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
-from boolseq.services import MAX_TABLE_ARITY, RegisterFile, Terminated
+from boolseq.services import (
+    MAX_TABLE_ARITY,
+    Deadlocked,
+    Divergent,
+    RegisterFile,
+    Terminated,
+    lane_mask,
+    lane_sweep,
+    lane_values,
+    run,
+)
 from boolseq.splitting import queue_runner, run_splitting_with_steps
 from boolseq.transforms import to_splitting
 
-from util import algebraic_splitting_outcome, gen_sisbr, outcome_matches_service
+from util import algebraic_splitting_outcome, gen_isbr, gen_sisbr, outcome_matches_service
 
 
 ACCEPTED = Terminated(RegisterFile((), {}, True))
@@ -78,10 +88,94 @@ def test_seeded_random_sequences():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_family_splitters(k):
+    # One vector gives every lane the same reply at each input read, so the
+    # sweep chases the lanes through the clause selectors' reads.
     rng = random.Random(50 + k)
-    x = build_satc_splitter(ndisj(k))
+    n = ndisj(k)
+    x = build_satc_splitter(n)
     assert len(split_params(x)) == k
-    assert_runs_agree(x, [tuple(rng.random() < d for _ in range(ndisj(k))) for d in (0.02, 0.1, 0.3) * 4])
+    batch = [tuple(rng.random() < d for _ in range(n)) for d in (0.02, 0.1, 0.3) * 4]
+    batch += [(False,) * n, (True,) * n]
+    batch += [tuple(rng.random() < d for _ in range(n)) for d in (0.01, 0.05, 0.2, 0.5) * 3]
+    assert_runs_agree(x, batch)
+
+
+# The chase follows one reply through up to 10^4 reads in a row, and each
+# chain ends in the one thing after it that is not such a read.
+CHAIN_ENDS = {
+    "!": (ACCEPTED_IN_TRUE, 0),
+    "#5": (Deadlocked(), 0),
+    "in:2.get": (Divergent("unserved focus in:2"), 1),
+    "-reply:1": (Deadlocked(), 0),
+}
+
+
+@pytest.mark.parametrize("end", sorted(CHAIN_ENDS))
+@pytest.mark.parametrize("read", ["in:1.get", "+in:1.get", "-in:1.get"])
+def test_uniform_read_chain_of_10_4(read, end):
+    # One branch writes out, then reads in:1 (True) 10^4 times.
+    x = parse(f"out.set:T ; {' ; '.join([read] * 10**4)} ; {end}")
+    outcome, extra = CHAIN_ENDS[end]
+    # A -in:1.get skips the read after it: the chain visits every other read.
+    reads = 10**4 // 2 if read == "-in:1.get" else 10**4
+    assert run_splitting_with_steps(x, (True,)) == queue_runner(x, (True,)) == (outcome, 1 + reads + extra)
+
+
+def test_uniform_read_chain_on_every_branch():
+    # Four branches, two with the guess for parameter 1 True, read in:1
+    # 10^4 times each and reach the write together.
+    x = parse(f"split:1 ; split:2 ; {' ; '.join(['+in:1.get'] * 10**4)} ; +reply:1 ; out.set:T ; !")
+    got = run_splitting_with_steps(x, (True,))
+    assert got == queue_runner(x, (True,)) == (ACCEPTED_IN_TRUE, 3 + 4 * 10**4 + 4 + 2)
+
+
+def test_uniform_reads_after_a_deadlocking_jump():
+    # The chase hands the lanes to action 0 where a jump chain deadlocks.
+    x = parse("split:1 ; in:1.get ; #1 ; in:1.get ; #0 ; out.set:T ; !")
+    assert run_splitting_with_steps(x, (False,)) == queue_runner(x, (False,)) == (Deadlocked(), 1 + 2 * 2)
+
+
+def _table_steps(x, n):
+    """The action turns of a table's sweep: those of every vector's forking run."""
+    return lane_sweep(x, n, 1 << n, lambda slot, lanes: lane_mask(n - slot, lanes))[3]
+
+
+REREAD_CASES = (
+    "+in:1.get ; in:2.get ; +in:1.get ; out.set:T ; -in:1.get ; ! ; in:1.get ; out.set:T ; !",
+    "-in:1.get ; #3 ; +in:2.get ; in:1.get ; +in:1.get ; +in:2.get ; out.set:T ; !",
+    "+in:1.get ; +in:2.get ; +in:1.get ; +in:2.get ; out.set:T ; !",
+    "aux:1.set:T ; +aux:1.get ; -in:1.get ; +aux:1.get ; out.set:T ; +in:1.get ; !",
+)
+
+
+@pytest.mark.parametrize("text", REREAD_CASES)
+def test_tables_that_reread_a_splitting_input(text):
+    x = parse(text)
+    assert lane_values(x, 2) == tuple(
+        outcome.registers.out if isinstance(outcome, Terminated) else None
+        for outcome in (run(x, v) for v in vectors(2))
+    )
+
+
+def test_seeded_tables_that_reread_inputs():
+    # Two inputs and up to 24 instructions: most reads re-read an input
+    # whose earlier read already split the lanes.
+    rng = random.Random(6060)
+    for _ in range(300):
+        n = rng.randint(1, 2)
+        x = gen_isbr(rng, 24, n, max_aux=1)
+        want = tuple(
+            outcome.registers.out if isinstance(outcome, Terminated) else None
+            for outcome in (run(x, v) for v in vectors(n))
+        )
+        assert lane_values(x, n) == want, f"{x} at n={n}"
+    for _ in range(300):
+        n = rng.randint(1, 2)
+        x = gen_sisbr(rng, 24, n, max_splits=3, max_params=2)
+        queued = [queue_runner(x, v) for v in vectors(n)]
+        want = tuple(outcome.registers.out if isinstance(outcome, Terminated) else None for outcome, _ in queued)
+        assert lane_values(x, n, splitting=True) == want, f"{x} at n={n}"
+        assert _table_steps(x, n) == sum(steps for _, steps in queued), f"{x} at n={n}"
 
 
 @pytest.mark.parametrize("params", [11, 12, 13])
