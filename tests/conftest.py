@@ -9,18 +9,16 @@ import pytest
 TEST_TIME_LIMIT = 120
 
 
-class TestTimeLimitExceeded(BaseException):
+class TimeLimitExceeded(BaseException):
     """Raised in a test that runs past ``TEST_TIME_LIMIT``.
 
     Not an ``Exception``, so that neither the code under test nor
     Hypothesis, which would shrink by running the example again, catches it.
     """
 
-    __test__ = False  # not a test class, despite its name
-
 
 def _expire(signum, frame):
-    raise TestTimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT} s time limit")
+    raise TimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT} s time limit")
 
 
 @pytest.fixture(autouse=True)

@@ -135,6 +135,12 @@ def test_uniform_reads_after_a_deadlocking_jump():
     assert run_splitting_with_steps(x, (False,)) == queue_runner(x, (False,)) == (Deadlocked(), 1 + 2 * 2)
 
 
+def run_values(x, n):
+    """The table of register code as ``run`` gives it, one vector at a time."""
+    outcomes = (run(x, v) for v in vectors(n))
+    return tuple(outcome.registers.out if isinstance(outcome, Terminated) else None for outcome in outcomes)
+
+
 def _table_steps(x, n):
     """The action turns of a table's sweep: those of every vector's forking run."""
     return lane_sweep(x, n, 1 << n, lambda slot, lanes: lane_mask(n - slot, lanes))[3]
@@ -151,10 +157,7 @@ REREAD_CASES = (
 @pytest.mark.parametrize("text", REREAD_CASES)
 def test_tables_that_reread_a_splitting_input(text):
     x = parse(text)
-    assert lane_values(x, 2) == tuple(
-        outcome.registers.out if isinstance(outcome, Terminated) else None
-        for outcome in (run(x, v) for v in vectors(2))
-    )
+    assert lane_values(x, 2) == run_values(x, 2)
 
 
 def test_seeded_tables_that_reread_inputs():
@@ -164,11 +167,7 @@ def test_seeded_tables_that_reread_inputs():
     for _ in range(300):
         n = rng.randint(1, 2)
         x = gen_isbr(rng, 24, n, max_aux=1)
-        want = tuple(
-            outcome.registers.out if isinstance(outcome, Terminated) else None
-            for outcome in (run(x, v) for v in vectors(n))
-        )
-        assert lane_values(x, n) == want, f"{x} at n={n}"
+        assert lane_values(x, n) == run_values(x, n), f"{x} at n={n}"
     for _ in range(300):
         n = rng.randint(1, 2)
         x = gen_sisbr(rng, 24, n, max_splits=3, max_params=2)
