@@ -187,6 +187,16 @@ def cnf_satisfiable(phi: Cnf) -> bool:
     return _satisfiable(phi.num_vars, phi.clauses)
 
 
+@lru_cache(maxsize=8)
+def _assignments(k: int) -> tuple[int, tuple[int, ...]]:
+    """The lanes of all 2^k assignments, and for each v_j (index j) the lanes where it is True.
+
+    Built once per k; the cache keeps the last 8 values of k.
+    """
+    lanes = 1 << k
+    return (1 << lanes) - 1, (0, *(lane_mask(j, lanes) for j in range(k)))
+
+
 def _satisfiable(k: int, clauses: Iterable[Iterable[Literal]]) -> bool:
     """Does some assignment to v_1..v_k satisfy every clause?  All 2^k at once, bit-sliced.
 
@@ -196,9 +206,7 @@ def _satisfiable(k: int, clauses: Iterable[Iterable[Literal]]) -> bool:
     """
     if k > MAX_GUESSED_VARS:
         raise ResourceBoundError(f"resource bound exceeded: {k} variables")
-    lanes = 1 << k
-    full = (1 << lanes) - 1
-    variables = [0] + [lane_mask(j, lanes) for j in range(k)]
+    full, variables = _assignments(k)
     satisfying = full
     for clause in clauses:
         satisfied = 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
 from operator import add
 from typing import Callable, Optional, Union
 
@@ -277,13 +278,14 @@ def lane_mask(bit: int, lanes: int) -> int:
 
 
 def lane_sweep(
-    x: InstructionSequence, n: int, block: int, input_lanes: Callable[[int, int], int]
+    x: InstructionSequence, block: int, input_lanes: Callable[[int], dict[int, int]]
 ) -> tuple[int, int, int, int]:
     """One forward sweep of ``x``'s actions, one lane per branch of one vector.
 
     The sweep starts with ``block`` lanes, and lane i runs input vector
-    ``i mod block``: ``input_lanes(slot, lanes)`` gives the lanes, out of at
-    least the first ``lanes``, where ``in:slot`` holds True (for slot <= n).
+    ``i mod block``: ``input_lanes(lanes)`` maps each input slot 1..n to
+    the lanes, out of at least the first ``lanes``, where ``in:slot`` holds
+    True.  It is called at the start and where a split widens the lanes.
     Returns ``(dead, out, unserved, steps)``: the lanes that do not
     terminate, the lanes where ``out`` ends True, the lanes that read an
     input past n, and the number of forking-run action turns.
@@ -316,15 +318,15 @@ def lane_sweep(
     at[entry] = lanes
     width = block  # every lane so far is below width
     # By register kind, then slot: the lanes where the register holds True.
-    regs: tuple[dict[int, int], ...] = ({}, {}, {})
+    regs = [input_lanes(width), {}, {}]
     inst: dict[int, int] = {}  # live parameter -> the lanes where it is instantiated
     val: dict[int, int] = {}  # live parameter -> the lanes where it is True
     term = unserved = steps = 0
-    # The iterator reads at[j] when the sweep gets to action j, after every
-    # lane that moves there; at[0] is still empty when read.
-    for j, m in enumerate(at):
-        if not m:
-            continue
+    # compress reads at[j] when the sweep gets to action j, after every lane
+    # that moves there, and skips the empty slots; at[0] is still empty when
+    # read.
+    for j in compress(count(), at):
+        m = at[j]
         at[j] = 0
         kind, slot, method, on_true, on_false = rows[j - 1]
         if kind == KIND_TERM:
@@ -341,12 +343,14 @@ def lane_sweep(
             kin = lanes if block == 1 else lanes & _repeat(_fold(m, block), block, width)
             shift = (kin.bit_length() - (m & -m).bit_length()) // block * block + block
             top = m.bit_length() + shift
-            width = max(width, top + -top % block)
-            if width > 1 << MAX_TABLE_ARITY:
-                raise ResourceBoundError(
-                    f"resource bound exceeded: the split at position {pos} needs "
-                    f"{width} lanes, more than 2^{MAX_TABLE_ARITY}"
-                )
+            if top > width:
+                width = top + -top % block
+                if width > 1 << MAX_TABLE_ARITY:
+                    raise ResourceBoundError(
+                        f"resource bound exceeded: the split at position {pos} needs "
+                        f"{width} lanes, more than 2^{MAX_TABLE_ARITY}"
+                    )
+                regs[KIND_IN] = input_lanes(width)
             twins = m << shift
             lanes |= twins
             for p, p_inst in list(inst.items()):
@@ -357,7 +361,6 @@ def lane_sweep(
                     val[p] |= (val[p] & m) << shift
             inst[slot] = inst.get(slot, 0) | m | twins
             val[slot] = val.get(slot, 0) | m
-            regs[KIND_IN].clear()  # rebuilt at the new width when next read
             at[on_true] |= m
             at[on_false] |= twins
             continue
@@ -366,14 +369,14 @@ def lane_sweep(
             if not m:
                 continue
             reply = val.get(slot, 0)
-        elif kind == KIND_IN and slot > n:
-            unserved |= m
-            continue
         else:
             bank = regs[kind]
             reg = bank.get(slot)
-            if reg is None:
-                reg = bank[slot] = input_lanes(slot, width) if kind == KIND_IN else 0
+            if reg is None:  # aux and out start False; an input past n is unserved
+                if kind == KIND_IN:
+                    unserved |= m
+                    continue
+                reg = 0
             if method == GET:
                 reply = reg
             elif method == SET_TRUE:
@@ -382,8 +385,8 @@ def lane_sweep(
             else:
                 bank[slot] = reg & ~m
                 reply = 0
-        count = m.bit_count()
-        steps += count
+        size = m.bit_count()
+        steps += size
         taken = m & reply
         if taken and taken != m:
             at[on_true] |= taken
@@ -395,16 +398,17 @@ def lane_sweep(
         j = on_true if taken else on_false
         while j:
             kind, slot, method, on_true, on_false = rows[j - 1]
-            if method != GET or kind == KIND_IN and slot > n:
+            if method != GET:
                 break
-            bank = regs[kind]
-            reg = bank.get(slot)
+            reg = regs[kind].get(slot)
             if reg is None:
-                reg = bank[slot] = input_lanes(slot, width) if kind == KIND_IN else 0
+                if kind == KIND_IN:
+                    break
+                reg = 0
             taken = m & reg
             if taken and taken != m:
                 break
-            steps += count
+            steps += size
             j = on_true if taken else on_false
         at[j] |= m
     # A lane's registers stop changing when it terminates.
@@ -439,7 +443,10 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ResourceBoundError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
     # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
     block = 1 << n
-    dead, out, _, _ = lane_sweep(x, n, block, lambda slot, lanes: lane_mask(n - slot, lanes))
+    in_block = [lane_mask(n - slot, block) for slot in range(1, n + 1)]  # each input over one block of lanes
+    dead, out, _, _ = lane_sweep(
+        x, block, lambda lanes: {slot: _repeat(mask, block, lanes) for slot, mask in enumerate(in_block, 1)}
+    )
     # Each vector's (dead, out) bits, lowest vector first.
     bits = (format(_fold(mask, block), f"0{block}b")[::-1] for mask in (dead, out))
     return tuple(map(_ENTRY.__getitem__, map(add, *bits)))

@@ -18,6 +18,7 @@ the algebraic route is asserted by the test suite, not assumed.
 from __future__ import annotations
 
 from collections import deque
+from operator import neg
 
 from .instr import (
     GET,
@@ -146,7 +147,9 @@ def run_splitting_with_steps(
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     inputs = tuple(inputs)
-    dead, out, unserved, steps = lane_sweep(x, len(inputs), 1, lambda slot, lanes: -1 if inputs[slot - 1] else 0)
+    # One lane: in:slot holds True on every lane (-1) or on none (0), at any width.
+    in_lanes = dict(enumerate(map(neg, inputs), 1))
+    dead, out, unserved, steps = lane_sweep(x, 1, lambda lanes: in_lanes)
     if unserved:
         return queue_runner(x, inputs)
     if dead:

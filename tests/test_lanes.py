@@ -19,7 +19,7 @@ from boolseq.services import (
 )
 from boolseq.splitting import check_splitting_computes, queue_runner
 
-from util import algebraic_outcome, algebraic_splitting_outcome, gen_isbr, gen_sisbr
+from util import algebraic_outcome, algebraic_splitting_outcome, first_reads, gen_isbr, gen_sisbr
 
 
 def vectors(n):
@@ -161,6 +161,21 @@ def test_splits_reached_by_disjoint_vectors_share_lanes():
     x = parse(" ; ".join(f"-in:{k}.get ; #3 ; split:1 ; !" for k in range(1, blocks + 1)) + " ; out.set:T ; !")
     values = lane_values(x, n, splitting=True)
     assert values == (True,) * 2 ** (n - blocks) + (False,) * (2**n - 2 ** (n - blocks))
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_unreached_actions_after_every_branch_ends(n):
+    # Every branch of every vector terminates at once; the sweep skips the
+    # 10^5 empty action slots after them.
+    x = parse("+split:1 ; ! ; ! ; " + " ; ".join(["in:1.get"] * 10**5) + " ; !")
+    assert lane_values(x, n, splitting=True) == per_vector_values(x, n, splitting=True) == (False,) * 2**n
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_first_read_of_each_input(n):
+    # A table whose entries read in:n+1 has None there.
+    for x in first_reads(n):
+        assert_agrees(x, n, splitting=classify(x).max_param_index > 0)
 
 
 def test_vocabulary_errors():

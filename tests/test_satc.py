@@ -336,6 +336,13 @@ def test_reachability_formula_unreachable_accept():
     assert not reachability_satisfiable(parse("! ; out.set:T ; !"), ())
 
 
+def test_reachability_past_10_4_jumps():
+    # The forward propagation follows 10^4 jumps to the one input read.
+    x = parse(" ; ".join(["#1"] * 10**4) + " ; +in:1.get ; out.set:T ; !")
+    assert reachability_satisfiable(x, (True,))
+    assert not reachability_satisfiable(x, (False,))
+
+
 def test_reachability_formula_requires_unique_accept():
     with pytest.raises(ValueError, match="exactly one"):
         reachability_formula(parse("out.set:T ; out.set:T ; !"), ())

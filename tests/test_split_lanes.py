@@ -32,7 +32,7 @@ from boolseq.services import (
 from boolseq.splitting import queue_runner, run_splitting_with_steps
 from boolseq.transforms import to_splitting
 
-from util import algebraic_splitting_outcome, gen_isbr, gen_sisbr, outcome_matches_service
+from util import algebraic_splitting_outcome, first_reads, gen_isbr, gen_sisbr, outcome_matches_service
 
 
 ACCEPTED = Terminated(RegisterFile((), {}, True))
@@ -135,6 +135,20 @@ def test_uniform_reads_after_a_deadlocking_jump():
     assert run_splitting_with_steps(x, (False,)) == queue_runner(x, (False,)) == (Deadlocked(), 1 + 2 * 2)
 
 
+def test_unreached_actions_after_every_branch_ends():
+    # Both branches terminate at once; the sweep skips the 10^5 empty action
+    # slots after them, and in:1 is never read.
+    x = parse("+split:1 ; ! ; ! ; " + " ; ".join(["in:1.get"] * 10**5) + " ; !")
+    for inputs in [(), (True,), (False,)]:
+        assert run_splitting_with_steps(x, inputs) == queue_runner(x, inputs) == (Terminated(RegisterFile(inputs, {}, False)), 1)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_first_read_of_each_input(n):
+    for x in first_reads(n):
+        assert_runs_agree(x, vectors(n))
+
+
 def run_values(x, n):
     """The table of register code as ``run`` gives it, one vector at a time."""
     outcomes = (run(x, v) for v in vectors(n))
@@ -143,7 +157,7 @@ def run_values(x, n):
 
 def _table_steps(x, n):
     """The action turns of a table's sweep: those of every vector's forking run."""
-    return lane_sweep(x, n, 1 << n, lambda slot, lanes: lane_mask(n - slot, lanes))[3]
+    return lane_sweep(x, 1 << n, lambda lanes: {slot: lane_mask(n - slot, lanes) for slot in range(1, n + 1)})[3]
 
 
 REREAD_CASES = (

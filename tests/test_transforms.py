@@ -26,8 +26,8 @@ from boolseq.instr import (
     render,
 )
 from boolseq.lab import truth_table
-from boolseq.services import Deadlocked, Terminated, run
-from boolseq.splitting import run_splitting
+from boolseq.services import Deadlocked, RegisterFile, Terminated, run
+from boolseq.splitting import queue_runner, run_splitting, run_splitting_with_steps
 from boolseq.threads import extract
 from boolseq.transforms import (
     behavioural_normalize,
@@ -615,6 +615,41 @@ def test_jump_past_the_end_is_not_a_deadlock():
 def test_skip_past_the_end_bypasses_termination():
     with pytest.raises(ValueError, match="test at position 2 can bypass the termination instruction at position 3"):
         eliminate_output_false(parse("out.set:T ; +aux:1.set:F ; !"))
+
+
+# --- depth 10^4 --------------------------------------------------------------------
+
+
+def _chain_outputs(link, chain):
+    """What each chain rewrite makes of ``chain``: 10^4 ``link``s, then ``out.set:T ; !``."""
+    tail = " ; out.set:T ; !"
+    collapsed = " ; ".join(f"#{10**4 - i}" for i in range(10**4)) if link == "#1" else chain
+    return {
+        eliminate_output_false: chain + " ; aux:1.set:T ; +aux:1.get" + tail,
+        normalize_set_tests: chain + tail,
+        collapse_jump_chains: collapsed + tail,
+        behavioural_normalize: chain + tail,
+    }
+
+
+@pytest.mark.parametrize("link", ["#1", "+in:1.get"])
+def test_chain_rewrites_of_10_4_positions(link):
+    chain = " ; ".join([link] * 10**4)
+    x = parse(chain + " ; out.set:T ; !")
+    for rewrite, want in _chain_outputs(link, chain).items():
+        y = rewrite(x)
+        assert render(y) == want, rewrite.__name__
+        assert _signature(y, 1) == _signature(x, 1), rewrite.__name__
+
+
+def test_to_splitting_of_5000_writes():
+    # Each write forks a parameter that the read after it replies on.
+    x = parse(" ; ".join(["aux:1.set:T ; aux:1.get"] * 5000) + " ; out.set:T ; !")
+    y = to_splitting(x)
+    assert len(y) == 15_002
+    assert classify(y).is_sisbr
+    accepted = (Terminated(RegisterFile((), {}, True)), 10_001)
+    assert run_splitting_with_steps(y, ()) == queue_runner(y, ()) == accepted
 
 
 # --- every rewrite keeps the truth table or rejects the input ---------------------

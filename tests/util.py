@@ -50,6 +50,7 @@ from boolseq.instr import (
     _NOT_ISBR,
     _SISBR,
     classify,
+    parse,
 )
 from boolseq.lab import SearchSpec, _search_alphabet, truth_table
 from boolseq.services import (
@@ -236,6 +237,25 @@ def outcome_matches_service(run_outcome, service_result) -> bool:
 
 def _random_form(rng: random.Random, basic):
     return rng.choice((Plain, PosTest, NegTest))(basic)
+
+
+# Where a lane sweep first reads an input: where its loop visits the read
+# (the entry, after a split) or inside a chase (after a write, after a reply
+# that is the same on every lane).
+FIRST_READ_PLACES = ("", "split:1 ; ", "out.set:T ; ", "+split:1 ; ! ; -reply:1 ; ")
+
+
+def first_reads(n: int):
+    """Sequences that first read each input slot 1..n + 1 at each of ``FIRST_READ_PLACES``.
+
+    Slot n + 1 is unserved.  The last of each slot's sequences reads slot 1
+    at the place and slots 2..slot inside the chase after it.
+    """
+    for place in FIRST_READ_PLACES:
+        for slot in range(1, n + 2):
+            yield parse(f"{place}+in:{slot}.get ; ! ; #0")
+            yield parse(f"{place}-in:{slot}.get ; out.set:T ; !")
+            yield parse(place + " ; ".join(f"+in:{s}.get" for s in range(1, slot + 1)) + " ; out.set:T ; !")
 
 
 def gen_isbr(
