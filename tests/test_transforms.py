@@ -620,23 +620,19 @@ def test_skip_past_the_end_bypasses_termination():
 # --- depth 10^4 --------------------------------------------------------------------
 
 
-def _chain_outputs(link, chain):
-    """What each chain rewrite makes of ``chain``: 10^4 ``link``s, then ``out.set:T ; !``."""
-    tail = " ; out.set:T ; !"
-    collapsed = " ; ".join(f"#{10**4 - i}" for i in range(10**4)) if link == "#1" else chain
-    return {
-        eliminate_output_false: chain + " ; aux:1.set:T ; +aux:1.get" + tail,
-        normalize_set_tests: chain + tail,
-        collapse_jump_chains: collapsed + tail,
-        behavioural_normalize: chain + tail,
-    }
-
-
 @pytest.mark.parametrize("link", ["#1", "+in:1.get"])
 def test_chain_rewrites_of_10_4_positions(link):
     chain = " ; ".join([link] * 10**4)
     x = parse(chain + " ; out.set:T ; !")
-    for rewrite, want in _chain_outputs(link, chain).items():
+    # collapse_jump_chains sends each #1 straight to the write.
+    collapsed = " ; ".join(f"#{10**4 - i}" for i in range(10**4)) if link == "#1" else chain
+    outputs = {
+        eliminate_output_false: chain + " ; aux:1.set:T ; +aux:1.get ; out.set:T ; !",
+        normalize_set_tests: chain + " ; out.set:T ; !",
+        collapse_jump_chains: collapsed + " ; out.set:T ; !",
+        behavioural_normalize: chain + " ; out.set:T ; !",
+    }
+    for rewrite, want in outputs.items():
         y = rewrite(x)
         assert render(y) == want, rewrite.__name__
         assert _signature(y, 1) == _signature(x, 1), rewrite.__name__
