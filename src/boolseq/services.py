@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
-from operator import add
 from typing import Callable, Optional, Union
 
 from .instr import (
@@ -248,8 +247,8 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
 # tuple of 2^24 entries 128 MB.
 MAX_TABLE_ARITY = 24
 
-# (dead, out) bits of one vector -> its table entry.
-_ENTRY = {"00": False, "01": True, "10": None, "11": None}
+# A table entry from a vector's dead bit, with its out value as the default.
+_DEAD = {"1": None}
 
 
 def _repeat(pattern: int, period: int, lanes: int) -> int:
@@ -447,9 +446,11 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     dead, out, _, _ = lane_sweep(
         x, block, lambda lanes: {slot: _repeat(mask, block, lanes) for slot, mask in enumerate(in_block, 1)}
     )
-    # Each vector's (dead, out) bits, lowest vector first.
-    bits = (format(_fold(mask, block), f"0{block}b")[::-1] for mask in (dead, out))
-    return tuple(map(_ENTRY.__getitem__, map(add, *bits)))
+    # Each vector's out bit, lowest vector first, or None where it is dead.
+    values = map("1".__eq__, format(_fold(out, block), f"0{block}b")[::-1])
+    if dead:
+        values = map(_DEAD.get, format(_fold(dead, block), f"0{block}b")[::-1], values)
+    return tuple(values)
 
 
 def check_computes(x: InstructionSequence, table) -> bool:

@@ -13,7 +13,6 @@ sequence length, and ``eval_xthread`` normalises it back to a plain thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .instr import (
@@ -28,47 +27,161 @@ from .instr import (
     render_basic,
 )
 
+# Sets a field of a frozen node; a module-level name is the cheapest way to
+# call it from the constructors.
+_set = object.__setattr__
 
-@dataclass(frozen=True, repr=False)
-class Stop:
+
+class _Node:
+    """Base of the thread nodes: frozen values with their term size.
+
+    Each node carries ``_size``, its ``tsize``, worked out from its
+    children's when it is built.  ``==`` and ``hash`` go by class and fields,
+    like a frozen dataclass's, but neither recurses: ``==`` walks an
+    explicit stack of node pairs, and the hash is worked out bottom-up on
+    first use and kept in ``_hash``.  ``__match_args__`` names the fields,
+    and a copy or an unpickled node is built again from them.
+    """
+
+    __slots__ = ("_size", "_hash")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _hash_of(self)
+
+
+class Stop(_Node):
     """Successful termination."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
-class Dead:
+    def __init__(self):
+        _set(self, "_size", 1)
+
+
+class Dead(_Node):
     """Deadlock: no further behaviour, no termination."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
-class Tau:
+    def __init__(self):
+        _set(self, "_size", 1)
+
+
+class Tau(_Node):
     """One internal step, then ``next``."""
 
-    next: "XThread"
+    __slots__ = __match_args__ = ("next",)
+
+    def __init__(self, next: "XThread"):
+        _set(self, "next", next)
+        _set(self, "_size", 1 + 2 * next._size)
 
 
-@dataclass(frozen=True, repr=False)
-class PostCond:
+class PostCond(_Node):
     """Perform ``action``; continue as ``on_true`` or ``on_false`` per the reply."""
 
-    action: BasicInstruction
-    on_true: "XThread"
-    on_false: "XThread"
+    __slots__ = __match_args__ = ("action", "on_true", "on_false")
+
+    def __init__(self, action: BasicInstruction, on_true: "XThread", on_false: "XThread"):
+        _set(self, "action", action)
+        _set(self, "on_true", on_true)
+        _set(self, "on_false", on_false)
+        _set(self, "_size", 1 + on_true._size + on_false._size)
 
 
-@dataclass(frozen=True, repr=False)
-class Var:
+class Var(_Node):
     """A thread variable, resolved by an enclosing substitution binder."""
 
-    index: int
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+        _set(self, "_size", 1)
 
 
-@dataclass(frozen=True, repr=False)
-class Subst:
+class Subst(_Node):
     """Explicit substitution: ``body`` with ``Var(var_index)`` bound to ``bound``."""
 
-    var_index: int
-    bound: "XThread"
-    body: "XThread"
+    __slots__ = __match_args__ = ("var_index", "bound", "body")
+
+    def __init__(self, var_index: int, bound: "XThread", body: "XThread"):
+        _set(self, "var_index", var_index)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
+        _set(self, "_size", 1 + bound._size + body._size)
+
+
+def _equal(a: _Node, b: _Node) -> bool:
+    """Structural equality of two nodes of one class, over an explicit stack.
+
+    A pair is pushed once: a later occurrence of it (shared subtrees) would
+    only repeat its first comparison, so the walk is linear in the pairs of
+    DAG nodes met, not in the tree size.
+    """
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a._size != b._size:
+            return False
+        for name in a.__match_args__:
+            u, v = getattr(a, name), getattr(b, name)
+            if isinstance(u, _Node):
+                pair = (id(u), id(v))
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append((u, v))
+            elif u != v:
+                return False
+    return True
+
+
+def _hash_of(t: _Node) -> int:
+    """Hash ``t`` and every node below it that has none yet, bottom-up.
+
+    A node stays on the stack until all its children are hashed; its hash
+    combines its class, its other fields and its children's hashes.
+    """
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if hasattr(node, "_hash"):
+            stack.pop()
+            continue
+        fields = [getattr(node, name) for name in node.__match_args__]
+        pending = [u for u in fields if isinstance(u, _Node) and not hasattr(u, "_hash")]
+        if pending:
+            stack += pending
+            continue
+        _set(node, "_hash", hash((type(node), *(u._hash if isinstance(u, _Node) else u for u in fields))))
+        stack.pop()
+    return t._hash
 
 
 Thread = Union[Stop, Dead, Tau, PostCond]
@@ -76,7 +189,6 @@ XThread = Union[Stop, Dead, Tau, PostCond, Var, Subst]
 
 STOP = Stop()
 DEAD = Dead()
-_LEAVES = frozenset((Stop, Dead, Var))
 
 # Most tree nodes ``render_thread`` emits (about 10 MB of text).
 MAX_RENDER_NODES = 1_000_000
@@ -103,15 +215,18 @@ def extract(x: InstructionSequence) -> Thread:
     return threads[1]
 
 
-def _rho_prime(i: int, u: PrimitiveInstruction) -> XThread:
-    """Compact per-instruction term over position variables."""
+def _rho_prime(i: int, u: PrimitiveInstruction, var: list[Var]) -> XThread:
+    """Compact per-instruction term over position variables, ``var[j]`` = ``Var(j)``."""
     offsets = u.offsets
     if offsets is None:
         return STOP
     on_true, on_false = offsets
     if isinstance(u, Jump):
-        return Var(i + on_true) if on_true else DEAD
-    return PostCond(u.basic, Var(i + on_true), Var(i + on_false))
+        if not on_true:
+            return DEAD
+        # A jump past the end targets a position with no shared variable.
+        return var[i + on_true] if i + on_true < len(var) else Var(i + on_true)
+    return PostCond(u.basic, var[i + on_true], var[i + on_false])
 
 
 def extract_compact(x: InstructionSequence) -> XThread:
@@ -119,15 +234,17 @@ def extract_compact(x: InstructionSequence) -> XThread:
 
     One binder per position: position i's term refers to positions i+1,
     i+2, ... through variables, and the binder for the last position holds
-    that instruction's extraction outright.  Satisfies
+    that instruction's extraction outright.  Every occurrence of a position
+    up to k + 1 is one shared ``Var``.  Satisfies
     ``tsize(extract_compact(x)) <= 4 * psize(x) + 1``.
     """
     k = len(x)
     if k == 1:
         return extract(x)
-    body: XThread = Var(1)
-    for i in range(1, k):
-        body = Subst(i, _rho_prime(i, x.items[i - 1]), body)
+    var = list(map(Var, range(k + 2)))
+    body: XThread = var[1]
+    for i, u in enumerate(x.items[:-1], 1):
+        body = Subst(i, _rho_prime(i, u, var), body)
     last = extract(InstructionSequence((x.items[-1],)))
     return Subst(k, last, body)
 
@@ -182,34 +299,9 @@ def tsize(t: XThread) -> int:
 
     ``Tau`` counts as a postconditional with two equal children.  Shared
     subterms are counted once per occurrence (tree size, not DAG size).
-    One explicit stack, so depth is not limited by recursion: a node stays
-    on it until both its children are sized, and sizes are memoised by
-    node identity.
+    Each node carries its size from construction, so this is O(1).
     """
-    if type(t) in _LEAVES:
-        return 1
-    memo: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        kind = type(node)
-        if kind is PostCond:
-            left, right = node.on_true, node.on_false
-        elif kind is Subst:
-            left, right = node.bound, node.body
-        else:  # Tau
-            left = right = node.next
-        left_size = 1 if type(left) in _LEAVES else memo.get(id(left))
-        right_size = 1 if type(right) in _LEAVES else memo.get(id(right))
-        if left_size is None or right_size is None:
-            if left_size is None:
-                stack.append(left)
-            if right_size is None and right is not left:
-                stack.append(right)
-            continue
-        memo[id(node)] = left_size + right_size + 1
-        stack.pop()
-    return memo[id(t)]
+    return t._size
 
 
 def render_thread(t: XThread) -> str:

@@ -171,6 +171,36 @@ def test_unreached_actions_after_every_branch_ends(n):
     assert lane_values(x, n, splitting=True) == per_vector_values(x, n, splitting=True) == (False,) * 2**n
 
 
+# Tables that are all dead, none dead, and dead only at the lowest or the
+# highest vector: each entry against the per-vector executor.
+ENTRY_CASES = [
+    ("!", 0, (False,)),
+    ("out.set:T ; !", 0, (True,)),
+    ("#0 ; !", 0, (None,)),
+    ("out.set:T ; #0", 3, (None,) * 8),
+    ("+in:1.get ; #2 ; out.set:T ; !", 3, (True,) * 4 + (False,) * 4),
+    ("+in:1.get ; #5 ; +in:2.get ; #3 ; -in:3.get ; #0 ; out.set:T ; !", 3, (None,) + (True,) * 7),
+    ("-in:1.get ; #5 ; -in:2.get ; #3 ; +in:3.get ; #0 ; out.set:T ; !", 3, (True,) * 7 + (None,)),
+    ("-in:1.get ; #5 ; -in:2.get ; #3 ; +in:3.get ; #0 ; !", 3, (False,) * 7 + (None,)),
+]
+
+
+@pytest.mark.parametrize("text, n, values", ENTRY_CASES)
+def test_table_entries(text, n, values):
+    x = parse(text)
+    assert lane_values(x, n) == per_vector_values(x, n) == values
+
+
+def test_forking_table_with_dead_lanes_at_n_12():
+    # The split widens the lanes past the 2^12 vectors; half the vectors
+    # deadlock in one branch.
+    n = 12
+    x = parse("+in:1.get ; split:1 ; +in:12.get ; #3 ; +reply:1 ; #0 ; -in:6.get ; out.set:T ; !")
+    values = lane_values(x, n, splitting=True)
+    assert values == per_vector_values(x, n, splitting=True)
+    assert (values.count(None), values.count(True), values.count(False)) == (2048, 1024, 1024)
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_first_read_of_each_input(n):
     # A table whose entries read in:n+1 has None there.

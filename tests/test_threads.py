@@ -1,12 +1,17 @@
 """Behaviour-tree extraction and the linear-size substitution representation."""
 
+import copy
+import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
 
 from boolseq import threads
+from boolseq.services import BoolRegister, RegState, use
+from boolseq.splitting import csi, instantiate
 from boolseq.instr import (
     GET,
     InReg,
@@ -17,6 +22,7 @@ from boolseq.instr import (
     PosTest,
     RegisterOp,
     SET_TRUE,
+    SplitOp,
     TERM,
     ResourceBoundError,
     parse,
@@ -37,7 +43,7 @@ from boolseq.threads import (
     tsize,
 )
 
-from util import gen_isbr, gen_sisbr
+from util import gen_isbr, gen_sisbr, reference_tsize
 
 IN1_GET = RegisterOp(InReg(1), GET)
 
@@ -108,6 +114,21 @@ def test_extract_compact_golden():
     assert tsize(compact) == 7
 
 
+@pytest.mark.parametrize("text", ["#5 ; +in:1.get ; !", "+in:1.get ; #9 ; !"])
+def test_extract_compact_jump_past_the_end(text):
+    # The jump's target lies past k + 1, outside the shared variables.
+    x = parse(text)
+    compact = extract_compact(x)
+    assert eval_xthread(compact) == extract(x)
+    assert tsize(compact) == reference_tsize(compact) <= 4 * psize(x) + 1
+
+
+def test_extract_compact_golden_past_the_end():
+    compact = extract_compact(parse("#5 ; +in:1.get ; !"))
+    assert compact == Subst(3, STOP, Subst(2, PostCond(IN1_GET, Var(3), Var(4)), Subst(1, Var(6), Var(1))))
+    assert render_thread(compact) == "[S/x3] [(in:1.get ? x3 : x4)/x2] [x6/x1] x1"
+
+
 def test_extract_compact_singleton_base_case():
     assert extract_compact(parse("!")) == STOP
 
@@ -119,14 +140,33 @@ def test_eval_xthread_basic_binders():
 
 
 def test_tsize_leaves_and_nodes():
-    assert tsize(STOP) == 1
-    assert tsize(DEAD) == 1
-    assert tsize(Var(3)) == 1
-    assert tsize(PostCond(IN1_GET, STOP, DEAD)) == 3
-    assert tsize(Tau(STOP)) == 3
     shared = PostCond(IN1_GET, STOP, Var(1))
-    assert tsize(PostCond(IN1_GET, shared, shared)) == 7
-    assert tsize(Subst(1, Tau(shared), shared)) == 11
+    cases = [
+        (STOP, 1),
+        (DEAD, 1),
+        (Var(3), 1),
+        (PostCond(IN1_GET, STOP, DEAD), 3),
+        (Tau(STOP), 3),
+        (PostCond(IN1_GET, shared, shared), 7),
+        (Subst(1, Tau(shared), shared), 11),
+        (Tau(Subst(2, shared, Tau(shared))), 23),
+    ]
+    for t, size in cases:
+        assert tsize(t) == reference_tsize(t) == size
+
+
+def test_tsize_of_oracle_outputs():
+    # Threads built by the algebra's own constructors carry their sizes too.
+    rng = random.Random(37)
+    focus = IN1_GET.focus
+    for _ in range(100):
+        x = gen_isbr(rng, 8, 2)
+        for state in (RegState.TRUE, RegState.FALSE):
+            t = use(extract(x), focus, BoolRegister(state))
+            assert tsize(t) == reference_tsize(t)
+        y = gen_sisbr(rng, 6, 2)
+        for t in (instantiate(1, True, extract(y)), instantiate(2, False, extract(y)), csi((extract(y),))):
+            assert tsize(t) == reference_tsize(t)
 
 
 ALPHABET = (
@@ -139,20 +179,29 @@ ALPHABET = (
 )
 
 
+def check_compact(x):
+    """``extract_compact`` against ``extract``, each thread's size against the reference."""
+    compact, plain = extract_compact(x), extract(x)
+    evaluated = eval_xthread(compact)
+    assert evaluated == plain
+    assert hash(evaluated) == hash(plain)
+    assert tsize(compact) <= 4 * psize(x) + 1
+    for t in (compact, plain, evaluated):
+        assert tsize(t) == reference_tsize(t)
+
+
 def test_compact_equivalence_exhaustive_small():
     for length in range(1, 5):
         for combo in product(ALPHABET, repeat=length):
             x = InstructionSequence(combo)
-            assert eval_xthread(extract_compact(x)) == extract(x)
-            assert tsize(extract_compact(x)) <= 4 * psize(x) + 1
+            check_compact(x)
 
 
 def test_compact_equivalence_random():
     rng = random.Random(31)
     for _ in range(200):
         x = gen_isbr(rng, 12, 3) if rng.random() < 0.5 else gen_sisbr(rng, 12, 2)
-        assert eval_xthread(extract_compact(x)) == extract(x)
-        assert tsize(extract_compact(x)) <= 4 * psize(x) + 1
+        check_compact(x)
 
 
 def test_alternating_test_chain_explodes_only_naively():
@@ -230,5 +279,70 @@ def test_tsize_and_eval_xthread_past_the_recursion_limit():
     x = chain(10_000)
     compact = extract_compact(x)
     assert tsize(compact) <= 4 * psize(x) + 1
-    # ``==`` on threads this deep recurses in the dataclass ``__eq__``.
-    assert tsize(eval_xthread(compact)) == tsize(extract(x))
+    evaluated, plain = eval_xthread(compact), extract(x)
+    assert tsize(evaluated) == tsize(plain)
+    assert evaluated == plain
+    assert hash(plain) == hash(evaluated)
+
+
+def test_eq_and_hash_past_the_recursion_limit_tell_trees_apart():
+    x = chain(10_000)
+    plain = extract(x)
+    # The same deep tree with its innermost leaf changed, and with the
+    # outermost action changed: equal in size, different in content.
+    inner = parse(" ; ".join(["+in:1.get"] * 9_999 + ["#0"]))
+    outer = InstructionSequence((PosTest(RegisterOp(InReg(2), GET)),) + x.items[1:])
+    for other in (extract(inner), extract(outer)):
+        assert tsize(other) == tsize(plain)
+        assert other != plain and plain != other
+        assert hash(other) != hash(plain)
+
+
+# --- the nodes as values ------------------------------------------------------------------
+
+NODES = (
+    STOP,
+    DEAD,
+    Var(4),
+    Tau(DEAD),
+    PostCond(IN1_GET, STOP, Var(2)),
+    Subst(1, PostCond(IN1_GET, Var(2), Var(3)), Var(1)),
+    extract_compact(parse("+in:1.get ; #9 ; -in:2.get ; !")),
+)
+
+
+@pytest.mark.parametrize("t", NODES, ids=render_thread)
+def test_nodes_copy_and_pickle_to_equal_nodes(t):
+    copies = [copy.copy(t), copy.deepcopy(t)]
+    copies += [pickle.loads(pickle.dumps(t, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(t)
+        assert other == t and hash(other) == hash(t)
+        assert tsize(other) == tsize(t)
+        assert render_thread(other) == render_thread(t)
+
+
+@pytest.mark.parametrize("t", NODES, ids=render_thread)
+def test_nodes_are_frozen(t):
+    for name in t.__match_args__ + ("_size", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, DEAD)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert tsize(t) == reference_tsize(t)
+
+
+def test_nodes_compare_by_class_and_fields():
+    assert Var(2) == Var(2) and hash(Var(2)) == hash(Var(2))
+    assert Var(2) != Var(3)
+    assert threads.Stop() == STOP != DEAD
+    assert Tau(STOP) != PostCond(IN1_GET, STOP, STOP)
+    assert PostCond(IN1_GET, STOP, DEAD) != PostCond(RegisterOp(InReg(2), GET), STOP, DEAD)
+    assert Subst(1, STOP, Var(1)) != Subst(2, STOP, Var(1))
+    assert (STOP == "S") is False
+    assert len({Var(1), Var(1), Tau(STOP), Tau(STOP), STOP}) == 3
+    match PostCond(IN1_GET, STOP, DEAD):
+        case PostCond(action, on_true, threads.Dead()):
+            assert (action, on_true) == (IN1_GET, STOP)
+        case _:
+            pytest.fail("PostCond did not match by position")

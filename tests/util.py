@@ -9,7 +9,8 @@ decoder works out every row from its instruction, independent of the row
 templates the interned instructions carry, and the reference register run
 follows its rows, where ``services.run_with_steps`` adds up the templates'
 offsets.  Exhaustive formula satisfiability is the reference for
-``satc.reachability_satisfiable``.
+``satc.reachability_satisfiable``.  The reference term size walks the
+tree, independent of the sizes the thread nodes carry.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from boolseq.services import (
     use,
 )
 from boolseq.splitting import csi
-from boolseq.threads import extract
+from boolseq.threads import PostCond, Subst, Tau, extract
 
 
 def algebraic_outcome(x: InstructionSequence, inputs):
@@ -179,6 +180,40 @@ def reference_run(x: InstructionSequence, inputs) -> tuple:
 
 # Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
 MAX_FORMULA_VARS = 25
+
+
+def reference_tsize(t) -> int:
+    """``threads.tsize`` by walking the term: leaves 1, ``Tau`` as two equal children.
+
+    One explicit stack, so depth is not limited by recursion: a node stays on
+    it until both its children are sized, and sizes are memoised by node
+    identity, so shared subterms are walked once and counted per occurrence.
+    """
+    memo: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is PostCond:
+            left, right = node.on_true, node.on_false
+        elif kind is Subst:
+            left, right = node.bound, node.body
+        elif kind is Tau:
+            left = right = node.next
+        else:  # Stop, Dead, Var
+            memo[id(node)] = 1
+            stack.pop()
+            continue
+        left_size, right_size = memo.get(id(left)), memo.get(id(right))
+        if left_size is None or right_size is None:
+            if left_size is None:
+                stack.append(left)
+            if right_size is None and right is not left:
+                stack.append(right)
+            continue
+        memo[id(node)] = left_size + right_size + 1
+        stack.pop()
+    return memo[id(t)]
 
 
 def formula_vars(phi: BoolFormula) -> int:
