@@ -16,7 +16,6 @@ instruction sequences that compute the same function:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -35,120 +34,141 @@ from .instr import (
     PrimitiveInstruction,
     RegisterOp,
     TERM,
+    _set,
+    _Tree,
+    _Value,
 )
 
 # --- source ASTs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Value):
     """A propositional variable or its negation."""
 
-    var: int
-    negated: bool = False
+    __slots__ = __match_args__ = ("var", "negated")
 
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"literal variable must be >= 1, got {self.var}")
+    def __init__(self, var: int, negated: bool = False):
+        if var < 1:
+            raise ValueError(f"literal variable must be >= 1, got {var}")
+        _set(self, "var", var)
+        _set(self, "negated", negated)
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(_Value):
     """Conjunction of disjunctions of literals; zero clauses means constant True."""
 
-    num_vars: int
-    clauses: tuple[tuple[Literal, ...], ...]
+    __slots__ = __match_args__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        if self.num_vars < 0:
-            raise ValueError(f"CNF num_vars must be >= 0, got {self.num_vars}")
-        for clause in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[Literal, ...], ...]):
+        if num_vars < 0:
+            raise ValueError(f"CNF num_vars must be >= 0, got {num_vars}")
+        for clause in clauses:
             if not clause:
                 raise ValueError("CNF clause must be nonempty")
             for lit in clause:
-                if lit.var > self.num_vars:
-                    raise ValueError(f"literal v{lit.var} exceeds num_vars={self.num_vars}")
+                if lit.var > num_vars:
+                    raise ValueError(f"literal v{lit.var} exceeds num_vars={num_vars}")
+        _set(self, "num_vars", num_vars)
+        _set(self, "clauses", clauses)
 
 
-@dataclass(frozen=True)
-class FVar:
-    index: int
+class FVar(_Value):
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __init__(self, index: int):
+        if index < 1:
             raise ValueError("formula variable index must be >= 1")
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "BoolFormula"
+# The connectives nest to any depth: ``_Tree`` compares, hashes and writes
+# them out without recursion.
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "BoolFormula"
-    right: "BoolFormula"
+class Not(_Tree):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: "BoolFormula"):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "BoolFormula"
-    right: "BoolFormula"
+class Or(_Tree):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "BoolFormula", right: "BoolFormula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class And(_Tree):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "BoolFormula", right: "BoolFormula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 BoolFormula = Union[FVar, Not, Or, And]
 
 
-@dataclass(frozen=True)
-class InputRef:
-    index: int
+class InputRef(_Value):
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"input reference index must be >= 1, got in{self.index}")
+    def __init__(self, index: int):
+        if index < 1:
+            raise ValueError(f"input reference index must be >= 1, got in{index}")
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class GateRef:
-    index: int
+class GateRef(_Value):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
 Node = Union[InputRef, GateRef]
 
 
-@dataclass(frozen=True)
-class NotGate:
-    pred: Node
+class NotGate(_Value):
+    __slots__ = __match_args__ = ("pred",)
+
+    def __init__(self, pred: Node):
+        _set(self, "pred", pred)
 
 
-@dataclass(frozen=True)
-class OrGate:
-    left: Node
-    right: Node
+class OrGate(_Value):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class AndGate:
-    left: Node
-    right: Node
+class AndGate(_Value):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Gate = Union[NotGate, OrGate, AndGate]
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Value):
     """Gates numbered from 1; predecessors are inputs or other gates."""
 
-    num_inputs: int
-    gates: tuple[Gate, ...]
-    output_gate: int
+    __slots__ = __match_args__ = ("num_inputs", "gates", "output_gate")
 
-    def __post_init__(self):
-        if not self.gates:
+    def __init__(self, num_inputs: int, gates: tuple[Gate, ...], output_gate: int):
+        if not gates:
             raise ValueError("circuit must have at least one gate")
-        if not 1 <= self.output_gate <= len(self.gates):
-            raise ValueError(f"output gate g{self.output_gate} does not exist")
+        if not 1 <= output_gate <= len(gates):
+            raise ValueError(f"output gate g{output_gate} does not exist")
+        _set(self, "num_inputs", num_inputs)
+        _set(self, "gates", gates)
+        _set(self, "output_gate", output_gate)
 
 
 # --- evaluation oracles -------------------------------------------------------

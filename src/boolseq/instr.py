@@ -19,7 +19,6 @@ a sequence's templates; only readers that follow targets pay for its rows.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 import operator
 from operator import attrgetter, itemgetter
@@ -55,6 +54,139 @@ KIND_JUMP = 5
 KIND_TERM = 6
 
 
+# --- frozen values -------------------------------------------------------------
+
+# Sets a field of a frozen value; a module-level name is the cheapest way to
+# call it from the constructors.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the frozen value classes: what a frozen dataclass gives.
+
+    The fields are named once, in ``__match_args__``; each class's
+    ``__init__`` checks its arguments and sets its fields through ``_set``.
+    ``==`` goes by class and fields, the hash is the hash of the tuple of
+    fields, ``repr`` is ``Cls(name=value, ...)``, and assigning or deleting
+    an attribute raises ``dataclasses.FrozenInstanceError`` (imported on
+    that path only).  A copy or an unpickled value is built again from its
+    fields, and ``_replace(**changes)`` is ``dataclasses.replace``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # ``_get(v)``: v's fields, then its class twice, in one C call
+        # (``attrgetter`` returns a tuple for two names or more).
+        cls._get = attrgetter(*cls.__match_args__, "__class__", "__class__")
+
+    def _fields(self) -> tuple:
+        return self._get(self)[:-2]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._get(self) == other._get(other)
+
+    def __hash__(self):
+        return hash(self._get(self)[:-2])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self.__match_args__, self._fields())), **changes})
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Tree(_Value):
+    """A value whose fields may hold values of its family, nested to any depth.
+
+    ``==``, ``hash`` and ``repr`` give what ``_Value``'s give, each over an
+    explicit stack, so depth is not limited by recursion.  ``==`` compares
+    each pair of shared subtrees once, and the hash is worked out bottom-up
+    on first use and kept in ``_hash``.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _hashed(self) -> tuple:
+        """What the hash is the hash of."""
+        return self._fields()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            a, b = stack.pop()
+            if type(a) is not type(b):
+                return False
+            for u, v in zip(a._fields(), b._fields()):
+                if u is v:
+                    continue
+                if isinstance(u, _Tree):
+                    pair = (id(u), id(v))
+                    if pair not in seen:
+                        seen.add(pair)
+                        stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # A node goes back on the stack as ``(node, key)`` below its subtrees,
+        # and is hashed when that comes off.
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:
+                node, key = node
+                _set(node, "_hash", hash(key))
+            elif not hasattr(node, "_hash"):  # else a shared subtree, hashed since it was pushed
+                key = node._hashed()
+                stack.append((node, key))
+                stack += [u for u in key if isinstance(u, _Tree)]
+        return self._hash
+
+    def __repr__(self) -> str:
+        parts = []
+        stack: list = [self]  # nodes to write out, and text
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(")
+            pieces = []
+            for name, value in zip(item.__match_args__, item._fields()):
+                pieces += (", ", f"{name}=", value if isinstance(value, _Tree) else repr(value))
+            stack.append(")")
+            stack += reversed(pieces[1:])
+        return "".join(parts)
+
+
 # --- interned values -----------------------------------------------------------
 
 # Every instruction value made so far, keyed by (class, *fields).  Entries are
@@ -62,7 +194,7 @@ KIND_TERM = 6
 _INTERNED: dict[tuple, "_Interned"] = {}
 
 
-class _Interned:
+class _Interned(_Value):
     """Base of the instruction classes: one object per distinct value.
 
     Each class's ``__new__`` looks ``(cls, *fields)`` up in ``_INTERNED`` (its
@@ -71,13 +203,12 @@ class _Interned:
     An integer field takes the lookup only when it is an exact ``int``:
     another number equal to one (``True``, ``1.0``) goes through ``_check``,
     which normalises or rejects it whatever the table holds.
-    The objects are frozen, ``__match_args__`` names the fields, ``repr`` is
-    the dataclass form, and a copy or an unpickled object is the interned
-    object itself.
+    A copy or an unpickled object is the interned object itself.
     """
 
     __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @classmethod
     def _intern(cls, *fields):
@@ -86,7 +217,7 @@ class _Interned:
         fields = cls._check(*fields)
         obj = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
-            object.__setattr__(obj, name, value)
+            _set(obj, name, value)
         obj._setup()
         return _INTERNED.setdefault((cls, *fields), obj)
 
@@ -97,19 +228,6 @@ class _Interned:
 
     def _setup(self) -> None:
         """Work out what each use of the new object would otherwise redo."""
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _positive(value, noun: str) -> int:
@@ -241,8 +359,8 @@ class _Form(_Interned):
             shape = (kind, 0 if kind == KIND_OUT else basic.focus.index, basic.method)
         else:
             shape = (KIND_SPLIT if type(basic) is SplitOp else KIND_REPLY, basic.param, None)
-        object.__setattr__(self, "_row", (*shape, *self.offsets))
-        object.__setattr__(self, "_text", self._sign + render_basic(basic))
+        _set(self, "_row", (*shape, *self.offsets))
+        _set(self, "_text", self._sign + render_basic(basic))
 
 
 class Plain(_Form):
@@ -280,8 +398,8 @@ class Jump(_Interned):
         return (distance,)
 
     def _setup(self) -> None:
-        object.__setattr__(self, "_row", (KIND_JUMP, 0, None, *self.offsets))
-        object.__setattr__(self, "_text", f"#{self.distance}")
+        _set(self, "_row", (KIND_JUMP, 0, None, *self.offsets))
+        _set(self, "_text", f"#{self.distance}")
 
     @property
     def offsets(self) -> tuple[int, int]:
@@ -305,15 +423,17 @@ TERM = Term()
 PrimitiveInstruction = Union[Plain, PosTest, NegTest, Jump, Term]
 
 
-@dataclass(frozen=True)
-class InstructionSequence:
+class InstructionSequence(_Value):
     """A nonempty, immutable sequence of primitive instructions."""
 
-    items: tuple[PrimitiveInstruction, ...]
+    # The ``__dict__`` holds the ``cached_property`` values below.
+    __slots__ = ("items", "__dict__")
+    __match_args__ = ("items",)
 
-    def __post_init__(self):
-        if not self.items:
+    def __init__(self, items: tuple[PrimitiveInstruction, ...]):
+        if not items:
             raise ValueError("instruction sequence must be nonempty")
+        _set(self, "items", items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -362,8 +482,7 @@ def psize(x: InstructionSequence) -> int:
 # --- classification --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+class ClassProfile(_Value):
     """Syntactic classification of a sequence.
 
     ``is_isbr``: all basics are register ops reading in/aux and writing
@@ -374,16 +493,28 @@ class ClassProfile:
     or reply position.
     """
 
-    is_isbr: bool
-    is_isbrna: bool
-    is_sisbr: bool
-    max_jump: int
-    max_aux_index: int
-    max_input_index: int
-    max_param_index: int
-    term_count: int
-    has_out_set_false: bool
-    last_param_use: dict[int, int] = field(hash=False)
+    __slots__ = __match_args__ = (
+        "is_isbr", "is_isbrna", "is_sisbr", "max_jump", "max_aux_index", "max_input_index", "max_param_index",
+        "term_count", "has_out_set_false", "last_param_use",
+    )
+
+    def __init__(
+        self, is_isbr: bool, is_isbrna: bool, is_sisbr: bool, max_jump: int, max_aux_index: int, max_input_index: int,
+        max_param_index: int, term_count: int, has_out_set_false: bool, last_param_use: dict[int, int],
+    ):
+        _set(self, "is_isbr", is_isbr)
+        _set(self, "is_isbrna", is_isbrna)
+        _set(self, "is_sisbr", is_sisbr)
+        _set(self, "max_jump", max_jump)
+        _set(self, "max_aux_index", max_aux_index)
+        _set(self, "max_input_index", max_input_index)
+        _set(self, "max_param_index", max_param_index)
+        _set(self, "term_count", term_count)
+        _set(self, "has_out_set_false", has_out_set_false)
+        _set(self, "last_param_use", last_param_use)
+
+    def __hash__(self):
+        return hash(self._fields()[:-1])  # not ``last_param_use``, a dict
 
 
 def classify(x: InstructionSequence) -> ClassProfile:

@@ -10,7 +10,6 @@ while returning exactly the sequence plain enumeration would return first.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
 from itertools import compress, count, product
 from operator import add, itemgetter, not_
 from typing import Callable, Optional
@@ -35,26 +34,28 @@ from .instr import (
     SplitOp,
     TERM,
     Term,
+    _set,
+    _Value,
 )
 from .services import lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(_Value):
     """2^arity Boolean values indexed by input vector, first input most significant.
 
     ``None`` marks an input where execution did not terminate, i.e. the
     sequence computes no total function.
     """
 
-    arity: int
-    values: tuple[Optional[bool], ...]
+    __slots__ = __match_args__ = ("arity", "values")
 
-    def __post_init__(self):
-        if len(self.values) != 2**self.arity:
-            raise ValueError(f"expected {2**self.arity} entries, got {len(self.values)}")
+    def __init__(self, arity: int, values: tuple[Optional[bool], ...]):
+        if len(values) != 2**arity:
+            raise ValueError(f"expected {2**arity} entries, got {len(values)}")
+        _set(self, "arity", arity)
+        _set(self, "values", values)
 
     def vector(self, idx: int) -> tuple[bool, ...]:
         n = self.arity
@@ -94,26 +95,32 @@ def truth_table(x: InstructionSequence, n: int, splitting: bool = False) -> Trut
 # --- shortest-sequence search ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Value):
     """Search-space description: the target table plus syntactic restrictions."""
 
-    target: TruthTable
-    max_length: int
-    allow_jumps: bool = False
-    max_jump: int = 3
-    allow_aux: bool = False
-    allow_out_set_false: bool = False
-    allow_multiple_term: bool = True
-    splitting_mode: bool = False
+    __slots__ = __match_args__ = (
+        "target", "max_length", "allow_jumps", "max_jump", "allow_aux", "allow_out_set_false", "allow_multiple_term",
+        "splitting_mode",
+    )
 
-    def __post_init__(self):
-        if self.max_length < 1:
+    def __init__(
+        self, target: TruthTable, max_length: int, allow_jumps: bool = False, max_jump: int = 3, allow_aux: bool = False,
+        allow_out_set_false: bool = False, allow_multiple_term: bool = True, splitting_mode: bool = False,
+    ):
+        if max_length < 1:
             raise ValueError("max_length must be >= 1")
-        if self.max_jump < 0:
+        if max_jump < 0:
             raise ValueError("max_jump must be >= 0")
-        if self.splitting_mode and (self.allow_aux or self.allow_out_set_false):
+        if splitting_mode and (allow_aux or allow_out_set_false):
             raise ValueError("splitting mode allows neither auxiliary registers nor out.set:F")
+        _set(self, "target", target)
+        _set(self, "max_length", max_length)
+        _set(self, "allow_jumps", allow_jumps)
+        _set(self, "max_jump", max_jump)
+        _set(self, "allow_aux", allow_aux)
+        _set(self, "allow_out_set_false", allow_out_set_false)
+        _set(self, "allow_multiple_term", allow_multiple_term)
+        _set(self, "splitting_mode", splitting_mode)
 
 
 def _search_alphabet(spec: SearchSpec) -> list[PrimitiveInstruction]:
@@ -244,7 +251,7 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     # A jump of max_length or more can only land past the end, as #0 does.
     # #0 comes first, so such a letter adds no state, and no window needs
     # to reach that far.
-    spec = replace(spec, max_jump=min(spec.max_jump, spec.max_length - 1))
+    spec = spec._replace(max_jump=min(spec.max_jump, spec.max_length - 1))
     n = spec.target.arity
     reg_bits = 5 if spec.splitting_mode else 3 if spec.allow_aux else 1
     size = (2**reg_bits) * 2**n

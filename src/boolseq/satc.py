@@ -15,7 +15,6 @@ satisfiability, and a bounded-length reducibility checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from math import comb
@@ -49,6 +48,8 @@ from .instr import (
     SplitOp,
     TERM,
     classify,
+    _set,
+    _Value,
     decode,
     psize,
 )
@@ -64,15 +65,15 @@ def ndisj(k: int) -> int:
     return comb(2 * k, 1) + comb(2 * k, 2) + comb(2 * k, 3)
 
 
-@dataclass(frozen=True)
-class LiteralSet:
+class LiteralSet(_Value):
     """A set of one to three distinct literals."""
 
-    literals: frozenset[Literal]
+    __slots__ = __match_args__ = ("literals",)
 
-    def __post_init__(self):
-        if not 1 <= len(self.literals) <= 3:
+    def __init__(self, literals: frozenset[Literal]):
+        if not 1 <= len(literals) <= 3:
             raise ValueError("literal set must have between 1 and 3 members")
+        _set(self, "literals", literals)
 
     def max_var(self) -> int:
         return max(lit.var for lit in self.literals)
@@ -143,11 +144,13 @@ def alpha_rank(literal_set: LiteralSet) -> int:
     return ndisj(m - 1) + _block(m).index(literal_set) + 1
 
 
-@dataclass(frozen=True)
-class SatcInstance:
+class SatcInstance(_Value):
     """A bit vector; bits beyond ndisj(k) for the derived k are inert."""
 
-    bits: tuple[bool, ...]
+    __slots__ = __match_args__ = ("bits",)
+
+    def __init__(self, bits: tuple[bool, ...]):
+        _set(self, "bits", bits)
 
     @property
     def k(self) -> int:

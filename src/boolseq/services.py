@@ -19,7 +19,6 @@ sweep, ``lane_sweep``, also runs forking code one vector at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 from typing import Callable, Optional, Union
@@ -38,6 +37,8 @@ from .instr import (
     InstructionSequence,
     RegisterOp,
     ResourceBoundError,
+    _set,
+    _Value,
     actions,
     classify,
 )
@@ -73,11 +74,13 @@ def register_step(state: RegState, method: str) -> tuple[RegState, RegState]:
 # --- service values ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolRegister:
+class BoolRegister(_Value):
     """A Boolean register service with the given contents."""
 
-    state: RegState
+    __slots__ = __match_args__ = ("state",)
+
+    def __init__(self, state: RegState):
+        _set(self, "state", state)
 
 
 class DivergentService:
@@ -153,28 +156,33 @@ def apply(t: Thread, focus: Focus, service: ServiceValue) -> ServiceValue:
 # --- program-counter execution -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisterFile:
+class RegisterFile(_Value):
     """Register contents: input values, auxiliary registers, output."""
 
-    inputs: tuple[bool, ...]
-    aux: dict[int, bool] = field(default_factory=dict)
-    out: bool = False
+    __slots__ = __match_args__ = ("inputs", "aux", "out")
+
+    def __init__(self, inputs: tuple[bool, ...], aux: dict[int, bool] | None = None, out: bool = False):
+        _set(self, "inputs", inputs)
+        _set(self, "aux", {} if aux is None else aux)
+        _set(self, "out", out)
 
 
-@dataclass(frozen=True)
-class Terminated:
-    registers: RegisterFile
+class Terminated(_Value):
+    __slots__ = __match_args__ = ("registers",)
+
+    def __init__(self, registers: RegisterFile):
+        _set(self, "registers", registers)
 
 
-@dataclass(frozen=True)
-class Deadlocked:
-    pass
+class Deadlocked(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Divergent:
-    reason: str
+class Divergent(_Value):
+    __slots__ = __match_args__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
 
 RunOutcome = Union[Terminated, Deadlocked, Divergent]
@@ -282,9 +290,10 @@ def lane_sweep(
     """One forward sweep of ``x``'s actions, one lane per branch of one vector.
 
     The sweep starts with ``block`` lanes, and lane i runs input vector
-    ``i mod block``: ``input_lanes(lanes)`` maps each input slot 1..n to
-    the lanes, out of at least the first ``lanes``, where ``in:slot`` holds
-    True.  It is called at the start and where a split widens the lanes.
+    ``i mod block``: ``input_lanes(lanes)`` maps each input slot up to n
+    that ``x`` reads to the lanes, out of at least the first ``lanes``,
+    where ``in:slot`` holds True.  It is called at the start and where a
+    split widens the lanes.
     Returns ``(dead, out, unserved, steps)``: the lanes that do not
     terminate, the lanes where ``out`` ends True, the lanes that read an
     input past n, and the number of forking-run action turns.
@@ -442,7 +451,9 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ResourceBoundError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
     # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
     block = 1 << n
-    in_block = [lane_mask(n - slot, block) for slot in range(1, n + 1)]  # each input over one block of lanes
+    # Each input that x reads over one block of lanes: slots past the largest
+    # one read are never looked up, and a slot past n stays unserved.
+    in_block = [lane_mask(n - slot, block) for slot in range(1, min(n, profile.max_input_index) + 1)]
     dead, out, _, _ = lane_sweep(
         x, block, lambda lanes: {slot: _repeat(mask, block, lanes) for slot, mask in enumerate(in_block, 1)}
     )

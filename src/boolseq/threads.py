@@ -23,54 +23,26 @@ from .instr import (
     Jump,
     PrimitiveInstruction,
     ResourceBoundError,
+    _Tree,
     decode,
     render_basic,
 )
 
-# Sets a field of a frozen node; a module-level name is the cheapest way to
-# call it from the constructors.
-_set = object.__setattr__
 
-
-class _Node:
-    """Base of the thread nodes: frozen values with their term size.
+class _Node(_Tree):
+    """Base of the thread nodes: values that carry their term size.
 
     Each node carries ``_size``, its ``tsize``, worked out from its
-    children's when it is built.  ``==`` and ``hash`` go by class and fields,
-    like a frozen dataclass's, but neither recurses: ``==`` walks an
-    explicit stack of node pairs, and the hash is worked out bottom-up on
-    first use and kept in ``_hash``.  ``__match_args__`` names the fields,
-    and a copy or an unpickled node is built again from them.
+    children's when it is built.  The hash takes in the class as well as the
+    fields.  A thread's tree can be exponential in its DAG, so ``repr`` is
+    the default one; ``render_thread`` gives bounded text.
     """
 
-    __slots__ = ("_size", "_hash")
-    __match_args__: tuple[str, ...] = ()
+    __slots__ = ("_size",)
+    __repr__ = object.__repr__
 
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return _equal(self, other)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _hash_of(self)
+    def _hashed(self) -> tuple:
+        return (type(self), *self._fields())  # so that ``Stop`` and ``Dead`` differ
 
 
 class Stop(_Node):
@@ -79,7 +51,7 @@ class Stop(_Node):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "_size", 1)
+        _set_size(self, 1)
 
 
 class Dead(_Node):
@@ -88,7 +60,7 @@ class Dead(_Node):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "_size", 1)
+        _set_size(self, 1)
 
 
 class Tau(_Node):
@@ -97,8 +69,8 @@ class Tau(_Node):
     __slots__ = __match_args__ = ("next",)
 
     def __init__(self, next: "XThread"):
-        _set(self, "next", next)
-        _set(self, "_size", 1 + 2 * next._size)
+        _set_next(self, next)
+        _set_size(self, 1 + 2 * next._size)
 
 
 class PostCond(_Node):
@@ -107,10 +79,10 @@ class PostCond(_Node):
     __slots__ = __match_args__ = ("action", "on_true", "on_false")
 
     def __init__(self, action: BasicInstruction, on_true: "XThread", on_false: "XThread"):
-        _set(self, "action", action)
-        _set(self, "on_true", on_true)
-        _set(self, "on_false", on_false)
-        _set(self, "_size", 1 + on_true._size + on_false._size)
+        _set_action(self, action)
+        _set_on_true(self, on_true)
+        _set_on_false(self, on_false)
+        _set_size(self, 1 + on_true._size + on_false._size)
 
 
 class Var(_Node):
@@ -119,8 +91,8 @@ class Var(_Node):
     __slots__ = __match_args__ = ("index",)
 
     def __init__(self, index: int):
-        _set(self, "index", index)
-        _set(self, "_size", 1)
+        _set_index(self, index)
+        _set_size(self, 1)
 
 
 class Subst(_Node):
@@ -129,60 +101,20 @@ class Subst(_Node):
     __slots__ = __match_args__ = ("var_index", "bound", "body")
 
     def __init__(self, var_index: int, bound: "XThread", body: "XThread"):
-        _set(self, "var_index", var_index)
-        _set(self, "bound", bound)
-        _set(self, "body", body)
-        _set(self, "_size", 1 + bound._size + body._size)
+        _set_var_index(self, var_index)
+        _set_bound(self, bound)
+        _set_body(self, body)
+        _set_size(self, 1 + bound._size + body._size)
 
 
-def _equal(a: _Node, b: _Node) -> bool:
-    """Structural equality of two nodes of one class, over an explicit stack.
-
-    A pair is pushed once: a later occurrence of it (shared subtrees) would
-    only repeat its first comparison, so the walk is linear in the pairs of
-    DAG nodes met, not in the tree size.
-    """
-    stack = [(a, b)]
-    seen = set()
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b) or a._size != b._size:
-            return False
-        for name in a.__match_args__:
-            u, v = getattr(a, name), getattr(b, name)
-            if isinstance(u, _Node):
-                pair = (id(u), id(v))
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append((u, v))
-            elif u != v:
-                return False
-    return True
-
-
-def _hash_of(t: _Node) -> int:
-    """Hash ``t`` and every node below it that has none yet, bottom-up.
-
-    A node stays on the stack until all its children are hashed; its hash
-    combines its class, its other fields and its children's hashes.
-    """
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if hasattr(node, "_hash"):
-            stack.pop()
-            continue
-        fields = [getattr(node, name) for name in node.__match_args__]
-        pending = [u for u in fields if isinstance(u, _Node) and not hasattr(u, "_hash")]
-        if pending:
-            stack += pending
-            continue
-        _set(node, "_hash", hash((type(node), *(u._hash if isinstance(u, _Node) else u for u in fields))))
-        stack.pop()
-    return t._hash
-
+# The constructors fill each field through its slot's setter, which skips the
+# attribute lookup that ``object.__setattr__`` makes: a ``PostCond`` builds
+# in about two thirds of the time.
+_set_size = _Node._size.__set__
+_set_next = Tau.next.__set__
+_set_action, _set_on_true, _set_on_false = PostCond.action.__set__, PostCond.on_true.__set__, PostCond.on_false.__set__
+_set_index = Var.index.__set__
+_set_var_index, _set_bound, _set_body = Subst.var_index.__set__, Subst.bound.__set__, Subst.body.__set__
 
 Thread = Union[Stop, Dead, Tau, PostCond]
 XThread = Union[Stop, Dead, Tau, PostCond, Var, Subst]

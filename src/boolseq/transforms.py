@@ -18,7 +18,6 @@ Each rewrite has a ``*_report`` variant returning the rule trace.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .instr import (
     GET,
@@ -41,16 +40,22 @@ from .instr import (
     Row,
     SplitOp,
     TERM,
+    _set,
+    _Value,
     classify,
 )
 
 
-@dataclass(frozen=True)
-class RewriteReport:
-    input: InstructionSequence
-    output: InstructionSequence
-    steps: int
-    rule_trace: tuple[tuple[str, int], ...]
+class RewriteReport(_Value):
+    __slots__ = __match_args__ = ("input", "output", "steps", "rule_trace")
+
+    def __init__(
+        self, input: InstructionSequence, output: InstructionSequence, steps: int, rule_trace: tuple[tuple[str, int], ...]
+    ):
+        _set(self, "input", input)
+        _set(self, "output", output)
+        _set(self, "steps", steps)
+        _set(self, "rule_trace", rule_trace)
 
 
 def _report(x: InstructionSequence, items: list, trace: list) -> RewriteReport:

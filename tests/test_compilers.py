@@ -493,6 +493,7 @@ def test_render_formula_deep_nesting():
     text = render_formula(phi)
     assert text.startswith("(and (not (and (not ") and text.endswith("v5000)) v5001)")
     assert text.count("(") == text.count(")") == 10000
+    assert parse_formula(text) == phi
 
 
 DEPTH = 10_000
@@ -518,7 +519,50 @@ def test_parse_and_compile_deep_formulas(text):
 
 def test_parse_deep_nesting_round_trips():
     text = "(not " * DEPTH + "(and v1 (or v2 (not v3)))" + ")" * DEPTH
-    assert render_formula(parse_formula(text)) == text
+    phi = And(FVar(1), Or(FVar(2), Not(FVar(3))))
+    for _ in range(DEPTH):
+        phi = Not(phi)
+    assert parse_formula(text) == phi
+    assert render_formula(phi) == text
+
+
+# Formulas far deeper than the recursion limit compare, hash and print.
+DEEPEST = 10**5
+
+
+def nested_not(depth: int, leaf) -> Not:
+    phi = leaf
+    for _ in range(depth):
+        phi = Not(phi)
+    return phi
+
+
+def test_eq_hash_and_repr_of_deeply_nested_not():
+    phi = parse_formula("(not " * DEEPEST + "v1" + ")" * DEEPEST)
+    same = nested_not(DEEPEST, FVar(1))
+    assert phi == same and not phi != same
+    assert hash(phi) == hash(same) == hash((phi.operand,))
+    for other in (nested_not(DEEPEST, FVar(2)), nested_not(DEEPEST - 1, FVar(1)), nested_not(DEEPEST - 1, Or(FVar(1), FVar(1)))):
+        assert phi != other and other != phi
+    assert repr(phi) == "Not(operand=" * DEEPEST + "FVar(index=1)" + ")" * DEEPEST
+
+
+def test_eq_hash_and_repr_of_a_long_and_chain():
+    indices = [i % 3 + 1 for i in range(DEEPEST)]
+    phi = parse_formula("(and " + " ".join(f"v{i}" for i in indices) + ")")
+    same = FVar(indices[-1])
+    for i in reversed(indices[:-1]):
+        same = And(FVar(i), same)
+    assert phi == same and hash(phi) == hash(same) == hash((phi.left, phi.right))
+    # The same chain with its last operator an ``or``, and with its last operand changed.
+    for last in (Or(FVar(indices[-2]), FVar(indices[-1])), And(FVar(indices[-2]), FVar(4))):
+        other = last
+        for i in reversed(indices[:-2]):
+            other = And(FVar(i), other)
+        assert phi != other and other != phi
+    assert hash(phi) != hash(other)
+    head = "".join(f"And(left=FVar(index={i}), right=" for i in indices[:-1])
+    assert repr(phi) == head + f"FVar(index={indices[-1]})" + ")" * (DEEPEST - 1)
 
 
 def test_formula_sexpr_nary_folds_right():
@@ -570,8 +614,7 @@ def formulas():
 @settings(max_examples=300, deadline=None)
 @given(phi=formulas())
 def test_property_formula_round_trip(phi):
-    # Formula trees compare by their text (their generated equality recurses).
-    assert render_formula(parse_formula(render_formula(phi))) == render_formula(phi)
+    assert parse_formula(render_formula(phi)) == phi
 
 
 @st.composite
@@ -602,7 +645,8 @@ def circuits(draw):
             max_size=m,
         )
     )
-    inputs = [ref.index for gate in gates for ref in vars(gate).values() if isinstance(ref, InputRef)]
+    fields = [getattr(gate, name) for gate in gates for name in gate.__match_args__]
+    inputs = [ref.index for ref in fields if isinstance(ref, InputRef)]
     return Circuit(max(inputs, default=0), tuple(gates), draw(st.integers(1, m)))
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,11 +174,11 @@ def test_jumps_of_max_length_or_more_change_no_answer(max_length, splitting_mode
             # Each jump setting comes twice, with max_jump 1 and 3; it is reset here.
             if not spec.allow_jumps or spec.max_jump != 1:
                 continue
-            spec = replace(spec, max_length=max_length, max_jump=max_length - 1)
+            spec = spec._replace(max_length=max_length, max_jump=max_length - 1)
             answer = shortest_sequence_search(spec)
             for max_jump in (max_length, max_length + 2, 40):
-                assert shortest_sequence_search(replace(spec, max_jump=max_jump)) == answer, spec
-            past = replace(spec, max_jump=max_length + 2)
+                assert shortest_sequence_search(spec._replace(max_jump=max_jump)) == answer, spec
+            past = spec._replace(max_jump=max_length + 2)
             if _naive_length(past, budget=2000) >= max_length:
                 assert naive_search(past) == answer, past
 
@@ -187,14 +186,14 @@ def test_jumps_of_max_length_or_more_change_no_answer(max_length, splitting_mode
 @pytest.mark.parametrize("n", [0, 1])
 def test_search_agrees_with_naive_under_every_restriction(n):
     for spec in _every_restriction(n):
-        bounded = replace(spec, max_length=_naive_length(spec))
+        bounded = spec._replace(max_length=_naive_length(spec))
         assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_splitting_search_agrees_with_naive_under_every_restriction(n):
     for spec in _every_restriction(n, splitting_mode=True):
-        bounded = replace(spec, max_length=_naive_length(spec))
+        bounded = spec._replace(max_length=_naive_length(spec))
         assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
 
 

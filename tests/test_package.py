@@ -110,3 +110,55 @@ def test_truthtable_loads_no_compiler_rewrite_or_splitter():
     loaded = cli_loads("truthtable", "+in:1.get ; out.set:T ; !", "--n", "1")
     assert "lab" in loaded
     assert not loaded & {"compilers", "satc", "transforms", "splitting"}
+
+
+# One call of every subcommand.
+CNF = "p cnf 2 2\n1 -2 0\n2 0"
+EVERY_SUBCOMMAND = [
+    ("parse", "!"),
+    ("run", "+in:1.get ; out.set:T ; !", "--inputs", "T", "--format", "json"),
+    ("run-split", "+split:1 ; ! ; out.set:T ; !"),
+    ("extract", "+in:1.get ; !"),
+    ("extract-compact", "#5 ; +in:1.get ; !"),
+    ("truthtable", "split:1 ; +in:1.get ; #2 ; +reply:1 ; out.set:T ; !", "--n", "1", "--split"),
+    ("classify", "+in:1.get ; #2 ; split:1 ; +reply:1 ; out.set:T ; !"),
+    ("compile-cnf", CNF),
+    ("compile-cnf-jumpfree", CNF),
+    ("compile-formula", "(and v1 (or v2 (not v3)))"),
+    ("compile-circuit", "g1 = NOT in1\ng2 = OR g1 in2\noutput g2"),
+    ("elim-setfalse", "+in:1.get ; out.set:F ; !"),
+    ("normalize-set-tests", "-aux:1.set:T ; aux:1.set:T ; +aux:1.get ; out.set:T ; !"),
+    ("to-split", "aux:1.set:T ; +aux:1.get ; out.set:T ; !", "--trace"),
+    ("collapse-jumps", "#1 ; #1 ; out.set:T ; !"),
+    ("behav-normalize", "+out.set:T ; !"),
+    ("satc-eval", "11010001000101"),
+    ("satc-decode", "11010001000101"),
+    ("satc-encode", CNF),
+    ("satc-build", "14"),
+    ("reduce-plsis", "split:1 ; +reply:1 ; out.set:T ; !"),
+    ("search", "FTTT", "--max-length", "7", "--allow-aux"),
+]
+
+HEAVY = ("dataclasses", "inspect")
+
+
+def heavy_modules_after(code: str) -> set[str]:
+    """Which of ``HEAVY`` a fresh interpreter holds after running ``code``."""
+    probe = code + f"\nimport sys\nprint(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_every_subcommand_is_probed():
+    from boolseq import cli
+
+    (commands,) = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+    assert sorted(argv[0] for argv in EVERY_SUBCOMMAND) == sorted(commands)
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    # The value classes need neither; the frozen error path imports its class itself.
+    calls = "".join(f"assert cli.main({list(argv)!r}) == 0\n" for argv in EVERY_SUBCOMMAND)
+    assert heavy_modules_after("from boolseq import cli\n" + calls) <= heavy_modules_after("pass")
