@@ -1,8 +1,34 @@
 """Boolean sources (CNF, formulas, circuits) and their sequence compilers.
 
-Each source kind induces an n-ary Boolean function; ``eval_formula`` is the
-truth-functional oracle for all three.  The compilers emit register-only
-instruction sequences that compute the same function:
+Each source kind induces an n-ary Boolean function.  The truth-functional
+oracles evaluate a source at an assignment, whose entry k - 1 is the value
+of variable or input k, taken for its truth.  They are the reference the
+compiled sequences are checked against, so they share no code with the
+executors; each call evaluates afresh, caching nothing.  An error is
+raised only for the part of the source that evaluation reaches:
+
+* ``eval_cnf`` visits the clauses in order and each clause's literals in
+  order up to its first true one, and returns ``False`` at the first clause
+  with none, else ``True``: always a ``bool``.  A reached literal past the
+  assignment raises ``ValueError("unbound variable v<k>")``.
+* ``eval_formula`` on a not/or/and formula visits it left to right, and
+  ``or``/``and`` skip their right operand when the left one decides.  A
+  reached variable past the assignment raises ``ValueError("unbound
+  variable v<k>")``.  The result is what Python's ``not``/``or``/``and``
+  give: a ``bool`` on a ``bool`` assignment, else the deciding entry itself
+  unless a ``not`` is applied last.
+* ``eval_circuit`` first raises ``ValueError("assignment shorter than the
+  circuit's input count")``, then visits the gates the output gate reaches,
+  each at most once, a gate's first operand first, as for formulas.  A
+  reached gate number out of range raises ``ValueError("dangling gate
+  reference g<k>")``, a gate reached again while it is under way raises
+  ``ValueError("cyclic circuit")``, and a reached input past the
+  assignment raises ``ValueError("unbound input in<k>")``.  The result is
+  as for formulas.
+* ``eval_formula`` on a CNF or a circuit is ``eval_cnf`` or ``eval_circuit``.
+
+The compilers emit register-only instruction sequences that compute the
+same function:
 
 * ``compile_cnf``: clause-by-clause chains using only ``#2`` jumps;
 * ``compile_cnf_jumpfree``: the same shape with every jump replaced by an
@@ -175,29 +201,33 @@ class Circuit(_Value):
 
 
 def eval_cnf(phi: Cnf, assignment: Sequence[bool]) -> bool:
+    bound = len(assignment)
     for clause in phi.clauses:
-        if not any(_eval_literal(lit, assignment) for lit in clause):
+        for lit in clause:
+            var = lit.var
+            if var > bound:
+                raise ValueError(f"unbound variable v{var}")
+            if assignment[var - 1]:
+                if not lit.negated:
+                    break
+            elif lit.negated:
+                break
+        else:
             return False
     return True
-
-
-def _eval_literal(lit: Literal, assignment: Sequence[bool]) -> bool:
-    if lit.var > len(assignment):
-        raise ValueError(f"unbound variable v{lit.var}")
-    value = assignment[lit.var - 1]
-    return not value if lit.negated else value
 
 
 def _eval_bform(phi: BoolFormula, assignment: Sequence[bool]) -> bool:
     # By an explicit stack of the operators awaiting their first operand.  Like
     # ``or``/``and``, a decided left operand skips the right one and its errors.
+    bound = len(assignment)
     pending: list[BoolFormula] = []
     node = phi
     while True:
         while (kind := type(node)) is not FVar:
             pending.append(node)
             node = node.operand if kind is Not else node.left
-        if node.index > len(assignment):
+        if node.index > bound:
             raise ValueError(f"unbound variable v{node.index}")
         value = assignment[node.index - 1]
         while pending:
@@ -214,37 +244,51 @@ def _eval_bform(phi: BoolFormula, assignment: Sequence[bool]) -> bool:
 
 def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
     # As ``_eval_bform``, evaluating each gate reachable from the output at most once.
-    if circuit.num_inputs > len(assignment):
+    bound = len(assignment)
+    if circuit.num_inputs > bound:
         raise ValueError("assignment shorter than the circuit's input count")
+    gates = circuit.gates
+    size = len(gates)
     cache: dict[int, Optional[bool]] = {}  # None while the gate is under way
     pending: list[tuple[int, bool]] = []  # gates under way, and whether on their right operand
-    node: Node = GateRef(circuit.output_gate)
+    k = circuit.output_gate
     while True:
-        while isinstance(node, GateRef) and cache.get(node.index) is None:
-            k = node.index
-            if not 1 <= k <= len(circuit.gates):
+        # Enter gate k, then the first operands below it, down to a node with a value.
+        while True:
+            if not 1 <= k <= size:
                 raise ValueError(f"dangling gate reference g{k}")
             if k in cache:
                 raise ValueError("cyclic circuit")
             cache[k] = None
             pending.append((k, False))
-            gate = circuit.gates[k - 1]
-            node = gate.pred if isinstance(gate, NotGate) else gate.left
-        if isinstance(node, GateRef):
-            value = cache[node.index]
-        elif node.index > len(assignment):
-            raise ValueError(f"unbound input in{node.index}")
-        else:
-            value = assignment[node.index - 1]
+            gate = gates[k - 1]
+            node = gate.pred if type(gate) is NotGate else gate.left
+            if type(node) is not GateRef:
+                if node.index > bound:
+                    raise ValueError(f"unbound input in{node.index}")
+                value = assignment[node.index - 1]
+                break
+            k = node.index
+            if (value := cache.get(k)) is not None:
+                break
+        # Leave the gates that value decides, up to one that needs its right operand.
         while pending:
             k, right = pending.pop()
-            gate = circuit.gates[k - 1]
-            if isinstance(gate, NotGate):
+            gate = gates[k - 1]
+            if type(gate) is NotGate:
                 value = not value
-            elif not right and (value if isinstance(gate, AndGate) else not value):
+            elif not right and (value if type(gate) is AndGate else not value):
                 pending.append((k, True))
                 node = gate.right
-                break
+                if type(node) is not GateRef:
+                    if node.index > bound:
+                        raise ValueError(f"unbound input in{node.index}")
+                    value = assignment[node.index - 1]
+                    continue
+                k = node.index
+                if (value := cache.get(k)) is None:
+                    break  # enter gate k
+                continue
             cache[k] = value
         else:
             return value

@@ -61,6 +61,45 @@ KIND_TERM = 6
 _set = object.__setattr__
 
 
+def _field_methods(names: tuple[str, ...]) -> tuple:
+    """``_fields``, ``__eq__`` and ``__hash__`` of a value class with these fields.
+
+    Each reads the fields in one ``attrgetter`` call, which returns them as
+    a tuple when there are two or more; the hash is that of the tuple of
+    fields whatever their number.
+    """
+    get = attrgetter(*names) if names else lambda v: ()
+    if len(names) == 1:
+
+        def _fields(self):
+            return (get(self),)
+
+        def __hash__(self):
+            return hash((get(self),))
+
+        def __eq__(self, other):
+            if type(other) is not type(self):
+                return NotImplemented
+            return (get(self),) == (get(other),)
+
+    else:
+
+        def _fields(self):
+            return get(self)
+
+        def __hash__(self):
+            return hash(get(self))
+
+        def __eq__(self, other):
+            if type(other) is not type(self):
+                return NotImplemented
+            return get(self) == get(other)
+
+    for method in (_fields, __eq__, __hash__):
+        method._by_fields = True
+    return _fields, __eq__, __hash__
+
+
 class _Value:
     """Base of the frozen value classes: what a frozen dataclass gives.
 
@@ -75,22 +114,14 @@ class _Value:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _fields, __eq__, __hash__ = _field_methods(())
 
     def __init_subclass__(cls):
-        # ``_get(v)``: v's fields, then its class twice, in one C call
-        # (``attrgetter`` returns a tuple for two names or more).
-        cls._get = attrgetter(*cls.__match_args__, "__class__", "__class__")
-
-    def _fields(self) -> tuple:
-        return self._get(self)[:-2]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._get(self) == other._get(other)
-
-    def __hash__(self):
-        return hash(self._get(self)[:-2])
+        # Each class gets the methods made for its own fields, but keeps an
+        # ``==`` or ``hash`` that it or a base defines (``_Tree``, ``_Interned``).
+        for method in _field_methods(cls.__match_args__):
+            if getattr(getattr(cls, method.__name__), "_by_fields", False):
+                setattr(cls, method.__name__, method)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

@@ -111,6 +111,12 @@ def _block(m: int) -> list[LiteralSet]:
     return sets
 
 
+@lru_cache(maxsize=64)
+def _block_ranks(m: int) -> dict[LiteralSet, int]:
+    """Each literal set of ``_block(m)`` with its position there."""
+    return {ls: i for i, ls in enumerate(_block(m))}
+
+
 def alpha(i: int) -> LiteralSet:
     """The i-th literal set in the canonical enumeration (i >= 1)."""
     if i < 1:
@@ -141,7 +147,7 @@ def alpha_rank(literal_set: LiteralSet) -> int:
     m = literal_set.max_var()
     if m > 2 * MAX_GUESSED_VARS:
         raise ResourceBoundError("resource bound exceeded in alpha")
-    return ndisj(m - 1) + _block(m).index(literal_set) + 1
+    return ndisj(m - 1) + _block_ranks(m)[literal_set] + 1
 
 
 class SatcInstance(_Value):

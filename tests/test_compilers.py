@@ -24,6 +24,7 @@ from boolseq.compilers import (
     compile_cnf,
     compile_cnf_jumpfree,
     compile_formula,
+    eval_cnf,
     eval_formula,
     formula_block_size,
     formula_size,
@@ -136,6 +137,52 @@ def test_eval_formula_matches_recursive_reference():
         circuit = Circuit(inputs, gates, rng.randint(1, size))
         assignment = [rng.random() < 0.5 for _ in range(rng.randint(max(0, inputs - 1), inputs + 1))]
         assert _outcome(eval_formula, circuit, assignment) == _outcome(recursive_eval, circuit, assignment)
+
+
+def reference_eval_cnf(phi, assignment):
+    """Clause by clause, a generator of literal values per clause: the reference for ``eval_cnf``."""
+
+    def literal_value(lit):
+        if lit.var > len(assignment):
+            raise ValueError(f"unbound variable v{lit.var}")
+        value = assignment[lit.var - 1]
+        return not value if lit.negated else value
+
+    return all(any(literal_value(lit) for lit in clause) for clause in phi.clauses)
+
+
+def test_eval_cnf_matches_clause_by_clause_reference():
+    # Assignments of every length from 0 to num_vars + 1, some of truthy and
+    # falsy values that are not bools: values, result types and errors agree.
+    rng = random.Random(1618)
+    entries = (True, False, 0, 1, None, "", "x", (), (0,))
+    for trial in range(600):
+        phi = gen_cnf(rng, 5, 6) if trial else Cnf(0, ())
+        for length in range(phi.num_vars + 2):
+            for values in ((True, False), entries):
+                assignment = [rng.choice(values) for _ in range(length)]
+                got = _outcome(eval_cnf, phi, assignment)
+                assert got == _outcome(reference_eval_cnf, phi, assignment)
+                assert type(got) in (bool, str)
+                assert _outcome(eval_formula, phi, assignment) == got
+
+
+def test_eval_cnf_raises_only_for_a_reached_literal():
+    # v3 is unbound in each; only the last call reaches it.
+    after_a_true_literal = Cnf(3, ((Literal(1), Literal(3)),))
+    assert eval_cnf(after_a_true_literal, [True]) is True
+    after_a_false_clause = Cnf(3, ((Literal(1),), (Literal(3),)))
+    assert eval_cnf(after_a_false_clause, [False]) is False
+    with pytest.raises(ValueError, match="unbound variable v3"):
+        eval_cnf(after_a_false_clause, [True])
+
+
+def test_eval_cnf_returns_a_bool_for_any_entries():
+    phi = Cnf(2, ((Literal(1), Literal(2, negated=True)),))
+    assert eval_cnf(phi, ["x", 1]) is True
+    assert eval_cnf(phi, [0, 7]) is False
+    assert eval_cnf(phi, [None, ()]) is True
+    assert eval_cnf(Cnf(0, ()), []) is True
 
 
 def test_eval_formula_deep_nesting():

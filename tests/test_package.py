@@ -112,6 +112,17 @@ def test_truthtable_loads_no_compiler_rewrite_or_splitter():
     assert not loaded & {"compilers", "satc", "transforms", "splitting"}
 
 
+def test_oracle_loads_only_compilers_and_instr():
+    # The evaluators check the executors' results, so they run without them.
+    code = (
+        "from boolseq.compilers import eval_formula, parse_dimacs, parse_formula, parse_netlist\n"
+        "assert eval_formula(parse_dimacs('p cnf 2 2\\n1 -2 0\\n2 0'), [True, True]) is True\n"
+        "assert eval_formula(parse_formula('(and v1 (not v2))'), [True, False]) is True\n"
+        "assert eval_formula(parse_netlist('g1 = NOT in1\\ng2 = OR g1 in2\\noutput g2'), [True, False]) is False"
+    )
+    assert loaded_after(code) == {"compilers", "instr"}
+
+
 # One call of every subcommand.
 CNF = "p cnf 2 2\n1 -2 0\n2 0"
 EVERY_SUBCOMMAND = [

@@ -57,6 +57,22 @@ def test_alpha_rank_is_inverse_exhaustively():
         assert alpha_rank(alpha(i)) == i
 
 
+def test_alpha_rank_at_the_ends_of_the_blocks():
+    for m in (6, 10, 14):
+        first, last = ndisj(m - 1) + 1, ndisj(m)
+        for i in (first, first + 1, last - 1, last):
+            assert alpha_rank(alpha(i)) == i
+            assert alpha_rank(LiteralSet(frozenset(alpha(i).literals))) == i
+    with pytest.raises(ResourceBoundError, match="resource bound exceeded in alpha"):
+        alpha_rank(LiteralSet(frozenset({Literal(2 * MAX_GUESSED_VARS + 1)})))
+
+
+def test_encode_cnf_rejects_a_repeated_clause_set():
+    repeated = Cnf(2, ((Literal(1), Literal(2, True)), (Literal(2, True), Literal(1))))
+    with pytest.raises(ValueError, match="duplicate clause set; encoding would collapse them"):
+        encode_cnf(repeated)
+
+
 def test_alpha_prefix_compatibility():
     # The first ndisj(i) positions enumerate exactly the literal sets over v1..vi.
     for i in range(1, 5):

@@ -7,10 +7,11 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from boolseq.compilers import And, AndGate, Circuit, Cnf, FVar, GateRef, InputRef, Literal, Not, NotGate, Or, OrGate
-from boolseq.instr import ClassProfile, InstructionSequence, classify, parse
+from boolseq.instr import ClassProfile, InReg, InstructionSequence, Jump, _Tree, _Value, classify, parse
 from boolseq.lab import SearchSpec, TruthTable
 from boolseq.satc import LiteralSet, SatcInstance
 from boolseq.services import BoolRegister, Deadlocked, Divergent, RegisterFile, RegState, Terminated
+from boolseq.threads import Stop
 from boolseq.transforms import RewriteReport
 
 X = parse("+in:1.get ; #2 ; split:1 ; +reply:1 ; out.set:T ; !")
@@ -131,6 +132,7 @@ def test_hash_is_the_hash_of_the_field_tuple(v, text):
 
 @pytest.mark.parametrize("v, text", VALUES, ids=IDS)
 def test_values_compare_by_class_and_fields(v, text):
+    assert v._fields() == fields(v)
     assert v == type(v)(*fields(v))
     assert (v == object()) is False and v != object()
     match v:
@@ -148,6 +150,12 @@ def test_classes_with_equal_fields_differ():
     assert classify(X) != classify(X)._replace(last_param_use={1: 3})
     assert hash(classify(X)) == hash(classify(X)._replace(last_param_use={1: 3}))
     assert len({Not(FVar(1)), Not(FVar(1)), FVar(1), Literal(1), Literal(1, False)}) == 3
+
+
+def test_trees_instructions_and_profiles_keep_their_own_eq_and_hash():
+    assert (Not.__eq__, Not.__hash__, Stop.__hash__) == (_Tree.__eq__, _Tree.__hash__, _Tree.__hash__)
+    assert InReg.__eq__ is Jump.__eq__ is object.__eq__ and InReg.__hash__ is object.__hash__
+    assert ClassProfile.__hash__ is vars(ClassProfile)["__hash__"] and ClassProfile.__eq__ is not _Value.__eq__
 
 
 def test_replace_changes_fields_and_checks_them():
