@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .instr import (
     GET,
@@ -242,6 +242,11 @@ def _eval_bform(phi: BoolFormula, assignment: Sequence[bool]) -> bool:
             return value
 
 
+# What ``eval_circuit`` holds for a gate under way: no value a gate can take,
+# as an assignment's entries, ``None`` included, can be gate values.
+_UNDER_WAY = object()
+
+
 def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
     # As ``_eval_bform``, evaluating each gate reachable from the output at most once.
     bound = len(assignment)
@@ -249,7 +254,7 @@ def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
         raise ValueError("assignment shorter than the circuit's input count")
     gates = circuit.gates
     size = len(gates)
-    cache: dict[int, Optional[bool]] = {}  # None while the gate is under way
+    cache: dict[int, object] = {}  # _UNDER_WAY while the gate is under way
     pending: list[tuple[int, bool]] = []  # gates under way, and whether on their right operand
     k = circuit.output_gate
     while True:
@@ -259,7 +264,7 @@ def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
                 raise ValueError(f"dangling gate reference g{k}")
             if k in cache:
                 raise ValueError("cyclic circuit")
-            cache[k] = None
+            cache[k] = _UNDER_WAY
             pending.append((k, False))
             gate = gates[k - 1]
             node = gate.pred if type(gate) is NotGate else gate.left
@@ -269,7 +274,7 @@ def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
                 value = assignment[node.index - 1]
                 break
             k = node.index
-            if (value := cache.get(k)) is not None:
+            if (value := cache.get(k, _UNDER_WAY)) is not _UNDER_WAY:
                 break
         # Leave the gates that value decides, up to one that needs its right operand.
         while pending:
@@ -286,7 +291,7 @@ def eval_circuit(circuit: Circuit, assignment: Sequence[bool]) -> bool:
                     value = assignment[node.index - 1]
                     continue
                 k = node.index
-                if (value := cache.get(k)) is None:
+                if (value := cache.get(k, _UNDER_WAY)) is _UNDER_WAY:
                     break  # enter gate k
                 continue
             cache[k] = value

@@ -198,8 +198,8 @@ def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOut
 
     Input registers hold the inputs, auxiliary registers and the output
     start False.  Falling past the end, a zero jump, or a jump beyond the
-    end deadlocks; reading an input register beyond the provided arity
-    diverges; the termination instruction terminates with the final
+    end deadlocks; reading or writing an input register beyond the provided
+    arity diverges; the termination instruction terminates with the final
     registers.
     """
     outcome, _ = run_with_steps(x, inputs)
@@ -223,29 +223,35 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
         )
     moves = x._moves  # the walk adds offsets, so pc counts positions from 0
     k = len(moves)
-    inputs = tuple(inputs)
-    n = len(inputs)
     # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
+    # The input bank ends at in:n and the aux bank at the largest index x
+    # names, so the loop tests neither bound: reading ``moves`` past the end
+    # or reading or writing an input past n raises ``IndexError``, and pc
+    # tells the two apart.
     banks = [[False, *inputs], [False] * (max_aux + 1), [False]]
     pc = 0
-    steps = 0
-    while pc < k:
-        kind, slot, method, d_true, d_false = moves[pc]
-        steps += 1
-        if kind == KIND_TERM:
-            ins, aux, out = banks
-            return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
-        if kind == KIND_JUMP:
-            pc += d_true or k  # ``#0`` deadlocks: it moves control out of the sequence
-            continue
-        if kind == KIND_IN and slot > n:
-            return Divergent(f"unserved focus in:{slot}"), steps
-        bank = banks[kind]
-        # A register's new contents is also its reply.
-        reply = bank[slot] if method == GET else method == SET_TRUE
-        bank[slot] = reply
-        pc += d_true if reply else d_false
-    return Deadlocked(), steps
+    try:
+        for steps in count(1):
+            kind, slot, method, d_true, d_false = moves[pc]
+            # Most steps are jumps, then reads; a register's new contents is
+            # also its reply, so a read leaves its register as it is.
+            if kind == KIND_JUMP:
+                pc += d_true or k  # ``#0`` deadlocks: it moves control out of the sequence
+            elif method == GET:
+                pc += d_true if banks[kind][slot] else d_false
+            elif kind == KIND_TERM:
+                ins, aux, out = banks
+                return Terminated(RegisterFile(tuple(ins[1:]), dict(enumerate(aux[1:], 1)), out[0])), steps
+            elif method == SET_TRUE:
+                banks[kind][slot] = True
+                pc += d_true
+            else:
+                banks[kind][slot] = False
+                pc += d_false
+    except IndexError:
+        if pc >= k:  # the move of ``#0``, a jump past the end, or falling off the end
+            return Deadlocked(), steps - 1
+        return Divergent(f"unserved focus in:{slot}"), steps
 
 
 # --- lane-parallel execution -------------------------------------------------

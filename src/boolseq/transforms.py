@@ -18,6 +18,9 @@ Each rewrite has a ``*_report`` variant returning the rule trace.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress, count, islice, repeat
+from operator import is_
+from typing import Iterator
 
 from .instr import (
     GET,
@@ -74,10 +77,25 @@ def _reach(move: Row) -> int:
     return d_true if method == SET_TRUE else d_false if method == SET_FALSE else max(d_true, d_false)
 
 
-def _skipping_aux_writes(x: InstructionSequence) -> set[int]:
-    """The positions of ``-aux:j.set:T`` and ``+aux:j.set:F``: the reply is forced and always skips."""
-    moves = enumerate(x._moves, start=1)
-    return {pos for pos, move in moves if move[0] == KIND_AUX and move[2] != GET and _reach(move) == 2}
+# The rewrites find their candidate positions with these scans, which take
+# no Python step per item: instructions are interned, so a set of the
+# distinct ones names every position that holds one of them.
+
+
+def _positions(items, forms: set) -> Iterator[int]:
+    """The positions of the items in ``forms``, in order."""
+    return compress(count(1), map(forms.__contains__, items))
+
+
+def _jumps(items) -> list[int]:
+    """The positions of the jumps in ``items``, in order."""
+    return list(compress(count(1), map(is_, map(type, items), repeat(Jump))))
+
+
+def _skipping_aux_writes(x: InstructionSequence) -> list[int]:
+    """The positions of ``-aux:j.set:T`` and ``+aux:j.set:F``, in order: the reply is forced and always skips."""
+    forms = {u for u in set(x.items) if u._row[0] == KIND_AUX and u._row[2] != GET and _reach(u._row) == 2}
+    return list(_positions(x.items, forms))
 
 
 def _splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
@@ -91,36 +109,45 @@ def _splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> li
     ``("widen-jump", i)`` for each crossing jump in position order, then
     ``(rule, new position of q)``.  Replacements to the left are done by
     then, so every traced position is final.
+
+    The stretches between blocks are copied as slices; only the blocks and
+    the jumps before the last block are visited.  The first block after a
+    jump in the stretch before block q is q, so the jump crosses a block iff
+    it crosses q; a jump after the last block crosses none.
     """
     starts = sorted(blocks)
     grown = [0]  # grown[i]: the positions added by the blocks before starts[i]
     for q in starts:
         grown.append(grown[-1] + len(blocks[q][1]) - 1)
+    jumps = _jumps(items)
     out: list = []
     crossing: list[tuple[int, int]] = []  # (new position, old target) of each jump crossing a block
     active: list[tuple[int, int]] = []  # those that may cross the next block, in position order
-
-    def track(pos: int, start: int, target: int) -> None:
-        after = bisect_right(starts, start)
-        if after < len(starts) and starts[after] < target:
-            crossing.append((pos, target))
-            active.append(crossing[-1])
-
-    for p, u in enumerate(items, start=1):
-        if p not in blocks:
-            out.append(u)
-            if isinstance(u, Jump) and u.distance:
-                track(len(out), p, p + u.distance)
-            continue
-        rule, block = blocks[p]
-        active = [jump for jump in active if jump[1] > p]
+    copied = seen = 0  # items[:copied] are in out; jumps[:seen] are visited
+    for i, q in enumerate(starts):
+        stop = bisect_left(jumps, q, seen)
+        for p in jumps[seen:stop]:
+            target = p + items[p - 1].distance  # ``#0`` has target p and crosses nothing
+            if target > q:
+                crossing.append((p + grown[i], target))
+                active.append(crossing[-1])
+        seen = bisect_right(jumps, q, stop)  # a jump at q is replaced
+        out += items[copied : q - 1]
+        copied = q
+        rule, block = blocks[q]
+        active = [jump for jump in active if jump[1] > q]
         trace.extend(("widen-jump", pos) for pos, _target in active)
         trace.append((rule, len(out) + 1))
+        following = starts[i + 1] if i + 1 < len(starts) else q  # q: no block follows
         for offset, v in enumerate(block):
-            out.append(v)
-            # A jump out of the block goes to an old position after p.
-            if isinstance(v, Jump) and v.distance and offset + v.distance >= len(block):
-                track(len(out), p, p + 1 + offset + v.distance - len(block))
+            # A jump out of the block goes to an old position after q.
+            if type(v) is Jump and v.distance and offset + v.distance >= len(block):
+                target = q + 1 + offset + v.distance - len(block)
+                if q < following < target:
+                    crossing.append((len(out) + offset + 1, target))
+                    active.append(crossing[-1])
+        out += block
+    out += items[copied:]
     for pos, target in crossing:
         out[pos - 1] = Jump(target + grown[bisect_left(starts, target)] - pos)
     return out
@@ -147,14 +174,14 @@ def eliminate_output_false_report(x: InstructionSequence) -> RewriteReport:
     fresh = classify(x).max_aux_index + 1
     readback = [PosTest(RegisterOp(AuxReg(fresh), GET)), Plain(RegisterOp(OUT, SET_TRUE)), TERM]
     moves = x._moves
-    trace: list[tuple[str, int]] = []
-    items = list(x.items)
+    renamed = {
+        u: type(u)(RegisterOp(AuxReg(fresh), u._row[2])) for u in set(x.items) if u._row[0] == KIND_OUT
+    }
+    trace = [("rename-out", pos) for pos in _positions(x.items, renamed)]
+    items = list(map(renamed.get, x.items, x.items))
     blocks = {}
-    for pos, (kind, _, method, _, _) in enumerate(moves, start=1):
-        if kind == KIND_OUT:
-            items[pos - 1] = type(items[pos - 1])(RegisterOp(AuxReg(fresh), method))
-            trace.append(("rename-out", pos))
-        elif kind == KIND_TERM and moves[0][0] != KIND_TERM:  # so pos > 1
+    if moves[0][0] != KIND_TERM:
+        for pos in _positions(x.items, {TERM}):  # so pos > 1
             before = moves[pos - 2]
             if before[0] != KIND_JUMP and _reach(before) == 2:
                 raise ValueError(
@@ -186,16 +213,17 @@ def normalize_set_tests_report(x: InstructionSequence) -> RewriteReport:
         raise ValueError("normalize_set_tests requires a register-only sequence")
     items = list(x.items)
     moves = x._moves
-    skipping = _skipping_aux_writes(x)
     blocks = {}
-    for pos in sorted(skipping):
-        if pos > 1 and pos - 1 not in skipping:
+    last = 0  # the skipping write before pos, if any
+    for pos in _skipping_aux_writes(x):
+        if pos > 1 and pos - 1 != last:
             before = moves[pos - 2]
             if before[0] != KIND_JUMP and _reach(before) == 2:
                 raise ValueError(
                     f"normalize_set_tests precondition violated: the test at position "
                     f"{pos - 1} can bypass the write at position {pos}"
                 )
+        last = pos
         basic = items[pos - 1].basic
         if moves[pos - 1][2] == SET_TRUE:
             blocks[pos] = ("unskip-set-true", [PosTest(basic), Jump(2)])
@@ -251,7 +279,7 @@ def to_splitting_report(x: InstructionSequence) -> RewriteReport:
     if skipping:
         raise ValueError(
             f"to_splitting requires normalize_set_tests output; "
-            f"skipping write form at position {min(skipping)}"
+            f"skipping write form at position {skipping[0]}"
         )
     bypassed = check_write_linear(x)
     if bypassed is not None:
@@ -321,12 +349,12 @@ def collapse_jump_chains_report(x: InstructionSequence) -> RewriteReport:
     items = list(x.items)
     k = len(items)
     trace: list[tuple[str, int]] = []
-    for i in range(k, 0, -1):
+    for i in reversed(_jumps(items)):
         u = items[i - 1]
-        if not (isinstance(u, Jump) and u.distance >= 1 and i + u.distance <= k):
+        if not (u.distance >= 1 and i + u.distance <= k):
             continue
         target = items[i + u.distance - 1]
-        if not isinstance(target, Jump):
+        if type(target) is not Jump:
             continue
         if target.distance == 0:
             items[i - 1] = Jump(0)
@@ -390,12 +418,14 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
     # The window of j: equal jumps of distance d >= 2 at j + 1 and j + 2,
     # ending at j + d + 1.  Rewrites never touch a jump of distance >= 2, so
     # the windows stay fixed.
+    # Jumps are interned, so equal jumps are one object: the candidates are
+    # the positions j + 1 that hold the same object as j + 2.
     window_end: dict[int, int] = {}
     window_starts: dict[int, list[int]] = {}
-    for j in range(1, k - 1):
-        u1, u2 = items[j], items[j + 1]
-        if isinstance(u1, Jump) and isinstance(u2, Jump) and u1.distance == u2.distance >= 2:
-            end = j + u1.distance + 1
+    for j in compress(count(), map(is_, items, islice(items, 1, None))):
+        u = items[j]
+        if j and type(u) is Jump and u.distance >= 2:
+            end = j + u.distance + 1
             if end <= k:
                 window_end[j] = end
                 window_starts.setdefault(end, []).append(j)
@@ -404,7 +434,11 @@ def behavioural_normalize_report(x: InstructionSequence) -> RewriteReport:
         items[i - 1] = Plain(items[i - 1].basic) if rule == "drop-forced-test" else Jump(1)
         trace.append((rule, i))
 
-    for i in range(1, k + 1):
+    # Rewrites only touch positions up to the one scanned, so the scan
+    # reaches each position as x has it, and only the tests of writes there
+    # can have a rule.
+    write_tests = {u for u in set(x.items) if type(u) in (PosTest, NegTest) and u._row[2] != GET}
+    for i in _positions(x.items, write_tests):
         rule = rule_at(i)
         if rule is None:
             continue

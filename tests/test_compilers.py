@@ -24,6 +24,7 @@ from boolseq.compilers import (
     compile_cnf,
     compile_cnf_jumpfree,
     compile_formula,
+    eval_circuit,
     eval_cnf,
     eval_formula,
     formula_block_size,
@@ -138,6 +139,41 @@ def test_eval_formula_matches_recursive_reference():
         assignment = [rng.random() < 0.5 for _ in range(rng.randint(max(0, inputs - 1), inputs + 1))]
         assert _outcome(eval_formula, circuit, assignment) == _outcome(recursive_eval, circuit, assignment)
 
+
+
+def test_eval_circuit_takes_none_entries_for_values():
+    # g1 is done, with the value None, when g2 reaches it a second time.
+    circuit = parse_netlist("g1 = OR in1 in2\ng2 = OR g1 g1\noutput g2")
+    assert eval_circuit(circuit, [None, None]) is None
+    assert recursive_eval(circuit, [None, None]) is None
+    assert eval_circuit(circuit, [None, 0]) == recursive_eval(circuit, [None, 0]) == 0
+
+
+def test_eval_circuit_matches_recursive_reference_on_non_bool_entries():
+    # Acyclic circuits with shared gates, and circuits with dangling and
+    # cyclic references, at entries of every truth value, None included:
+    # the same value of the same type, or the same error message.
+    rng = random.Random(3141)
+    entries = (True, False, None, 0, 1, "", "x", (), (0,))
+    gate_kinds = (lambda a, b: NotGate(a), OrGate, AndGate)
+    for trial in range(1200):
+        if trial % 2:
+            circuit = gen_circuit(rng, 3, 10)
+        else:
+            inputs, size = rng.randint(0, 3), rng.randint(1, 6)
+
+            def node():
+                if rng.random() < 0.35:
+                    return InputRef(rng.randint(1, inputs + 1))
+                return GateRef(rng.randint(0, size + 1))
+
+            gates = tuple(rng.choice(gate_kinds)(node(), node()) for _ in range(size))
+            circuit = Circuit(inputs, gates, rng.randint(1, size))
+        for length in range(max(0, circuit.num_inputs - 1), circuit.num_inputs + 2):
+            assignment = [rng.choice(entries) for _ in range(length)]
+            got = _outcome(eval_circuit, circuit, assignment)
+            want = _outcome(recursive_eval, circuit, assignment)
+            assert (type(got), got) == (type(want), want), (render_netlist(circuit), assignment)
 
 def reference_eval_cnf(phi, assignment):
     """Clause by clause, a generator of literal values per clause: the reference for ``eval_cnf``."""

@@ -10,6 +10,7 @@ from boolseq.instr import (
     GET,
     METHODS,
     OUT,
+    SET_FALSE,
     SET_TRUE,
     TERM,
     AuxReg,
@@ -308,6 +309,85 @@ def test_run_walks_a_long_jump_chain():
         x = InstructionSequence(chain + (last,))
         assert run_with_steps(x, ()) == reference_run(x, ()) == (outcome, k)
 
+
+
+# --- the loop's exits: divergence, deadlock and the bound checks ---------------------
+
+
+def test_run_input_past_n_diverges_at_every_place():
+    # A read and a write of in:n+1 first, in the middle, last, after a jump
+    # and after a skip: each diverges there, with that step counted.
+    for n in range(4):
+        slot = n + 1
+        for op in (f"in:{slot}.get", f"+in:{slot}.get", f"-in:{slot}.get", f"in:{slot}.set:T", f"+in:{slot}.set:F"):
+            for text, steps in (
+                (f"{op} ; out.set:T ; !", 1),
+                (f"aux:1.set:T ; {op} ; out.set:T ; !", 2),
+                (f"aux:1.set:T ; out.set:T ; {op}", 3),
+                (f"#2 ; ! ; {op} ; !", 2),
+                (f"-aux:1.set:T ; ! ; {op}", 2),
+            ):
+                x = parse(text)
+                for inputs in product((False, True), repeat=n):
+                    want = (Divergent(f"unserved focus in:{slot}"), steps)
+                    assert run_with_steps(x, inputs) == reference_run(x, inputs) == want, (text, inputs)
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        ("#0 ; !", 1),
+        ("out.set:T ; #0 ; !", 2),
+        ("out.set:T ; #0", 2),
+        ("out.set:T ; #3 ; !", 2),
+        ("out.set:T ; #2", 2),
+        ("out.set:T ; #1", 2),
+        ("out.set:T", 1),
+        ("#1 ; out.set:T", 2),
+        # A test at k whose skip lands two past the end.
+        ("aux:1.set:T ; -aux:1.get", 2),
+        ("+out.set:F", 1),
+        ("aux:1.set:T ; -aux:1.set:T", 2),
+    ],
+)
+def test_run_deadlock_exits(text, steps):
+    x = parse(text)
+    assert run_with_steps(x, ()) == reference_run(x, ()) == (Deadlocked(), steps)
+
+
+def test_run_bound_errors_unchanged():
+    with pytest.raises(ValueError, match=r"^sequence contains split/reply instructions; use run_splitting$"):
+        run_with_steps(parse("in:1.get ; +reply:1 ; !"), (True,))
+    index = MAX_AUX_INDEX + 1
+    message = f"^resource bound exceeded: aux:{index} is past the {MAX_AUX_INDEX} auxiliary registers of a run$"
+    with pytest.raises(ResourceBoundError, match=message):
+        run_with_steps(parse(f"in:9.get ; aux:{index}.set:T ; !"), ())
+
+
+def test_run_matches_reference_on_random_code_with_input_writes():
+    # Register code that reads and writes inputs up to n + 2, writes aux and
+    # out in every form, jumps anywhere and terminates at several places.
+    rng = random.Random(2311)
+    for n in range(5):
+        basics = [
+            RegisterOp(InReg(j), method) for j in range(1, n + 3) for method in METHODS
+        ] + [RegisterOp(AuxReg(j), method) for j in (1, 2) for method in METHODS]
+        basics += [RegisterOp(OUT, SET_TRUE), RegisterOp(OUT, SET_FALSE)]
+        for _ in range(300):
+            k = rng.randint(1, 20)
+            items = []
+            for _ in range(k):
+                roll = rng.random()
+                if roll < 0.1:
+                    items.append(TERM)
+                elif roll < 0.35:
+                    items.append(Jump(rng.randint(0, k + 2)))
+                else:
+                    items.append(rng.choice((Plain, PosTest, NegTest))(rng.choice(basics)))
+            x = InstructionSequence(tuple(items))
+            for _ in range(3):
+                inputs = tuple(rng.random() < 0.5 for _ in range(n))
+                assert run_with_steps(x, inputs) == reference_run(x, inputs), (render(x), inputs)
 
 def test_parse_input_bits():
     assert parse_input_bits("TFT") == (True, False, True)

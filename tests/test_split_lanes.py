@@ -5,11 +5,8 @@ action turns over all branches.  The lane runner must give the same
 ``(outcome, steps)`` pair, compared with ``==``, on every input.
 """
 
-import importlib.util
 import random
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +29,7 @@ from boolseq.services import (
 from boolseq.splitting import queue_runner, run_splitting_with_steps
 from boolseq.transforms import to_splitting
 
-from util import algebraic_splitting_outcome, first_reads, gen_isbr, gen_sisbr, outcome_matches_service
+from util import algebraic_splitting_outcome, bench_workloads, first_reads, gen_isbr, gen_sisbr, outcome_matches_service
 
 
 ACCEPTED = Terminated(RegisterFile((), {}, True))
@@ -243,21 +240,10 @@ def test_queue_runner_step_budget(monkeypatch):
         queue_runner(x, ())
 
 
-def _bench_workloads():
-    """The benchmark's workload module, for its generators."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 @pytest.mark.parametrize("length", [200, 400, 1000, 3000])
 def test_to_splitting_tables_of_long_write_linear_code(length):
     # One fresh parameter per write: 25 to 375 parameters, a lane per branch.
-    x = _bench_workloads().write_linear_sequence(random.Random(length), length, 3, 2)
+    x = bench_workloads().write_linear_sequence(random.Random(length), length, 3, 2)
     y = to_splitting(x)
     assert len(split_params(y)) == length // 8
     assert truth_table(y, 3, splitting=True) == truth_table(x, 3)

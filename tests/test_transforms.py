@@ -1,5 +1,6 @@
 """Function-preserving rewrites: goldens, preservation, bounds, and domain limits."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from boolseq import instr
 from boolseq.compilers import Circuit, InputRef, NotGate, compile_circuit, compile_cnf, eval_cnf
 from boolseq.instr import (
+    GET,
+    TERM,
     AuxReg,
     InReg,
     InstructionSequence,
@@ -30,6 +33,7 @@ from boolseq.services import Deadlocked, RegisterFile, Terminated, run
 from boolseq.splitting import queue_runner, run_splitting, run_splitting_with_steps
 from boolseq.threads import extract
 from boolseq.transforms import (
+    _splice,
     behavioural_normalize,
     behavioural_normalize_report,
     check_write_linear,
@@ -43,7 +47,7 @@ from boolseq.transforms import (
     to_splitting_report,
 )
 
-from util import gen_cnf, gen_isbr, gen_write_linear
+from util import bench_workloads, gen_cnf, gen_isbr, gen_write_linear, reference_splice
 
 
 def _signature(x, n, runner=run):
@@ -589,6 +593,99 @@ def test_splicing_rewrites_pinned(rewrite, source, output, trace):
     assert render(report.output) == output
     assert report.rule_trace == trace
     assert report.steps == len(trace)
+
+
+
+# --- the splice against its per-item reference ------------------------------------
+
+# (items, {q: block}): blocks at positions 1 and k, adjacent blocks, jumps
+# across several blocks, a block's own jump leaving it, ``#0``, jumps onto a
+# replaced position, jumps past the end, and a replaced jump.
+SPLICE_SHAPES = [
+    ("out.set:F ; #2 ; in:1.get ; !", {1: "aux:1.set:T ; #2", 4: "+aux:1.get ; out.set:T ; !"}),
+    ("#4 ; +aux:2.set:F ; +aux:2.set:F ; !", {2: "-aux:2.set:F ; #2", 3: "-aux:2.set:F ; #2"}),
+    ("in:1.get ; #6 ; ! ; in:2.get ; ! ; in:1.get ; ! ; !", {3: "#1 ; !", 5: "#1 ; !", 7: "in:1.get ; #1 ; !"}),
+    ("in:1.get ; ! ; ! ; in:2.get ; ! ; !", {2: "#5 ; out.set:T", 3: "#2 ; !", 5: "#0 ; #9"}),
+    ("#0 ; ! ; #0 ; #0", {2: "#0 ; #1", 4: "#0"}),
+    ("#2 ; in:1.get ; ! ; #1 ; !", {3: "out.set:T ; !", 5: "out.set:T ; !"}),
+    ("#9 ; ! ; in:1.get ; #7 ; !", {2: "in:2.get ; !", 5: "in:2.get ; !"}),
+    ("#2 ; #5 ; #1 ; !", {2: "#3 ; in:1.get", 3: "#1 ; #1"}),
+]
+
+
+@pytest.mark.parametrize("items, blocks", SPLICE_SHAPES)
+def test_splice_shapes_match_reference(items, blocks):
+    assert_splices_as_reference(
+        list(parse(items).items), {q: (f"rule-{q}", list(parse(b).items)) for q, b in blocks.items()}
+    )
+
+
+def assert_splices_as_reference(items, blocks):
+    trace, want_trace = [], []
+    got = _splice(list(items), blocks, trace)
+    want = reference_splice(list(items), blocks, want_trace)
+    assert (got, trace) == (want, want_trace), (items, blocks)
+
+
+def test_splice_matches_reference_on_random_items_and_blocks():
+    rng = random.Random(2323)
+    others = [TERM, Plain(RegisterOp(AuxReg(1), SET_TRUE)), PosTest(RegisterOp(InReg(1), GET))]
+
+    def instruction(reach):
+        return Jump(rng.randint(0, reach)) if rng.random() < 0.5 else rng.choice(others)
+
+    for _ in range(3000):
+        k = rng.randint(1, 16)
+        items = [instruction(k + 3) for _ in range(k)]
+        blocks = {}
+        for q in range(1, k + 1):
+            if rng.random() < 0.4:
+                size = rng.randint(1, 4)
+                blocks[q] = (rng.choice(("rule-a", "rule-b")), [instruction(size + 3) for _ in range(size)])
+        assert_splices_as_reference(items, blocks)
+
+
+CHAIN_REPORTS = (
+    eliminate_output_false_report,
+    normalize_set_tests_report,
+    collapse_jump_chains_report,
+    behavioural_normalize_report,
+)
+
+
+def _report_key(report_fn, x):
+    try:
+        report = report_fn(x)
+    except ValueError as error:
+        return ("error", str(error)), x
+    return (render(report.output), report.rule_trace, report.steps), report.output
+
+
+# Recorded from the per-item loops: reports, errors among them, trace entries, digest.
+PINNED_REPORTS = (216, 22, 4566, "a4217bfd3108c8c65cbbe33f0b2242a7f514895e713eadd69c456e246b63a1f4")
+
+
+def test_rewrite_reports_pinned_on_bench_shaped_inputs():
+    # Output text, rule trace, step count or error message of the four
+    # rewrites, as the per-item loops they replace gave them: on seeded
+    # write-linear code from the benchmark's generator, each rewrite on its
+    # own, and on compiled CNFs, the four in the benchmark's order, each on
+    # the output of the one before.
+    workloads = bench_workloads()
+    rng = random.Random(2300)
+    keys = []
+    for length in (40, 80, 120, 200, 300, 400) * 4:
+        x = workloads.write_linear_sequence(rng, length, 8, 6)
+        keys += [_report_key(report_fn, x)[0] for report_fn in CHAIN_REPORTS]
+    for clauses in (3, 6, 11, 20, 33) * 6:
+        x = compile_cnf(workloads.random_cnf(rng, 12, clauses))
+        for report_fn in CHAIN_REPORTS:
+            key, x = _report_key(report_fn, x)
+            keys.append(key)
+    errors = sum(key[0] == "error" for key in keys)
+    trace_length = sum(len(key[1]) for key in keys if key[0] != "error")
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert (len(keys), errors, trace_length, digest) == PINNED_REPORTS
 
 
 # --- cases the decoded rows cannot tell apart -------------------------------------

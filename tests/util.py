@@ -8,15 +8,21 @@ behaviour summaries of ``lab.shortest_sequence_search``.  The reference
 decoder works out every row from its instruction, independent of the row
 templates the interned instructions carry, and the reference register run
 follows its rows, where ``services.run_with_steps`` adds up the templates'
-offsets.  Exhaustive formula satisfiability is the reference for
+offsets.  The reference splice visits every item, where
+``transforms._splice`` copies the stretches between blocks.  Exhaustive
+formula satisfiability is the reference for
 ``satc.reachability_satisfiable``.  The reference term size walks the
 tree, independent of the sizes the thread nodes carry.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from bisect import bisect_left, bisect_right
 from itertools import product
+from pathlib import Path
 from typing import Optional
 
 from boolseq.compilers import BoolFormula, FVar, _occurrences, eval_formula
@@ -178,6 +184,49 @@ def reference_run(x: InstructionSequence, inputs) -> tuple:
     return Deadlocked(), steps
 
 
+def reference_splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
+    """``transforms._splice`` one item at a time: the reference for it.
+
+    Each ``items[q - 1]`` with ``q`` in ``blocks`` is replaced by the block
+    of ``blocks[q] = (rule, block)``, and every jump other than ``#0`` that
+    strictly crosses a replaced position, a jump inside an earlier block
+    included, is lengthened by what the blocks it crosses add.  Per replaced
+    q, in order, the trace gets a ``("widen-jump", i)`` for each crossing
+    jump in position order, then ``(rule, new position of q)``.
+    """
+    starts = sorted(blocks)
+    grown = [0]  # grown[i]: the positions added by the blocks before starts[i]
+    for q in starts:
+        grown.append(grown[-1] + len(blocks[q][1]) - 1)
+    out: list = []
+    crossing: list[tuple[int, int]] = []  # (new position, old target) of each jump crossing a block
+    active: list[tuple[int, int]] = []  # those that may cross the next block, in position order
+
+    def track(pos: int, start: int, target: int) -> None:
+        after = bisect_right(starts, start)
+        if after < len(starts) and starts[after] < target:
+            crossing.append((pos, target))
+            active.append(crossing[-1])
+
+    for p, u in enumerate(items, start=1):
+        if p not in blocks:
+            out.append(u)
+            if isinstance(u, Jump) and u.distance:
+                track(len(out), p, p + u.distance)
+            continue
+        rule, block = blocks[p]
+        active = [jump for jump in active if jump[1] > p]
+        trace.extend(("widen-jump", pos) for pos, _target in active)
+        trace.append((rule, len(out) + 1))
+        for offset, v in enumerate(block):
+            out.append(v)
+            # A jump out of the block goes to an old position after p.
+            if isinstance(v, Jump) and v.distance and offset + v.distance >= len(block):
+                track(len(out), p, p + 1 + offset + v.distance - len(block))
+    for pos, target in crossing:
+        out[pos - 1] = Jump(target + grown[bisect_left(starts, target)] - pos)
+    return out
+
 # Most variables ``formula_satisfiable`` searches exhaustively (2^25 assignments).
 MAX_FORMULA_VARS = 25
 
@@ -266,6 +315,16 @@ def outcome_matches_service(run_outcome, service_result) -> bool:
         )
     return service_result is DIVERGENT
 
+
+def bench_workloads():
+    """The benchmark's workload module, for its generators."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 # --- random sequence generators -------------------------------------------------
 
