@@ -8,12 +8,12 @@ Basic instructions address named Boolean registers (``in:i``, ``aux:i``,
 Boolean parameter (``split:p``, ``reply:p``).
 
 Everything here is immutable and purely syntactic: parsing, canonical
-rendering, length, ``classify`` profiles, and ``decode`` rows (each
-position's successor after each reply) with ``actions``, their jump-free
-view for the lane sweep.  Instructions are interned values: one object per
-value, which carries its text and its row template, its row of ``decode``
-with offsets for targets.  The profile, the rewrites and register runs read
-a sequence's templates; only readers that follow targets pay for its rows.
+rendering, length, ``classify`` profiles, and ``actions``, the jump-free
+view of a sequence's control flow for the lane sweep.  Instructions are
+interned values: one object per value, which carries its text and its row
+template: what it does, and how far control moves on after each reply.
+Every reader of control flow walks a sequence's templates by these
+offsets; the templates are the one form of it that a sequence keeps.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class ResourceBoundError(ValueError):
     """A documented resource bound (lanes, variables, states or steps) would be exceeded."""
 
 
-# Decoded kinds (see ``Row``).  The register kinds come first, so that a
+# Instruction kinds (see ``Row``).  The register kinds come first, so that a
 # register kind indexes a list of register banks.
 KIND_IN = 0
 KIND_AUX = 1
@@ -364,10 +364,10 @@ BasicInstruction = Union[RegisterOp, SplitOp, ReplyOp]
 
 # Each primitive instruction has ``offsets``: how far control moves on after
 # a True and after a False reply (None for ``!``).  This is the one place the
-# rule is written; ``decode`` and everything else that needs a successor use it.
-# When an instruction is interned, its ``_row`` is read from them: its decode
-# row ``(kind, slot, method, d_true, d_false)`` with the offsets in place of
-# the targets (0 for ``!``, which has no successor); ``_text`` is its text.
+# rule is written; everything that needs a successor uses it.  When an
+# instruction is interned, its ``_row`` is read from them: its row template
+# ``(kind, slot, method, d_true, d_false)`` (see ``Row``), with 0 for ``!``,
+# which has no successor; ``_text`` is its text.
 
 
 class _Form(_Interned):
@@ -492,10 +492,6 @@ class InstructionSequence(_Value):
         return _classify(self)
 
     @cached_property
-    def _decoded(self) -> tuple["Row", ...]:
-        return _decode(self)
-
-    @cached_property
     def _actions(self) -> tuple[tuple["Row", ...], tuple[int, ...], int]:
         return _actions(self)
 
@@ -553,23 +549,18 @@ def classify(x: InstructionSequence) -> ClassProfile:
     return x._profile
 
 
-# --- decoded control flow ----------------------------------------------------
+# --- control flow ------------------------------------------------------------
 
 
-# One decoded position, as a plain tuple ``(kind, slot, method, on_true,
-# on_false)``: what it does and which position comes next.  ``slot`` is the
-# register index (0 for ``out``) or the parameter of a split or reply, 0
-# otherwise; ``method`` is the register method, None otherwise.  ``on_true``
-# and ``on_false`` are the positions reached after a True and after a False
-# reply, 0 where control deadlocks (``#0``, or a move past the end).  A jump
-# has its target in both, ``!`` has 0 in both.  Readers unpack or index it.
-# A row template (``_row``, ``x._moves``) has the offsets in their place.
+# One position's row template, as a plain tuple ``(kind, slot, method,
+# d_true, d_false)``: what it does and how far control moves on after a True
+# and after a False reply.  ``slot`` is the register index (0 for ``out``) or
+# the parameter of a split or reply, 0 otherwise; ``method`` is the register
+# method, None otherwise.  A jump has its distance in both moves, ``!`` has 0
+# in both.  A move of 0 (``#0``) or past the end deadlocks: each reader that
+# follows control states that rule in its own loop.  A row of the ``actions``
+# view has the same shape, with action indices in place of the moves.
 Row = tuple[int, int, str | None, int, int]
-
-
-def decode(x: InstructionSequence) -> tuple[Row, ...]:
-    """The rows of ``x``, worked out from its row templates and kept on ``x``: ``decode(x)[i - 1]`` is position i."""
-    return x._decoded
 
 
 # Classes by the (kind, method) pairs that occur.  Writes of inputs, reads of
@@ -577,25 +568,6 @@ def decode(x: InstructionSequence) -> tuple[Row, ...]:
 # ``out.set:T`` and split/reply leaves the fork/reply class.
 _NOT_ISBR = {(KIND_IN, SET_TRUE), (KIND_IN, SET_FALSE), (KIND_OUT, GET), (KIND_SPLIT, None), (KIND_REPLY, None)}
 _SISBR = {(KIND_IN, GET), (KIND_OUT, SET_TRUE), (KIND_SPLIT, None), (KIND_REPLY, None)}
-
-
-def _decode(x: InstructionSequence) -> tuple[Row, ...]:
-    moves = x._moves
-    k = len(moves)
-    positions = list(range(k + 1))  # one int per position, shared by the rows leading there
-    # Each row template with its offsets turned into targets.
-    return tuple(
-        [
-            (
-                kind,
-                slot,
-                method,
-                positions[pos + d_true] if 0 < d_true <= k - pos else 0,
-                positions[pos + d_false] if 0 < d_false <= k - pos else 0,
-            )
-            for pos, (kind, slot, method, d_true, d_false) in enumerate(moves, start=1)
-        ]
-    )
 
 
 def _classify(x: InstructionSequence) -> ClassProfile:
@@ -636,7 +608,7 @@ def _classify(x: InstructionSequence) -> ClassProfile:
 
 
 def actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:
-    """The jump-free view of ``decode(x)``: ``(rows, where, entry)``, kept on ``x``.
+    """The jump-free view of ``x``'s control flow: ``(rows, where, entry)``, kept on ``x``.
 
     A jump is not an action: control passes it on to its target.  ``rows``
     holds the rows of the other positions, in order, and ``rows[j - 1]``
@@ -649,26 +621,31 @@ def actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], i
 
 
 def _actions(x: InstructionSequence) -> tuple[tuple[Row, ...], tuple[int, ...], int]:
-    rows = decode(x)
-    k = len(rows)
-    count = k - list(map(itemgetter(0), rows)).count(KIND_JUMP)
-    if count == k:  # no jumps: action j is position j, and the rows are the view
-        return rows, tuple(range(k + 1)), 1
+    moves = x._moves
+    k = len(moves)
+    count = k - list(map(itemgetter(0), moves)).count(KIND_JUMP)
     acts = [None] * count
     where = [0] * (count + 1)
     # to[p]: the action that control at position p reaches, 0 where it
-    # deadlocks.  Targets only go forward, so one backward pass resolves
-    # every chain by the time it is reached.
+    # deadlocks.  Moves only go forward, so one backward pass resolves every
+    # chain by the time it is reached.  A move d from pos reaches to[pos + d]
+    # when 0 < d <= k - pos; a move of 0 or past the end deadlocks.
     to = [0] * (k + 1)
     j = count
-    for pos, (kind, slot, method, on_true, on_false) in zip(range(k, 0, -1), reversed(rows)):
+    for pos, (kind, slot, method, d_true, d_false) in zip(range(k, 0, -1), reversed(moves)):
         if kind == KIND_JUMP:
-            to[pos] = to[on_true]
+            to[pos] = to[pos + d_true] if 0 < d_true <= k - pos else 0
         else:
             to[pos] = j
             where[j] = pos
             j -= 1
-            acts[j] = (kind, slot, method, to[on_true], to[on_false])
+            acts[j] = (
+                kind,
+                slot,
+                method,
+                to[pos + d_true] if 0 < d_true <= k - pos else 0,
+                to[pos + d_false] if 0 < d_false <= k - pos else 0,
+            )
     return tuple(acts), tuple(where), to[1]
 
 

@@ -50,7 +50,6 @@ from .instr import (
     classify,
     _set,
     _Value,
-    decode,
     psize,
 )
 from .services import lane_mask, lane_values
@@ -308,23 +307,24 @@ def build_satc_splitter(n: int) -> InstructionSequence:
 # --- reachability reduction ----------------------------------------------------------
 
 
-def _successors(row: Row, inputs: tuple[bool, ...]) -> list[int]:
-    """Positions execution may reach right after the decoded ``row``.
+def _successors(pos: int, move: Row, k: int, inputs: tuple[bool, ...]) -> list[int]:
+    """Positions execution may reach right after position ``pos`` of ``k``, whose row template is ``move``.
 
     Input reads are resolved by the given bits, writes of True reply True,
-    fork and reply instructions contribute the successors of both replies.
-    Successors past the end are dropped (those paths deadlock).
+    fork and reply instructions contribute the moves of both replies.  A
+    move of 0 (``#0``, ``!``) or past the end has no successor: that path
+    deadlocks or terminates.
     """
-    kind, slot, _, on_true, on_false = row
+    kind, slot, _, d_true, d_false = move
     if kind == KIND_IN:
         if slot > len(inputs):
             raise ValueError(f"input register in:{slot} beyond the given arity")
-        replies: tuple[bool, ...] = (inputs[slot - 1],)
+        moves = (d_true if inputs[slot - 1] else d_false,)
     elif kind == KIND_OUT:  # out.set:T always replies True
-        replies = (True,)
+        moves = (d_true,)
     else:  # split, reply, and the reply-independent jump and termination
-        replies = (True, False)
-    return sorted({on_true if r else on_false for r in replies} - {0})
+        moves = (d_true, d_false)
+    return sorted({pos + d for d in moves if 0 < d <= k - pos})
 
 
 def _control_graph(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[int, list[list[int]]]:
@@ -335,14 +335,15 @@ def _control_graph(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
     """
     if not classify(x).is_sisbr:
         raise ValueError("reachability_formula requires a split/reply vocabulary sequence")
-    rows = decode(x)
-    accepts = [pos for pos, row in enumerate(rows, start=1) if row[0] == KIND_OUT and row[2] == SET_TRUE]
+    moves = x._moves
+    accepts = [pos for pos, (kind, _, method, _, _) in enumerate(moves, start=1) if kind == KIND_OUT and method == SET_TRUE]
     if len(accepts) != 1:
         raise ValueError(
             f"reachability_formula requires exactly one out.set:T occurrence, found {len(accepts)}"
         )
     inputs = tuple(inputs)
-    return accepts[0], [_successors(row, inputs) for row in rows]
+    k = len(moves)
+    return accepts[0], [_successors(pos, move, k, inputs) for pos, move in enumerate(moves, start=1)]
 
 
 def reachability_formula(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> BoolFormula:

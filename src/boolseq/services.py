@@ -10,11 +10,11 @@ and returns the residual thread, ``apply`` returns the residual service.
 deliberately independent of the thread-algebra route (extract, use chain,
 apply); the test suite checks the two against each other.  ``lane_values``
 tabulates a sequence on every input vector at once, in one forward sweep
-over its actions (``instr.actions``: the rows with the jumps passed
-through) with one bit per vector, or per branch of a vector for forking
-code; it is checked against ``run``, which adds up the instructions'
-offsets, and ``queue_runner``, which follows the ``decode`` rows.  That
-sweep, ``lane_sweep``, also runs forking code one vector at a time.
+over its actions (``instr.actions``: its control flow with the jumps
+passed through) with one bit per vector, or per branch of a vector for
+forking code; it is checked against ``run`` and ``queue_runner``, which
+both add up the instructions' offsets one step at a time.  That sweep,
+``lane_sweep``, also runs forking code one vector at a time.
 """
 
 from __future__ import annotations

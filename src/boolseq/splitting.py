@@ -10,8 +10,9 @@ and a deadlocked branch poisons the final result only after all other
 branches have finished.
 
 ``run_splitting`` is an equivalent executor over a shared register file.
-It sweeps the decoded rows once with a lane per branch; ``queue_runner``, a
-queue of branches, is its reference.  The equivalence of both with
+It sweeps the ``actions`` view once with a lane per branch;
+``queue_runner``, a queue of branches that walks the row templates by
+offsets, is its reference.  The equivalence of both with
 the algebraic route is asserted by the test suite, not assumed.
 """
 
@@ -34,7 +35,6 @@ from .instr import (
     ResourceBoundError,
     SplitOp,
     classify,
-    decode,
 )
 from .services import (
     Deadlocked,
@@ -160,14 +160,15 @@ def run_splitting_with_steps(
 def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> tuple[RunOutcome, int]:
     """The reference forking executor: a queue of branches, one action a turn.
 
-    A branch is its program counter and its parameter valuation.  Same
-    results as ``run_splitting_with_steps``, which the tests check against it.
+    A branch is its program counter and its parameter valuation; the pc
+    moves by the row templates' offsets.  Same results as
+    ``run_splitting_with_steps``, which the tests check against it.
     """
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
-    rows = decode(x)
-    k = len(rows)
-    budget = 2 ** sum(1 for row in rows if row[0] == KIND_SPLIT) * k + k
+    moves = x._moves  # the walk adds offsets, as in ``run_with_steps``
+    k = len(moves)
+    budget = 2 ** sum(1 for move in moves if move[0] == KIND_SPLIT) * k + k
     inputs = tuple(inputs)
     n = len(inputs)
     # Banks indexed by register kind, then by slot (inputs from 1, out at 0);
@@ -179,12 +180,14 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
     while queue:
         pc, valuation = queue.popleft()
         # Silent resolution: no action happens, so no scheduling turn is spent.
-        while pc and rows[pc - 1][0] == KIND_JUMP:
-            pc = rows[pc - 1][3]  # the jump's target
-        if not pc:
+        # A branch deadlocks where its pc leaves 1..k, and at ``#0``, whose
+        # move of 0 is taken as a move out of the sequence.
+        while 0 < pc <= k and moves[pc - 1][0] == KIND_JUMP:
+            pc += moves[pc - 1][3] or k
+        if not 0 < pc <= k:
             dead_flag = True
             continue
-        kind, slot, method, on_true, on_false = rows[pc - 1]
+        kind, slot, method, d_true, d_false = moves[pc - 1]
         if kind == KIND_TERM:
             continue
         if kind == KIND_SPLIT and slot in valuation or kind == KIND_REPLY and slot not in valuation:
@@ -196,8 +199,8 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
             raise ResourceBoundError("splitting executor exceeded its step budget")
 
         if kind == KIND_SPLIT:
-            queue.append((on_true, {**valuation, slot: True}))
-            queue.append((on_false, {**valuation, slot: False}))
+            queue.append((pc + d_true, {**valuation, slot: True}))
+            queue.append((pc + d_false, {**valuation, slot: False}))
             continue
         if kind == KIND_REPLY:  # an internal step on an instantiated parameter
             reply = valuation[slot]
@@ -207,7 +210,7 @@ def queue_runner(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) 
             bank = banks[kind]
             reply = bank[slot] if method == GET else method == SET_TRUE
             bank[slot] = reply
-        queue.append((on_true if reply else on_false, valuation))
+        queue.append((pc + (d_true if reply else d_false), valuation))
 
     if dead_flag:
         return Deadlocked(), steps

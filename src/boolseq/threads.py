@@ -24,7 +24,6 @@ from .instr import (
     PrimitiveInstruction,
     ResourceBoundError,
     _Tree,
-    decode,
     render_basic,
 )
 
@@ -129,21 +128,27 @@ MAX_RENDER_NODES = 1_000_000
 def extract(x: InstructionSequence) -> Thread:
     """Thread of an instruction sequence.
 
-    Computed back to front: the thread at a position depends only on the
-    threads at later positions (jumps are forward), with deadlock at the
-    decoded successor 0.  Subtrees are shared, so the in-memory result stays
-    linear even when the tree, counted as a tree, is exponential.
+    Computed back to front over the row templates: the thread at a position
+    depends only on the threads at later positions (moves are forward), and
+    a move of 0 (``#0``) or past the end is deadlock.  Subtrees are shared,
+    so the in-memory result stays linear even when the tree, counted as a
+    tree, is exponential.
     """
-    rows = decode(x)
-    threads: list[XThread] = [DEAD] * (len(rows) + 1)  # 1-based; 0 stays Dead
-    for i in range(len(rows), 0, -1):
-        kind, _slot, _method, on_true, on_false = rows[i - 1]
+    moves = x._moves
+    items = x.items
+    k = len(moves)
+    threads: list[XThread] = [DEAD] * (k + 1)  # 1-based
+    for pos, (kind, _slot, _method, d_true, d_false) in zip(range(k, 0, -1), reversed(moves)):
         if kind == KIND_TERM:
-            threads[i] = STOP
-        elif kind == KIND_JUMP:
-            threads[i] = threads[on_true]
+            threads[pos] = STOP
+            continue
+        # A move d from pos continues as threads[pos + d] when 0 < d <= k - pos.
+        on_true = threads[pos + d_true] if 0 < d_true <= k - pos else DEAD
+        if kind == KIND_JUMP:
+            threads[pos] = on_true
         else:
-            threads[i] = PostCond(x.items[i - 1].basic, threads[on_true], threads[on_false])
+            on_false = threads[pos + d_false] if 0 < d_false <= k - pos else DEAD
+            threads[pos] = PostCond(items[pos - 1].basic, on_true, on_false)
     return threads[1]
 
 

@@ -70,8 +70,7 @@ def _reach(move: Row) -> int:
 
     A write replies the value it writes, so only that reply's offset counts:
     ``+set:T`` and ``-set:F`` always fall through, ``-set:T`` and ``+set:F``
-    always skip.  The rewrites read the templates of ``x._moves``, not the
-    rows of ``decode``: none of them follows a target.
+    always skip.  The rewrites read the templates of ``x._moves``.
     """
     _, _, method, d_true, d_false = move
     return d_true if method == SET_TRUE else d_false if method == SET_FALSE else max(d_true, d_false)

@@ -4,6 +4,9 @@ import signal
 
 import pytest
 
+# ``pytester`` runs a scratch pytest project (``tests/test_pytest_settings.py``).
+pytest_plugins = ["pytester"]
+
 # Seconds per test, setup and teardown included: far above the slowest
 # test, which takes a few seconds.
 TEST_TIME_LIMIT = 120

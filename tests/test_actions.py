@@ -1,18 +1,21 @@
 """The jump-free view (`instr.actions`) and the lane sweep that reads it.
 
-The references read the `decode` rows, jumps included: `queue_runner` for
+The references visit every position, jumps included: `queue_runner` for
 forking runs and `run` for register runs.  The view itself is checked
-against a chain-following walk over the same rows.
+against `util.reference_actions`, a chain-following walk over the rows of
+`util.reference_decode`.
 """
 
 from itertools import product
 
 import pytest
 
-from boolseq.instr import KIND_JUMP, actions, classify, decode, parse
+from boolseq.instr import actions, classify, parse
 from boolseq.lab import truth_table
 from boolseq.services import Deadlocked, RegisterFile, Terminated, lane_values, run, run_with_steps
 from boolseq.splitting import queue_runner, run_splitting_with_steps
+
+from util import reference_actions
 
 
 def vectors(n):
@@ -21,24 +24,6 @@ def vectors(n):
 
 def table_entry(outcome):
     return outcome.registers.out if isinstance(outcome, Terminated) else None
-
-
-def followed(rows, pos):
-    """The first non-jump position from ``pos`` on, following jumps one by one; 0 where control deadlocks."""
-    while pos and rows[pos - 1][0] == KIND_JUMP:
-        pos = rows[pos - 1][3]
-    return pos
-
-
-def expected_view(x):
-    rows = decode(x)
-    where = [0] + [pos for pos, row in enumerate(rows, start=1) if row[0] != KIND_JUMP]
-    index = {pos: j for j, pos in enumerate(where)}  # 0 -> 0: deadlock stays deadlock
-    view = tuple(
-        (kind, slot, method, index[followed(rows, on_true)], index[followed(rows, on_false)])
-        for kind, slot, method, on_true, on_false in (rows[pos - 1] for pos in where[1:])
-    )
-    return view, tuple(where), index[followed(rows, 1)]
 
 
 # The fork/reply vocabulary in every form it takes here, and jumps #0 to #3:
@@ -54,7 +39,7 @@ def test_every_short_sequence():
     for length in range(1, 4):
         for combo in product(FORK_ALPHABET, repeat=length):
             x = parse(" ; ".join(combo))
-            assert actions(x) == expected_view(x), x
+            assert actions(x) == reference_actions(x), x
             for n in range(3):
                 runs = [queue_runner(x, v) for v in vectors(n)]
                 for v, expected in zip(vectors(n), runs):

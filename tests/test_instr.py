@@ -1,4 +1,4 @@
-"""Interned instructions, parsing, rendering, sizes, syntactic classification, and decoding."""
+"""Interned instructions, parsing, rendering, sizes, syntactic classification, row templates and the jump-free view."""
 
 import copy
 import pickle
@@ -41,8 +41,8 @@ from boolseq.instr import (
     Term,
     _INTERNED,
     _parse_one,
+    actions,
     classify,
-    decode,
     parse,
     psize,
     render,
@@ -50,6 +50,11 @@ from boolseq.instr import (
 )
 
 from boolseq.compilers import compile_circuit, compile_cnf, compile_cnf_jumpfree, compile_formula
+from boolseq.lab import truth_table
+from boolseq.satc import reachability_formula
+from boolseq.services import run
+from boolseq.splitting import queue_runner
+from boolseq.threads import extract, extract_compact
 from boolseq.transforms import (
     behavioural_normalize,
     collapse_jump_chains,
@@ -57,7 +62,17 @@ from boolseq.transforms import (
     normalize_set_tests,
     to_splitting,
 )
-from util import gen_circuit, gen_cnf, gen_formula, gen_isbr, gen_sisbr, gen_write_linear, reference_decode
+from util import (
+    MIXED_LETTERS,
+    gen_circuit,
+    gen_cnf,
+    gen_formula,
+    gen_isbr,
+    gen_sisbr,
+    gen_write_linear,
+    reference_actions,
+    reference_decode,
+)
 
 
 # --- interned values -------------------------------------------------------------
@@ -333,7 +348,7 @@ def test_classify_subset_chain():
             assert not profile.has_out_set_false
 
 
-# --- decode and classify of every instruction shape ------------------------------
+# --- rows and classify of every instruction shape --------------------------------
 
 # Each basic instruction: its row's (kind, slot, method) and the class profile
 # of the one-instruction sequence (is_isbr, is_isbrna, is_sisbr, has_out_set_false).
@@ -359,9 +374,15 @@ TERM_ROW = (KIND_TERM, 0, None, 0, 0)
 @pytest.mark.parametrize("basic", BASICS)
 def test_decode_basic_goldens(basic, form):
     shape, _ = BASICS[basic]
-    # Alone, every successor is past the end.
-    assert decode(parse(form + basic)) == ((*shape, 0, 0),)
-    assert decode(parse(f"{form}{basic} ; ! ; !")) == ((*shape, *FORMS[form]), TERM_ROW, TERM_ROW)
+    on_true, on_false = FORMS[form]
+    # Alone, every successor is past the end; the template keeps the offsets.
+    alone = parse(form + basic)
+    assert reference_decode(alone)[0] == ((*shape, 0, 0),)
+    assert alone._moves == ((*shape, on_true - 1, on_false - 1),)
+    x = parse(f"{form}{basic} ; ! ; !")
+    assert reference_decode(x)[0] == ((*shape, on_true, on_false), TERM_ROW, TERM_ROW)
+    for y in (alone, x):
+        assert_decodes_as_reference(y)
 
 
 @pytest.mark.parametrize(
@@ -383,7 +404,9 @@ def test_decode_basic_goldens(basic, form):
     ],
 )
 def test_decode_jump_and_termination_goldens(text, rows):
-    assert decode(parse(text)) == rows
+    x = parse(text)
+    assert reference_decode(x)[0] == rows
+    assert_decodes_as_reference(x)
 
 
 @pytest.mark.parametrize("form", FORMS, ids=["plain", "pos", "neg"])
@@ -515,31 +538,13 @@ def test_property_parse_matches_reference(pieces):
         assert parse(text).items == expected.items
 
 
-# --- decode and classify against the reference decoder -----------------------------
-
-# Tests, plain and test-form writes of every register kind (``out.set:F``
-# included), split and reply, ``#0``-``#3`` and ``!``.
-MIXED_LETTERS = [
-    form(basic)
-    for basic in (
-        RegisterOp(InReg(1), GET),
-        RegisterOp(InReg(2), SET_FALSE),
-        RegisterOp(AuxReg(1), GET),
-        RegisterOp(AuxReg(2), SET_TRUE),
-        RegisterOp(OUT, GET),
-        RegisterOp(OUT, SET_TRUE),
-        RegisterOp(OUT, SET_FALSE),
-        SplitOp(2),
-        ReplyOp(1),
-    )
-    for form in (Plain, PosTest, NegTest)
-] + [Jump(d) for d in range(4)] + [TERM]
+# --- the view and classify against the reference decoder ---------------------------
 
 
 def assert_decodes_as_reference(x):
-    rows, profile = reference_decode(x)
-    assert decode(x) == rows, render(x)
-    assert all(type(row) is tuple for row in decode(x))
+    _, profile = reference_decode(x)
+    assert actions(x) == reference_actions(x), render(x)
+    assert all(type(row) is tuple for row in actions(x)[0])
     assert classify(x) == profile, render(x)
 
 
@@ -589,3 +594,31 @@ def test_decoded_rows_are_exact_tuples():
                     pass
     for x in sequences:
         assert_decodes_as_reference(x)
+
+
+def test_readers_keep_only_the_templates_profile_and_view():
+    # Every reader of control flow walks the row templates; a sequence keeps
+    # no other form of it.
+    kept = {"_moves", "_profile", "_actions"}
+    register = "+in:1.get ; #3 ; aux:1.set:T ; +aux:1.get ; out.set:T ; #0 ; !"
+    forking = "split:1 ; +reply:1 ; #2 ; +in:1.get ; out.set:T ; !"
+    readers = [
+        (register, extract),
+        (register, extract_compact),
+        (register, lambda x: truth_table(x, 1)),
+        (forking, lambda x: truth_table(x, 1, splitting=True)),
+        (forking, lambda x: reachability_formula(x, (True,))),
+        (forking, lambda x: queue_runner(x, (True,))),
+        (register, lambda x: run(x, (True,))),
+        (register, eliminate_output_false),
+        (register, normalize_set_tests),
+        ("aux:1.set:T ; +aux:1.get ; out.set:T ; !", to_splitting),
+        (register, collapse_jump_chains),
+        (register, behavioural_normalize),
+    ]
+    for text, reader in readers:
+        x = parse(text)  # a fresh sequence: nothing cached yet
+        result = reader(x)
+        assert set(vars(x)) <= kept, (text, reader)
+        if isinstance(result, InstructionSequence):
+            assert set(vars(result)) <= kept, (text, reader)

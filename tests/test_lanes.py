@@ -29,7 +29,7 @@ def vectors(n):
 def per_vector_values(x, n, splitting=False):
     """The table as the per-vector executor gives it.
 
-    Forking code runs on ``queue_runner``, which follows the ``decode`` rows
+    Forking code runs on ``queue_runner``, which walks the row templates
     one branch at a time; ``run_splitting`` is the lane sweep itself.
     """
     values = []

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from boolseq.satc import (
     cnf_satisfiable,
     decode_to_cnf,
     encode_cnf,
+    _control_graph,
     ndisj,
     reachability_formula,
     reachability_satisfiable,
@@ -27,7 +29,14 @@ from boolseq.satc import (
 from boolseq.services import parse_input_bits
 from boolseq.splitting import Terminated, check_splitting_computes, run_splitting
 
-from util import formula_satisfiable, gen_cnf, gen_sisbr, gen_sisbr_single_read
+from util import (
+    deadlock_placements,
+    formula_satisfiable,
+    gen_cnf,
+    gen_sisbr,
+    gen_sisbr_single_read,
+    reference_successors,
+)
 
 
 def lits(*pairs) -> LiteralSet:
@@ -389,6 +398,40 @@ def test_reachability_satisfiable_matches_brute_force():
         assert reachability_satisfiable(x, inputs) == want, f"{x} on {inputs}"
         outcomes[want] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+# The fork/reply vocabulary but for out.set:T, and jumps #0 to #3.
+NO_ACCEPT = (
+    "!", "#0", "#1", "#2", "#3", "in:1.get", "-in:2.get", "split:1", "+split:1", "-split:2",
+    "reply:1", "+reply:2", "-reply:1",
+)
+
+
+def assert_successors_as_reference(x, inputs):
+    _, successors = _control_graph(x, inputs)
+    assert successors == reference_successors(x, inputs), f"{x} on {inputs}"
+
+
+def test_control_graph_matches_the_rows_on_every_short_sequence():
+    # Up to three instructions with one out.set:T, which falls through or skips, at each place.
+    vectors = list(product((False, True), repeat=2))
+    for length in (1, 2, 3):
+        for combo in product(NO_ACCEPT, repeat=length):
+            for at in range(length + 1):
+                for accept in ("out.set:T", "-out.set:T"):
+                    x = parse(" ; ".join((*combo[:at], accept, *combo[at:])))
+                    for inputs in vectors:
+                        assert_successors_as_reference(x, inputs)
+
+
+def test_control_graph_matches_the_rows_at_every_deadlock_shape():
+    rng = random.Random(2424)
+    sequences = [gen_sisbr_single_read(rng, 16, 1) for _ in range(300)]
+    for filler in ("split:1 ; +reply:1 ; out.set:T ; !", "in:1.get ; -split:2 ; -out.set:T ; !"):
+        sequences += deadlock_placements(filler.split(" ; "))
+    for x in sequences:
+        for inputs in ((False,), (True,)):
+            assert_successors_as_reference(x, inputs)
 
 
 def test_reachability_satisfiable_errors():

@@ -11,8 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq import splitting
-from boolseq.instr import KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, decode, parse
+from boolseq.instr import KIND_JUMP, KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, parse
 from boolseq.lab import truth_table
 from boolseq.satc import build_satc_splitter, ndisj
 from boolseq.services import (
@@ -43,7 +42,7 @@ def vectors(n):
 
 def split_params(x):
     """The distinct parameters that ``x`` splits on."""
-    return {slot for kind, slot, *_ in decode(x) if kind == KIND_SPLIT}
+    return {slot for kind, slot, *_ in x._moves if kind == KIND_SPLIT}
 
 
 def assert_runs_agree(x, inputs_list, algebra=False):
@@ -231,11 +230,11 @@ def test_the_lane_bound_names_the_position_of_the_split():
         run_splitting_with_steps(x, ())
 
 
-def test_queue_runner_step_budget(monkeypatch):
-    # Decoded control only moves forward, so no sequence reaches the budget;
-    # a row that leads back to itself does.
-    monkeypatch.setattr(splitting, "decode", lambda x: ((KIND_OUT, 0, SET_TRUE, 1, 1),))
+def test_queue_runner_step_budget():
+    # Control only moves forward, so no sequence reaches the budget; row
+    # templates with a jump back to the write do.
     x = parse("out.set:T ; !")
+    x.__dict__["_moves"] = ((KIND_OUT, 0, SET_TRUE, 1, 1), (KIND_JUMP, 0, None, -1, -1))
     with pytest.raises(ResourceBoundError, match="splitting executor exceeded its step budget"):
         queue_runner(x, ())
 

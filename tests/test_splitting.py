@@ -20,13 +20,14 @@ from boolseq.splitting import (
     check_splitting_computes,
     csi,
     instantiate,
+    queue_runner,
     run_splitting,
     run_splitting_with_steps,
 )
 from boolseq.lab import TruthTable
 from boolseq.threads import DEAD, STOP, PostCond, Tau
 
-from util import algebraic_splitting_outcome, gen_sisbr, outcome_matches_service
+from util import algebraic_splitting_outcome, deadlock_placements, gen_sisbr, outcome_matches_service
 
 IN1_GET = RegisterOp(InReg(1), GET)
 IN2_GET = RegisterOp(InReg(2), GET)
@@ -155,6 +156,24 @@ def test_run_splitting_agrees_with_algebraic_chain():
             assert outcome_matches_service(
                 run_splitting(x, inputs), algebraic_splitting_outcome(x, inputs)
             ), f"{x} on {inputs}"
+
+
+def test_queue_runner_agrees_with_algebraic_chain():
+    # Every sequence is at most 8 long: the deadlock shapes among four or
+    # six other instructions, and random ones.
+    fillers = ["split:1 ; +reply:1 ; out.set:T ; !", "+in:1.get ; -split:2 ; in:1.get ; reply:2 ; out.set:T ; !"]
+    sequences = [(x, 1) for filler in fillers for x in deadlock_placements(filler.split(" ; "))]
+    rng = random.Random(2424)
+    while len(sequences) < 330:
+        n = rng.randint(0, 2)
+        x = gen_sisbr(rng, 8, n, max_splits=3)
+        if classify(x).is_sisbr:
+            sequences.append((x, n))
+    for x, n in sequences:
+        for idx in range(2**n):
+            inputs = tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n))
+            outcome, _ = queue_runner(x, inputs)
+            assert outcome_matches_service(outcome, algebraic_splitting_outcome(x, inputs)), f"{x} on {inputs}"
 
 
 def test_run_and_run_splitting_agree_on_common_vocabulary():

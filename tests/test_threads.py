@@ -27,6 +27,7 @@ from boolseq.instr import (
     ResourceBoundError,
     parse,
     psize,
+    render,
     render_basic,
 )
 from boolseq.threads import (
@@ -43,7 +44,15 @@ from boolseq.threads import (
     tsize,
 )
 
-from util import gen_isbr, gen_sisbr, reference_tsize
+from util import (
+    MIXED_LETTERS,
+    deadlock_placements,
+    gen_isbr,
+    gen_sisbr,
+    gen_write_linear,
+    reference_extract,
+    reference_tsize,
+)
 
 IN1_GET = RegisterOp(InReg(1), GET)
 
@@ -202,6 +211,40 @@ def test_compact_equivalence_random():
     for _ in range(200):
         x = gen_isbr(rng, 12, 3) if rng.random() < 0.5 else gen_sisbr(rng, 12, 2)
         check_compact(x)
+
+
+# --- the walk over the row templates against the rows ----------------------------
+
+
+def assert_extracts_as_reference(x):
+    t = extract(x)
+    assert t == reference_extract(x), render(x)
+    assert t == eval_xthread(extract_compact(x)), render(x)
+
+
+def test_extract_matches_the_rows_on_every_short_sequence():
+    for length in (1, 2, 3):
+        for items in product(MIXED_LETTERS, repeat=length):
+            assert_extracts_as_reference(InstructionSequence(items))
+
+
+def test_extract_matches_the_rows_on_random_sequences():
+    rng = random.Random(2424)
+    for _ in range(2000):
+        roll = rng.random()
+        if roll < 0.4:
+            x = gen_isbr(rng, 30, 3, max_aux=3)
+        elif roll < 0.8:
+            x = gen_sisbr(rng, 30, 3)
+        else:
+            x = gen_write_linear(rng, 30, 3)
+        assert_extracts_as_reference(x)
+
+
+@pytest.mark.parametrize("filler", ["in:1.get ; aux:1.set:T ; +out.set:T ; !", "split:1 ; +reply:1 ; out.set:T ; !"])
+def test_extract_at_every_deadlock_shape(filler):
+    for x in deadlock_placements(filler.split(" ; ")):
+        assert_extracts_as_reference(x)
 
 
 def test_alternating_test_chain_explodes_only_naively():

@@ -689,11 +689,11 @@ def test_rewrite_reports_pinned_on_bench_shaped_inputs():
     assert (len(keys), errors, trace_length, digest) == PINNED_REPORTS
 
 
-# --- cases the decoded rows cannot tell apart -------------------------------------
+# --- cases that targets cannot tell apart -----------------------------------------
 
-# Rows clip every move past the end to 0: ``#9`` past the end reads as ``#0``,
-# and at the last position ``-aux:1.set:T`` reads as ``+aux:1.set:T``.  The
-# rewrites take distances from the instructions, so these differ.
+# Targets clip every move past the end to 0: ``#9`` past the end reads as
+# ``#0``, and at the last position ``-aux:1.set:T`` reads as ``+aux:1.set:T``.
+# The rewrites take distances from the instructions, so these differ.
 
 
 def test_skipping_write_at_the_end():
@@ -773,16 +773,16 @@ def test_property_rewrites_keep_the_truth_table_or_reject(rng, n, source):
 
 
 def test_rewrite_chain_and_register_runs_build_no_rows(monkeypatch):
-    # The rewrites, classify and run read the row templates; only readers
-    # that follow targets build decode's rows.
+    # The rewrites, classify and run read the row templates; only the lane
+    # sweep builds the jump-free view.
     rng = random.Random(1717)
     cnfs = [(phi, render(compile_cnf(phi))) for phi in (gen_cnf(rng, 5, 8) for _ in range(10))]
     linear = [gen_write_linear(rng, 30, 3) for _ in range(30)]
 
-    def no_rows(x):
-        raise AssertionError(f"decode rows built for {render(x)}")
+    def no_view(x):
+        raise AssertionError(f"jump-free view built for {render(x)}")
 
-    monkeypatch.setattr(instr, "_decode", no_rows)
+    monkeypatch.setattr(instr, "_actions", no_view)
     for phi, text in cnfs:
         x = parse(text)
         for rewrite in (eliminate_output_false, normalize_set_tests, collapse_jump_chains, behavioural_normalize):

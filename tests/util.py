@@ -6,9 +6,10 @@ kept independent of the program-counter executors it checks.  The naive
 search enumerates and tabulates every sequence, independent of the merged
 behaviour summaries of ``lab.shortest_sequence_search``.  The reference
 decoder works out every row from its instruction, independent of the row
-templates the interned instructions carry, and the reference register run
-follows its rows, where ``services.run_with_steps`` adds up the templates'
-offsets.  The reference splice visits every item, where
+templates the interned instructions carry.  The reference register run,
+extraction, jump-free view and control graph follow its rows, where
+``services.run_with_steps``, ``threads.extract``, ``instr.actions`` and
+``satc._control_graph`` add up the templates' offsets.  The reference splice visits every item, where
 ``transforms._splice`` copies the stretches between blocks.  Exhaustive
 formula satisfiability is the reference for
 ``satc.reachability_satisfiable``.  The reference term size walks the
@@ -72,7 +73,7 @@ from boolseq.services import (
     use,
 )
 from boolseq.splitting import csi
-from boolseq.threads import PostCond, Subst, Tau, extract
+from boolseq.threads import DEAD, STOP, PostCond, Subst, Tau, extract
 
 
 def algebraic_outcome(x: InstructionSequence, inputs):
@@ -182,6 +183,95 @@ def reference_run(x: InstructionSequence, inputs) -> tuple:
         bank[slot] = reply
         pc = on_true if reply else on_false
     return Deadlocked(), steps
+
+
+def reference_extract(x: InstructionSequence):
+    """``threads.extract`` by following the rows of ``reference_decode``: the reference for it.
+
+    Back to front, each position's thread is built from those of its
+    targets, and a target of 0 is deadlock.
+    """
+    rows, _ = reference_decode(x)
+    threads = [DEAD] * (len(rows) + 1)  # 1-based; 0 stays Dead
+    for i in range(len(rows), 0, -1):
+        kind, _slot, _method, on_true, on_false = rows[i - 1]
+        if kind == KIND_TERM:
+            threads[i] = STOP
+        elif kind == KIND_JUMP:
+            threads[i] = threads[on_true]
+        else:
+            threads[i] = PostCond(x.items[i - 1].basic, threads[on_true], threads[on_false])
+    return threads[1]
+
+
+def reference_actions(x: InstructionSequence) -> tuple:
+    """``instr.actions`` from the rows of ``reference_decode``, following each jump chain one jump at a time."""
+    rows, _ = reference_decode(x)
+
+    def followed(pos: int) -> int:
+        # The first non-jump position from pos on; 0 where control deadlocks.
+        while pos and rows[pos - 1][0] == KIND_JUMP:
+            pos = rows[pos - 1][3]
+        return pos
+
+    where = [0] + [pos for pos, row in enumerate(rows, start=1) if row[0] != KIND_JUMP]
+    index = {pos: j for j, pos in enumerate(where)}  # 0 -> 0: deadlock stays deadlock
+    view = tuple(
+        (kind, slot, method, index[followed(on_true)], index[followed(on_false)])
+        for kind, slot, method, on_true, on_false in (rows[pos - 1] for pos in where[1:])
+    )
+    return view, tuple(where), index[followed(1)]
+
+
+def reference_successors(x: InstructionSequence, inputs) -> list[list[int]]:
+    """Each position's successors in the control graph of ``satc.reachability_formula``, from ``reference_decode``'s rows.
+
+    An input read takes the reply of its input, ``out.set:T`` replies True,
+    and every other instruction has the targets of both replies; a target
+    of 0 is no successor.
+    """
+    rows, _ = reference_decode(x)
+    successors = []
+    for kind, slot, _method, on_true, on_false in rows:
+        if kind == KIND_IN:
+            replies = (inputs[slot - 1],)
+        elif kind == KIND_OUT:
+            replies = (True,)
+        else:
+            replies = (True, False)
+        successors.append(sorted({on_true if reply else on_false for reply in replies} - {0}))
+    return successors
+
+
+# Tests, plain and test-form writes of every register kind (``out.set:F``
+# included), split and reply, ``#0``-``#3`` and ``!``.
+MIXED_LETTERS = [
+    form(basic)
+    for basic in (
+        RegisterOp(InReg(1), GET),
+        RegisterOp(InReg(2), SET_FALSE),
+        RegisterOp(AuxReg(1), GET),
+        RegisterOp(AuxReg(2), SET_TRUE),
+        RegisterOp(OUT, GET),
+        RegisterOp(OUT, SET_TRUE),
+        RegisterOp(OUT, SET_FALSE),
+        SplitOp(2),
+        ReplyOp(1),
+    )
+    for form in (Plain, PosTest, NegTest)
+] + [Jump(d) for d in range(4)] + [TERM]
+
+# The ways control leaves a sequence: ``#0``, a jump past the end, a chain
+# that ends past the end, and tests, whose skip from the last position lands
+# two past the end.
+DEADLOCK_SHAPES = ("#0", "#9", "#1 ; #9", "+in:1.get", "-in:1.get")
+
+
+def deadlock_placements(filler: list[str]):
+    """Each of ``DEADLOCK_SHAPES`` at the first, a middle and the last position among the ``filler`` instructions."""
+    for shape in DEADLOCK_SHAPES:
+        for at in (0, len(filler) // 2, len(filler)):
+            yield parse(" ; ".join([*filler[:at], shape, *filler[at:]]))
 
 
 def reference_splice(items: list, blocks: dict[int, tuple[str, list]], trace: list) -> list:
