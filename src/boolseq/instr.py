@@ -224,6 +224,10 @@ class _Tree(_Value):
 # never removed: README's resource bounds give the size of one.
 _INTERNED: dict[tuple, "_Interned"] = {}
 
+# Every primitive instruction in ``_INTERNED``, keyed by its text: ``parse``
+# looks canonical tokens up here.
+_BY_TEXT: dict[str, "PrimitiveInstruction"] = {}
+
 
 class _Interned(_Value):
     """Base of the instruction classes: one object per distinct value.
@@ -240,17 +244,22 @@ class _Interned(_Value):
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    _text = None  # a primitive instruction's text
 
     @classmethod
     def _intern(cls, *fields):
         # Validate and normalise the new value, then publish it: setdefault
-        # keeps one object per value when threads race on the same miss.
+        # keeps one object per value when threads race on the same miss, and
+        # the text index gets the object that won.
         fields = cls._check(*fields)
         obj = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
             _set(obj, name, value)
         obj._setup()
-        return _INTERNED.setdefault((cls, *fields), obj)
+        obj = _INTERNED.setdefault((cls, *fields), obj)
+        if obj._text is not None:
+            _BY_TEXT[obj._text] = obj
+        return obj
 
     @classmethod
     def _check(cls, *fields):
@@ -725,7 +734,16 @@ def _parse_one(token: str, position: int) -> PrimitiveInstruction:
 
 
 def parse(text: str) -> InstructionSequence:
-    """Parse instruction-sequence text (whitespace-insensitive, ';' separated)."""
+    """Parse instruction-sequence text (whitespace-insensitive, ';' separated).
+
+    Text whose tokens are all, after stripping, the text of an instruction
+    made before is looked up in ``_BY_TEXT``; any other text is parsed token
+    by token, and so are its errors.
+    """
+    try:
+        return InstructionSequence(tuple(map(_BY_TEXT.__getitem__, map(str.strip, text.split(";")))))
+    except KeyError:
+        pass
     if not text.strip():
         raise InstructionSyntaxError("empty instruction sequence", 0)
     items = []

@@ -74,7 +74,7 @@ class TruthTable(_Value):
 
     @property
     def is_total(self) -> bool:
-        return all(v is not None for v in self.values)
+        return None not in self.values
 
     def render(self) -> str:
         return "".join("?" if v is None else "T" if v else "F" for v in self.values)

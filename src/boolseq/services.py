@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import compress, count
-from typing import Callable, Optional, Union
+from operator import itemgetter
+from typing import Optional, Union
 
 from .instr import (
     GET,
@@ -193,6 +194,12 @@ RunOutcome = Union[Terminated, Deadlocked, Divergent]
 MAX_AUX_INDEX = 1 << 16
 
 
+def _aux_bound_error(index: int) -> ResourceBoundError:
+    return ResourceBoundError(
+        f"resource bound exceeded: aux:{index} is past the {MAX_AUX_INDEX} auxiliary registers of a run"
+    )
+
+
 def run(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]) -> RunOutcome:
     """Execute a register-only sequence (no split/reply) on the given inputs.
 
@@ -218,9 +225,7 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
         raise ValueError("sequence contains split/reply instructions; use run_splitting")
     max_aux = profile.max_aux_index
     if max_aux > MAX_AUX_INDEX:
-        raise ResourceBoundError(
-            f"resource bound exceeded: aux:{max_aux} is past the {MAX_AUX_INDEX} auxiliary registers of a run"
-        )
+        raise _aux_bound_error(max_aux)
     moves = x._moves  # the walk adds offsets, so pc counts positions from 0
     k = len(moves)
     # Banks indexed by register kind, then by slot (inputs from 1, out at 0).
@@ -264,6 +269,10 @@ MAX_TABLE_ARITY = 24
 # A table entry from a vector's dead bit, with its out value as the default.
 _DEAD = {"1": None}
 
+# Turns the digits of a binary number into bytes 0 and 1, which index _BOOLS.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BOOLS = (False, True)
+
 
 def _repeat(pattern: int, period: int, lanes: int) -> int:
     """The first ``period`` lanes of ``pattern`` repeated over at least ``lanes`` lanes, by doubling."""
@@ -290,19 +299,26 @@ def lane_mask(bit: int, lanes: int) -> int:
     return _repeat(((1 << half) - 1) << half, 2 * half, lanes)
 
 
-def lane_sweep(
-    x: InstructionSequence, block: int, input_lanes: Callable[[int], dict[int, int]]
-) -> tuple[int, int, int, int]:
+def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[int, int, int, int]:
     """One forward sweep of ``x``'s actions, one lane per branch of one vector.
 
     The sweep starts with ``block`` lanes, and lane i runs input vector
-    ``i mod block``: ``input_lanes(lanes)`` maps each input slot up to n
-    that ``x`` reads to the lanes, out of at least the first ``lanes``,
-    where ``in:slot`` holds True.  It is called at the start and where a
-    split widens the lanes.
+    ``i mod block``.  ``inputs[slot]`` holds, for each input slot from 1 up
+    to the largest that ``x`` reads and the vectors provide, the lanes out
+    of the first ``block`` where ``in:slot`` holds True (with ``block == 1``,
+    0 or -1: no lane or every lane, at any width); ``inputs[0]`` is unused.
+    Where a split widens the lanes, the sweep repeats each input's lanes
+    over the new width.
     Returns ``(dead, out, unserved, steps)``: the lanes that do not
     terminate, the lanes where ``out`` ends True, the lanes that read an
-    input past n, and the number of forking-run action turns.
+    input past the end of ``inputs``, and the number of forking-run action
+    turns.
+
+    The register banks are lists indexed by slot, as in ``run_with_steps``:
+    the aux bank holds every index up to the largest that ``x`` names, and
+    reading an input past the end of its bank is the list's ``IndexError``.
+    Raises ``ResourceBoundError`` where ``x`` names an auxiliary register
+    past ``MAX_AUX_INDEX``.
 
     A split on p forks each lane that reaches it with p uninstantiated: the
     lane goes on with p True, its twin ``shift`` lanes up with p False.
@@ -323,16 +339,19 @@ def lane_sweep(
     go forward, so every action the chase does not pass still sees the same
     lanes, before the sweep gets to it.
     """
+    profile = classify(x)
+    if profile.max_aux_index > MAX_AUX_INDEX:
+        raise _aux_bound_error(profile.max_aux_index)
     rows, where, entry = actions(x)
     lanes = (1 << block) - 1  # every lane allocated so far
     if not entry:  # control deadlocks before the first action
         return lanes, 0, 0, 0
-    last_use = classify(x).last_param_use
+    last_use = profile.last_param_use
     at = [0] * (len(rows) + 1)  # at[j]: the lanes at action j; at[0] collects those that deadlock
     at[entry] = lanes
     width = block  # every lane so far is below width
     # By register kind, then slot: the lanes where the register holds True.
-    regs = [input_lanes(width), {}, {}]
+    regs = [inputs, [0] * (profile.max_aux_index + 1), [0]]
     inst: dict[int, int] = {}  # live parameter -> the lanes where it is instantiated
     val: dict[int, int] = {}  # live parameter -> the lanes where it is True
     term = unserved = steps = 0
@@ -358,13 +377,14 @@ def lane_sweep(
             shift = (kin.bit_length() - (m & -m).bit_length()) // block * block + block
             top = m.bit_length() + shift
             if top > width:
-                width = top + -top % block
+                old_width, width = width, top + -top % block
                 if width > 1 << MAX_TABLE_ARITY:
                     raise ResourceBoundError(
                         f"resource bound exceeded: the split at position {pos} needs "
                         f"{width} lanes, more than 2^{MAX_TABLE_ARITY}"
                     )
-                regs[KIND_IN] = input_lanes(width)
+                if block > 1:  # the inputs so far cover old_width lanes, a multiple of block
+                    regs[KIND_IN] = [_repeat(mask, old_width, width) for mask in regs[KIND_IN]]
             twins = m << shift
             lanes |= twins
             for p, p_inst in list(inst.items()):
@@ -385,12 +405,11 @@ def lane_sweep(
             reply = val.get(slot, 0)
         else:
             bank = regs[kind]
-            reg = bank.get(slot)
-            if reg is None:  # aux and out start False; an input past n is unserved
-                if kind == KIND_IN:
-                    unserved |= m
-                    continue
-                reg = 0
+            try:
+                reg = bank[slot]
+            except IndexError:  # an input past the bank is unserved
+                unserved |= m
+                continue
             if method == GET:
                 reply = reg
             elif method == SET_TRUE:
@@ -414,19 +433,17 @@ def lane_sweep(
             kind, slot, method, on_true, on_false = rows[j - 1]
             if method != GET:
                 break
-            reg = regs[kind].get(slot)
-            if reg is None:
-                if kind == KIND_IN:
-                    break
-                reg = 0
-            taken = m & reg
+            try:
+                taken = m & regs[kind][slot]
+            except IndexError:
+                break
             if taken and taken != m:
                 break
             steps += size
             j = on_true if taken else on_false
         at[j] |= m
     # A lane's registers stop changing when it terminates.
-    return lanes & ~term, regs[KIND_OUT].get(0, 0), unserved, steps
+    return lanes & ~term, regs[KIND_OUT][0], unserved, steps
 
 
 def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
@@ -457,17 +474,24 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ResourceBoundError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
     # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
     block = 1 << n
-    # Each input that x reads over one block of lanes: slots past the largest
-    # one read are never looked up, and a slot past n stays unserved.
-    in_block = [lane_mask(n - slot, block) for slot in range(1, min(n, profile.max_input_index) + 1)]
-    dead, out, _, _ = lane_sweep(
-        x, block, lambda lanes: {slot: _repeat(mask, block, lanes) for slot, mask in enumerate(in_block, 1)}
-    )
-    # Each vector's out bit, lowest vector first, or None where it is dead.
-    values = map("1".__eq__, format(_fold(out, block), f"0{block}b")[::-1])
+    # Each input that x reads over one block of lanes, in:1 (the first input,
+    # most significant) the upper half and each next one the upper half of
+    # each half of the one before; a slot past n stays unserved.
+    inputs = [0]
+    half = block
+    mask = (1 << block) - 1
+    for _ in range(min(n, profile.max_input_index)):
+        half >>= 1
+        mask ^= mask >> half
+        inputs.append(mask)
+    dead, out, _, _ = lane_sweep(x, block, inputs)
+    # Each vector's out bit, lowest vector first, or None where it is dead.  An
+    # itemgetter of one index gives the item, not a tuple.
+    bits = format(_fold(out, block), f"0{block}b").encode().translate(_BITS)[::-1]
+    values = itemgetter(*bits)(_BOOLS) if block > 1 else (_BOOLS[bits[0]],)
     if dead:
-        values = map(_DEAD.get, format(_fold(dead, block), f"0{block}b")[::-1], values)
-    return tuple(values)
+        values = tuple(map(_DEAD.get, format(_fold(dead, block), f"0{block}b")[::-1], values))
+    return values
 
 
 def check_computes(x: InstructionSequence, table) -> bool:
@@ -480,7 +504,7 @@ def check_computes(x: InstructionSequence, table) -> bool:
     """
     if not classify(x).is_isbr:
         raise ValueError("check_computes requires a register-only sequence over in/aux/out")
-    if any(v is None for v in table.values):
+    if None in table.values:
         raise ValueError("target table has undefined entries; not a total function")
     return lane_values(x, table.arity) == tuple(table.values)
 

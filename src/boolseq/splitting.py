@@ -148,8 +148,7 @@ def run_splitting_with_steps(
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     inputs = tuple(inputs)
     # One lane: in:slot holds True on every lane (-1) or on none (0), at any width.
-    in_lanes = dict(enumerate(map(neg, inputs), 1))
-    dead, out, unserved, steps = lane_sweep(x, 1, lambda lanes: in_lanes)
+    dead, out, unserved, steps = lane_sweep(x, 1, [0, *map(neg, inputs)])
     if unserved:
         return queue_runner(x, inputs)
     if dead:
@@ -221,6 +220,6 @@ def check_splitting_computes(x: InstructionSequence, table) -> bool:
     """Does ``x``, under forking execution, compute the tabulated function?"""
     if not classify(x).is_sisbr:
         raise ValueError("check_splitting_computes requires a split/reply vocabulary sequence")
-    if any(v is None for v in table.values):
+    if None in table.values:
         raise ValueError("target table has undefined entries; not a total function")
     return lane_values(x, table.arity, splitting=True) == tuple(table.values)

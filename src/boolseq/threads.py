@@ -20,8 +20,6 @@ from .instr import (
     KIND_TERM,
     BasicInstruction,
     InstructionSequence,
-    Jump,
-    PrimitiveInstruction,
     ResourceBoundError,
     _Tree,
     render_basic,
@@ -152,20 +150,6 @@ def extract(x: InstructionSequence) -> Thread:
     return threads[1]
 
 
-def _rho_prime(i: int, u: PrimitiveInstruction, var: list[Var]) -> XThread:
-    """Compact per-instruction term over position variables, ``var[j]`` = ``Var(j)``."""
-    offsets = u.offsets
-    if offsets is None:
-        return STOP
-    on_true, on_false = offsets
-    if isinstance(u, Jump):
-        if not on_true:
-            return DEAD
-        # A jump past the end targets a position with no shared variable.
-        return var[i + on_true] if i + on_true < len(var) else Var(i + on_true)
-    return PostCond(u.basic, var[i + on_true], var[i + on_false])
-
-
 def extract_compact(x: InstructionSequence) -> XThread:
     """Linear-size thread term with explicit substitution binders.
 
@@ -175,14 +159,25 @@ def extract_compact(x: InstructionSequence) -> XThread:
     up to k + 1 is one shared ``Var``.  Satisfies
     ``tsize(extract_compact(x)) <= 4 * psize(x) + 1``.
     """
-    k = len(x)
+    moves = x._moves
+    items = x.items
+    k = len(moves)
     if k == 1:
         return extract(x)
     var = list(map(Var, range(k + 2)))
     body: XThread = var[1]
-    for i, u in enumerate(x.items[:-1], 1):
-        body = Subst(i, _rho_prime(i, u, var), body)
-    last = extract(InstructionSequence((x.items[-1],)))
+    for i, u, (kind, _slot, _method, d_true, d_false) in zip(range(1, k), items, moves):
+        if kind == KIND_TERM:
+            term = STOP
+        elif kind == KIND_JUMP:
+            # ``#0`` deadlocks; a jump past the end targets a position with no shared variable.
+            term = DEAD if not d_true else var[i + d_true] if i + d_true <= k + 1 else Var(i + d_true)
+        else:
+            term = PostCond(u.basic, var[i + d_true], var[i + d_false])
+        body = Subst(i, term, body)
+    # The last position's extraction: every move from it leaves the sequence.
+    kind = moves[-1][0]
+    last = STOP if kind == KIND_TERM else DEAD if kind == KIND_JUMP else PostCond(items[-1].basic, DEAD, DEAD)
     return Subst(k, last, body)
 
 
@@ -195,7 +190,10 @@ def eval_xthread(t: XThread) -> Thread:
     in the term size.  One explicit stack, so depth is not limited by
     recursion: a node goes back on it as ``(node,)`` below its children,
     and a binder's body above ``(var_index, outer binding)``, which undoes
-    the binding in the one environment once the body is evaluated.
+    the binding in the one environment once the body is evaluated.  A bound
+    term that is a leaf, or a ``PostCond`` over two variables (all that
+    ``extract_compact`` binds), is evaluated at its binder, without a trip
+    through the stack.
     """
     env: dict[int, Thread] = {}
     done: list[Thread] = []  # evaluated children, the last on top
@@ -203,12 +201,27 @@ def eval_xthread(t: XThread) -> Thread:
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Var:
+        if kind is Subst:
+            index = node.var_index
+            bound = node.bound
+            kind = type(bound)
+            if kind is Var:
+                value = env.get(bound.index, DEAD)
+            elif kind is Stop or kind is Dead:
+                value = bound
+            elif kind is PostCond and type(bound.on_true) is Var and type(bound.on_false) is Var:
+                value = PostCond(bound.action, env.get(bound.on_true.index, DEAD), env.get(bound.on_false.index, DEAD))
+            else:
+                stack += ((node,), bound)
+                continue
+            stack += ((index, env.get(index)), node.body)
+            env[index] = value
+        elif kind is Var:
             done.append(env.get(node.index, DEAD))
         elif kind is PostCond:
             stack += ((node,), node.on_false, node.on_true)
-        elif kind is Subst or kind is Tau:
-            stack += ((node,), node.bound if kind is Subst else node.next)
+        elif kind is Tau:
+            stack += ((node,), node.next)
         elif kind is not tuple:  # Stop, Dead
             done.append(node)
         elif len(node) == 2:

@@ -177,10 +177,10 @@ def test_integer_fields_do_not_depend_on_the_table(cls):
     assert cls(True) is cls(1) and cls(value) is u
 
 
-def test_interning_from_many_threads_gives_one_object_per_value():
-    # 8 threads (more than the cores) build the same 1,000 values, each new
-    # to the table, with a thread switch after about every microsecond.
-    base = 10**40
+def race(base: int) -> list:
+    """What each of 8 threads (more than the cores) got by building the same
+    1,000 values, each new to the table, with a thread switch after about
+    every microsecond: per thread, a list of (test, jump) pairs."""
     assert (InReg, base) not in _INTERNED
     results = [None] * 8
 
@@ -199,9 +199,25 @@ def test_interning_from_many_threads_gives_one_object_per_value():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result is not None for result in results)
+    return results
+
+
+def test_interning_from_many_threads_gives_one_object_per_value():
+    base = 10**40
+    results = race(base)
     for i, (test, jump) in enumerate(results[0]):
         assert test is PosTest(RegisterOp(InReg(base + i), GET)) and jump is Jump(base + i)
         assert all(result[i][0] is test and result[i][1] is jump for result in results)
+
+
+def test_parse_after_a_race_gives_the_interned_instructions():
+    # The text index holds the object that won each race, not one that lost.
+    results = race(10**41)
+    for pair in results[0]:
+        for u in pair:
+            assert parse(render(seq(u))).items[0] is u
+            assert parse(render(seq(u, u, TERM))).items == (u, u, TERM)
+    assert all(result == results[0] for result in results)
 
 
 def test_parse_plain_and_term():
@@ -251,6 +267,53 @@ def test_parse_repeats_of_a_token_are_one_object():
 
 def test_parse_whitespace_insensitive():
     assert parse(" + in:1 . get ;#2;  !  ") == parse("+in:1.get ; #2 ; !")
+
+
+# Spellings that are not canonical text: each is parsed token by token.
+NON_CANONICAL_TEXTS = [
+    "in:01.get",
+    "in:01.get ; !",
+    "+ in : 1 . get ; !",
+    " + in:01.get ;#2;out.set:T ; ! ",
+    "\t+in:1.get\n;\t#2 ;\nout.set:T\n;\t!",
+    "+in:1.get\u2003;\u2003#02\u2003;\u2003!",
+    "-aux:002.set:F ; #0 ; + split : 3 ; reply:1",
+]
+
+# Malformed texts: each raises its error at the offset of its first bad token.
+MALFORMED_TEXTS = [
+    ";;", "! ;; !", "!;", "! ; ", "in:1.get ;", ";", "\u2003;\u2003", "in:1.get ; bogus ; !", "#-1",
+    "+!", "++in:1.get", "in:1.get ; in:0.get", "out.get:T", "! ; split:0", "in:1 .get ; \u2003 ; !",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_TEXTS)
+def test_parse_non_canonical_spellings_as_the_reference(text):
+    x = parse(text)
+    assert all(u is v for u, v in zip(x.items, reference_parse(text).items, strict=True))
+    assert parse(render(x)) == x
+
+
+@pytest.mark.parametrize("text", MALFORMED_TEXTS)
+def test_parse_malformed_texts_raise_as_the_reference(text):
+    with pytest.raises(InstructionSyntaxError) as expected:
+        reference_parse(text)
+    with pytest.raises(InstructionSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == str(expected.value) and err.value.position == expected.value.position
+
+
+def test_parse_of_canonical_text_parses_no_token(monkeypatch):
+    x = parse("+in:1.get ; #2 ; out.set:T ; ! ; -aux:3.set:F ; split:2 ; +reply:2")
+
+    def fail(token, position):
+        raise AssertionError(f"token {token!r} parsed")
+
+    monkeypatch.setattr("boolseq.instr._parse_one", fail)
+    assert parse(render(x)) == x
+    assert parse("+in:1.get;#2;  out.set:T  ;!;-aux:3.set:F;split:2;+reply:2") == x
+    with pytest.raises(AssertionError, match="parsed"):
+        parse("+in:01.get ; !")
 
 
 def test_parse_split_reply_forms():

@@ -10,16 +10,25 @@ from boolseq.instr import InstructionSequence, ResourceBoundError, classify, par
 from boolseq.lab import TruthTable, truth_table
 from boolseq.services import (
     DIVERGENT,
+    MAX_AUX_INDEX,
     MAX_TABLE_ARITY,
+    Divergent,
     RegState,
     Terminated,
     check_computes,
     lane_values,
     run,
 )
-from boolseq.splitting import check_splitting_computes, queue_runner
+from boolseq.splitting import check_splitting_computes, queue_runner, run_splitting_with_steps
 
-from util import algebraic_outcome, algebraic_splitting_outcome, first_reads, gen_isbr, gen_sisbr
+from util import (
+    algebraic_outcome,
+    algebraic_splitting_outcome,
+    first_reads,
+    gen_isbr,
+    gen_sisbr,
+    reference_run,
+)
 
 
 def vectors(n):
@@ -254,3 +263,119 @@ def test_property_register_tables(x: InstructionSequence, n: int):
 def test_property_splitting_tables(x: InstructionSequence, n: int):
     assert classify(x).is_sisbr
     assert_agrees(x, n, splitting=True)
+
+
+# --- tables and register banks against the reference executors, n = 0..12 -----------------
+
+
+def reference_values(x, n, splitting=False):
+    """The table from ``tests/util.reference_run``, or from ``queue_runner`` for forking code."""
+    values = []
+    for v in vectors(n):
+        outcome = (queue_runner if splitting else reference_run)(x, v)[0]
+        values.append(outcome.registers.out if isinstance(outcome, Terminated) else None)
+    return tuple(values)
+
+
+def assert_table_as_reference(x, n, splitting=False):
+    values = lane_values(x, n, splitting)
+    assert type(values) is tuple and all(v is None or type(v) is bool for v in values)
+    assert values == reference_values(x, n, splitting), f"{x} at n={n}"
+    return values
+
+
+# All-dead and mixed-dead tables; aux registers read before any write; input
+# reads and writes past n (unserved where n is small).
+REGISTER_TABLE_CASES = [
+    "#0",
+    "out.set:T ; #0",
+    "+in:1.get ; #0 ; #9 ; !",
+    "+in:1.get ; #2 ; #0 ; out.set:T ; !",
+    "-in:3.get ; #0 ; +in:2.get ; out.set:T ; !",
+    "+in:1.get ; -in:2.get ; #0 ; +in:3.get ; out.set:T ; !",
+    "+aux:1.get ; out.set:T ; -aux:2.get ; #0 ; !",
+    "+aux:3.get ; #2 ; aux:3.set:T ; +aux:3.get ; out.set:T ; !",
+    "+in:1.get ; aux:2.set:T ; +aux:1.get ; #0 ; +aux:2.get ; out.set:T ; !",
+    "in:3.set:T ; +in:3.get ; out.set:T ; !",
+    "-in:2.set:F ; #0 ; +in:2.get ; out.set:T ; +in:13.get ; !",
+    "+in:12.get ; out.set:T ; -in:13.get ; !",
+]
+SPLITTING_TABLE_CASES = [
+    "#0",
+    "split:1 ; #0 ; !",
+    "+split:1 ; #0 ; out.set:T ; !",
+    "+in:1.get ; split:1 ; +reply:1 ; #0 ; out.set:T ; !",
+    "split:1 ; +reply:1 ; +in:3.get ; out.set:T ; !",
+    "split:1 ; +reply:1 ; ! ; +in:13.get ; out.set:T ; !",
+    "+in:2.get ; split:2 ; -reply:2 ; +in:12.get ; out.set:T ; !",
+]
+
+
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("text", REGISTER_TABLE_CASES)
+def test_register_tables_match_the_reference_run(text, n):
+    assert_table_as_reference(parse(text), n)
+
+
+@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("text", SPLITTING_TABLE_CASES)
+def test_forking_tables_match_the_queue_runner(text, n):
+    assert_table_as_reference(parse(text), n, splitting=True)
+
+
+def test_tables_that_are_all_dead():
+    for n in range(13):
+        assert lane_values(parse("#0"), n) == lane_values(parse("split:1 ; #0 ; !"), n, True) == (None,) * 2**n
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_forking_runs_that_read_past_n_fall_back_to_the_queue_runner(n):
+    # The first read past n stops the run: its reason and its step count are
+    # those of the queue order.
+    for text in SPLITTING_TABLE_CASES + ["split:1 ; split:2 ; +reply:2 ; in:5.get ; in:4.get ; !"]:
+        x = parse(text)
+        for v in vectors(n):
+            outcome, steps = run_splitting_with_steps(x, v)
+            assert (outcome, steps) == queue_runner(x, v), f"{text} on {v}"
+            if classify(x).max_input_index > n and isinstance(outcome, Divergent):
+                assert outcome.reason.startswith("unserved focus in:")
+
+
+# Forking tables whose splits widen the lanes past the 2^n vectors, once or
+# several times, with every input read after the widening.
+WIDENING_CASES = [
+    "split:1 ; split:2 ; split:3 ; " + " ; ".join(f"-in:{j}.get ; +reply:{1 + j % 3} ; #2 ; out.set:T" for j in range(1, 13)) + " ; !",
+    "+in:1.get ; split:1 ; +in:12.get ; #3 ; +reply:1 ; #0 ; -in:6.get ; out.set:T ; !",
+    "split:1 ; +reply:1 ; #4 ; split:2 ; +reply:2 ; #0 ; " + " ; ".join(f"+in:{j}.get" for j in range(1, 13)) + " ; out.set:T ; !",
+]
+
+
+@pytest.mark.parametrize("n", (1, 5, 10, 12))
+@pytest.mark.parametrize("text", WIDENING_CASES, ids=["three-splits-then-reads", "split-between-reads", "two-splits-then-reads"])
+def test_tables_that_widen(text, n):
+    assert_table_as_reference(parse(text), n, splitting=True)
+
+
+def test_seeded_tables_that_widen_at_n_10_to_12():
+    rng = random.Random(2527)
+    for n in (10, 11, 12):
+        for _ in range(2):
+            x = gen_sisbr(rng, 40, n, max_splits=4)
+            assert_table_as_reference(x, n, splitting=True)
+
+
+def test_aux_bound():
+    x = parse(f"aux:{MAX_AUX_INDEX}.set:T ; +aux:{MAX_AUX_INDEX}.get ; out.set:T ; !")
+    assert assert_table_as_reference(x, 1) == (True, True)
+    index = MAX_AUX_INDEX + 1
+    message = f"^resource bound exceeded: aux:{index} is past the {MAX_AUX_INDEX} auxiliary registers of a run$"
+    for text in (f"+aux:{index}.get ; !", f"in:1.get ; aux:{index}.set:T ; !", f"#0 ; aux:{index}.get"):
+        with pytest.raises(ResourceBoundError, match=message):
+            lane_values(parse(text), 1)
+        with pytest.raises(ResourceBoundError, match=message):
+            check_computes(parse(text), TruthTable(1, (False, True)))
+
+
+def test_arity_bound_at_the_split_that_widens():
+    with pytest.raises(ResourceBoundError, match=f"the split at position 2 needs .* lanes, more than 2\\^{MAX_TABLE_ARITY}$"):
+        lane_values(parse("+in:1.get ; split:1 ; !"), MAX_TABLE_ARITY, splitting=True)

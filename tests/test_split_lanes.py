@@ -153,7 +153,7 @@ def run_values(x, n):
 
 def _table_steps(x, n):
     """The action turns of a table's sweep: those of every vector's forking run."""
-    return lane_sweep(x, 1 << n, lambda lanes: {slot: lane_mask(n - slot, lanes) for slot in range(1, n + 1)})[3]
+    return lane_sweep(x, 1 << n, [0, *(lane_mask(n - slot, 1 << n) for slot in range(1, n + 1))])[3]
 
 
 REREAD_CASES = (

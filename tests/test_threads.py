@@ -50,7 +50,9 @@ from util import (
     gen_isbr,
     gen_sisbr,
     gen_write_linear,
+    reference_eval_xthread,
     reference_extract,
+    reference_extract_compact,
     reference_tsize,
 )
 
@@ -245,6 +247,98 @@ def test_extract_matches_the_rows_on_random_sequences():
 def test_extract_at_every_deadlock_shape(filler):
     for x in deadlock_placements(filler.split(" ; ")):
         assert_extracts_as_reference(x)
+
+
+# --- compact terms and their evaluation against the references -------------------------
+
+
+def assert_compacts_as_reference(x):
+    compact = extract_compact(x)
+    assert compact == reference_extract_compact(x), render(x)
+    assert eval_xthread(compact) == reference_eval_xthread(compact), render(x)
+
+
+def test_compact_matches_the_reference_on_every_short_sequence():
+    for length in (1, 2, 3):
+        for items in product(MIXED_LETTERS, repeat=length):
+            assert_compacts_as_reference(InstructionSequence(items))
+
+
+def test_compact_matches_the_reference_on_random_sequences():
+    rng = random.Random(2525)
+    for _ in range(2000):
+        roll = rng.random()
+        if roll < 0.4:
+            x = gen_isbr(rng, 30, 3, max_aux=3)
+        elif roll < 0.8:
+            x = gen_sisbr(rng, 30, 3)
+        else:
+            x = gen_write_linear(rng, 30, 3)
+        assert_compacts_as_reference(x)
+
+
+@pytest.mark.parametrize("text", ["#0", "#9", "!", "+in:1.get", "#0 ; !", "#1 ; #0", "#3 ; !", "+in:1.get ; #9 ; #0 ; !"])
+def test_compact_matches_the_reference_at_jumps_and_k_1(text):
+    assert_compacts_as_reference(parse(text))
+
+
+@pytest.mark.parametrize("filler", ["in:1.get ; aux:1.set:T ; +out.set:T ; !", "split:1 ; +reply:1 ; out.set:T ; !"])
+def test_compact_matches_the_reference_at_every_deadlock_shape(filler):
+    for x in deadlock_placements(filler.split(" ; ")):
+        assert_compacts_as_reference(x)
+
+
+A = IN1_GET
+B = RegisterOp(OUT, SET_TRUE)
+
+# Terms whose bindings are not all leaves or a PostCond over two variables:
+# nested binders, internal steps and PostConds over other children as bound
+# terms, shadowed and rebound variables, and free ones.
+HAND_BUILT_TERMS = [
+    Subst(1, Subst(2, STOP, PostCond(A, Var(2), Var(3))), PostCond(B, Var(1), Var(1))),
+    Subst(2, STOP, Subst(1, Tau(Var(2)), Tau(Var(1)))),
+    Subst(1, PostCond(A, Tau(STOP), Var(2)), Var(1)),
+    Subst(1, PostCond(A, Var(2), PostCond(B, STOP, DEAD)), PostCond(B, Var(1), Var(3))),
+    Subst(1, PostCond(A, Subst(2, DEAD, Var(2)), Var(1)), Var(1)),
+    Subst(1, STOP, Subst(1, Var(1), PostCond(A, Var(1), Var(2)))),
+    Subst(1, STOP, Subst(1, PostCond(A, Var(1), Var(1)), Var(1))),
+    Subst(1, STOP, PostCond(A, Subst(1, DEAD, Var(1)), Var(1))),
+    Subst(2, Var(5), Subst(1, Var(2), Tau(Var(1)))),
+    Tau(Subst(1, DEAD, Subst(2, Var(1), PostCond(B, Var(2), Var(1))))),
+    PostCond(A, Subst(1, STOP, Var(1)), Var(1)),
+]
+
+
+def random_term(rng: random.Random, depth: int):
+    """A random term over variables 1..3 with every node kind at every place."""
+    roll = rng.random() if depth else rng.random() * 0.5
+    if roll < 0.15:
+        return STOP
+    if roll < 0.25:
+        return DEAD
+    if roll < 0.5:
+        return Var(rng.randint(1, 3))
+    if roll < 0.6:
+        return Tau(random_term(rng, depth - 1))
+    if roll < 0.8:
+        return PostCond(rng.choice((A, B)), random_term(rng, depth - 1), random_term(rng, depth - 1))
+    return Subst(rng.randint(1, 3), random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+@pytest.mark.parametrize("t", HAND_BUILT_TERMS, ids=render_thread)
+def test_eval_xthread_matches_the_reference_on_hand_built_terms(t):
+    assert eval_xthread(t) == reference_eval_xthread(t)
+
+
+def test_eval_xthread_matches_the_reference_on_random_terms():
+    rng = random.Random(2526)
+    for _ in range(3000):
+        t = random_term(rng, 6)
+        assert eval_xthread(t) == reference_eval_xthread(t), render_thread(t)
+
+
+def test_compact_matches_the_reference_past_the_recursion_limit():
+    assert_compacts_as_reference(chain(10_000))
 
 
 def test_alternating_test_chain_explodes_only_naively():

@@ -13,7 +13,11 @@ extraction, jump-free view and control graph follow its rows, where
 ``transforms._splice`` copies the stretches between blocks.  Exhaustive
 formula satisfiability is the reference for
 ``satc.reachability_satisfiable``.  The reference term size walks the
-tree, independent of the sizes the thread nodes carry.
+tree, independent of the sizes the thread nodes carry.  The reference
+compact extraction builds each position's term from its instruction, and
+the reference evaluator takes every binding through its stack, where
+``threads.extract_compact`` walks the row templates and
+``threads.eval_xthread`` evaluates the leaf-like bindings at their binders.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from boolseq.services import (
     use,
 )
 from boolseq.splitting import csi
-from boolseq.threads import DEAD, STOP, PostCond, Subst, Tau, extract
+from boolseq.threads import DEAD, STOP, PostCond, Subst, Tau, Var, extract
 
 
 def algebraic_outcome(x: InstructionSequence, inputs):
@@ -353,6 +357,73 @@ def reference_tsize(t) -> int:
         memo[id(node)] = left_size + right_size + 1
         stack.pop()
     return memo[id(t)]
+
+
+def reference_extract_compact(x: InstructionSequence):
+    """``threads.extract_compact`` with each position's term built from its instruction.
+
+    Position i < k is bound to ``!`` as ``STOP``, ``#0`` as ``DEAD``, any
+    other jump as the variable of its target, and a basic instruction as a
+    ``PostCond`` over the variables of its two targets; position k to the
+    extraction of its instruction alone.
+    """
+    k = len(x)
+    if k == 1:
+        return extract(x)
+    var = list(map(Var, range(k + 2)))
+    body = var[1]
+    for i, u in enumerate(x.items[:-1], 1):
+        if u.offsets is None:
+            term = STOP
+        elif isinstance(u, Jump):
+            d = u.distance
+            term = DEAD if not d else var[i + d] if i + d < len(var) else Var(i + d)
+        else:
+            on_true, on_false = u.offsets
+            term = PostCond(u.basic, var[i + on_true], var[i + on_false])
+        body = Subst(i, term, body)
+    return Subst(k, extract(InstructionSequence((x.items[-1],))), body)
+
+
+def reference_eval_xthread(t):
+    """``threads.eval_xthread`` with every term, bound ones included, evaluated through the stack.
+
+    A node goes back on the stack as ``(node,)`` below its children, and a
+    binder's body above ``(var_index, outer binding)``, which undoes the
+    binding once the body is evaluated; a free variable is deadlock.
+    """
+    env: dict = {}
+    done: list = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(env.get(node.index, DEAD))
+        elif kind is PostCond:
+            stack += ((node,), node.on_false, node.on_true)
+        elif kind is Subst or kind is Tau:
+            stack += ((node,), node.bound if kind is Subst else node.next)
+        elif kind is not tuple:  # Stop, Dead
+            done.append(node)
+        elif len(node) == 2:
+            index, outer = node
+            if outer is None:
+                del env[index]
+            else:
+                env[index] = outer
+        else:
+            (node,) = node
+            kind = type(node)
+            if kind is PostCond:
+                on_false = done.pop()
+                done[-1] = PostCond(node.action, done[-1], on_false)
+            elif kind is Tau:
+                done[-1] = Tau(done[-1])
+            else:
+                stack += ((node.var_index, env.get(node.var_index)), node.body)
+                env[node.var_index] = done.pop()
+    return done[0]
 
 
 def formula_vars(phi: BoolFormula) -> int:
