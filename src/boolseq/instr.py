@@ -118,9 +118,10 @@ class _Value:
 
     def __init_subclass__(cls):
         # Each class gets the methods made for its own fields, but keeps an
-        # ``==`` or ``hash`` that it or a base defines (``_Tree``, ``_Interned``).
+        # ``==`` or ``hash`` that it or a base defines (``_Tree``, ``_Interned``)
+        # or that it makes from other fields (``TruthTable``, by its masks).
         for method in _field_methods(cls.__match_args__):
-            if getattr(getattr(cls, method.__name__), "_by_fields", False):
+            if method.__name__ not in vars(cls) and getattr(getattr(cls, method.__name__), "_by_fields", False):
                 setattr(cls, method.__name__, method)
 
     def __repr__(self) -> str:

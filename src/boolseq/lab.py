@@ -36,30 +36,71 @@ from .instr import (
     Term,
     _set,
     _Value,
+    _field_methods,
 )
 from .services import lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
 
 
+# A table's entries as the characters of its rendering, and back; those
+# characters as the binary digits of the out and the dead mask; the hex
+# digits out + 2 * dead (see ``render``) as those characters; and the bytes
+# of bools as binary digits.
+_CHAR = {True: "T", False: "F", None: "?"}
+_ENTRY = {"T": True, "F": False, "?": None}
+_OUT_DIGITS = str.maketrans("TF?", "100")
+_NONE_DIGITS = str.maketrans("TF?", "001")
+_RENDER = str.maketrans("012", "FT?")
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
 class TruthTable(_Value):
     """2^arity Boolean values indexed by input vector, first input most significant.
 
-    ``None`` marks an input where execution did not terminate, i.e. the
-    sequence computes no total function.
+    Held as two masks with entry idx at bit idx: ``dead`` has the inputs
+    where execution did not terminate (the entry ``None``: the sequence
+    computes no total function), ``out`` those where the value is True.
+    ``out`` is clear where ``dead`` is set, so ``==`` and the hash go by the
+    masks.  ``values``, the tuple of entries, is built on each read.
     """
 
-    __slots__ = __match_args__ = ("arity", "values")
+    __slots__ = ("arity", "out", "dead")
+    __match_args__ = ("arity", "values")
+    _masks, __eq__, __hash__ = _field_methods(__slots__)
 
-    def __init__(self, arity: int, values: tuple[Optional[bool], ...]):
+    def __new__(cls, arity: int, values: tuple[Optional[bool], ...]):
+        if arity < 0:
+            raise ValueError(f"arity must be >= 0, got {arity}")
         if len(values) != 2**arity:
             raise ValueError(f"expected {2**arity} entries, got {len(values)}")
-        _set(self, "arity", arity)
-        _set(self, "values", values)
+        kinds = {*map(type, values)}
+        if not kinds <= {bool, type(None)}:
+            raise ValueError("table entries must be True, False or None")
+        if type(None) not in kinds:  # no dead entry: each bool is a byte 0 or 1
+            return cls.from_masks(arity, int(bytes(values)[::-1].translate(_BINARY), 2))
+        chars = "".join(map(_CHAR.__getitem__, reversed(values)))  # the highest vector first
+        return cls.from_masks(arity, int(chars.translate(_OUT_DIGITS), 2), int(chars.translate(_NONE_DIGITS), 2))
+
+    @classmethod
+    def from_masks(cls, arity: int, out: int, dead: int = 0) -> "TruthTable":
+        """The table of these masks, as ``lane_values`` gives them: no per-entry work."""
+        table = object.__new__(cls)
+        _set(table, "arity", arity)
+        _set(table, "out", out)
+        _set(table, "dead", dead)
+        return table
+
+    def __reduce__(self):
+        return TruthTable.from_masks, self._masks()
+
+    @property
+    def values(self) -> tuple[Optional[bool], ...]:
+        return tuple(map(_ENTRY.__getitem__, self.render()))
 
     def vector(self, idx: int) -> tuple[bool, ...]:
         n = self.arity
-        if not 0 <= idx < len(self.values):
+        if not 0 <= idx < 1 << n:
             raise ValueError(f"vector index {idx} out of range for arity {n}")
         return tuple((idx >> (n - 1 - i)) & 1 == 1 for i in range(n))
 
@@ -70,14 +111,18 @@ class TruthTable(_Value):
         idx = 0
         for b in bits:
             idx = (idx << 1) | (1 if b else 0)
-        return self.values[idx]
+        return None if self.dead >> idx & 1 else self.out >> idx & 1 == 1
 
     @property
     def is_total(self) -> bool:
-        return None not in self.values
+        return self.dead == 0
 
     def render(self) -> str:
-        return "".join("?" if v is None else "T" if v else "F" for v in self.values)
+        size = 1 << self.arity
+        digits = format(self.out, f"0{size}b")
+        if self.dead:  # each binary digit read as a hex one, so a doubled dead digit adds no carry
+            digits = format(int(digits, 16) | int(format(self.dead, "b"), 16) << 1, f"0{size}x")
+        return digits[::-1].translate(_RENDER)
 
     @staticmethod
     def tabulate(arity: int, fn: Callable[[tuple[bool, ...]], bool]) -> "TruthTable":
@@ -87,9 +132,9 @@ class TruthTable(_Value):
 def truth_table(x: InstructionSequence, n: int, splitting: bool = False) -> TruthTable:
     """Tabulate the sequence over all 2^n input vectors, by ``lane_values``.
 
-    Non-terminating entries (deadlock or divergence) are recorded as None.
+    Non-terminating entries (deadlock or divergence) are dead.
     """
-    return TruthTable(n, lane_values(x, n, splitting))
+    return TruthTable.from_masks(n, *lane_values(x, n, splitting))
 
 
 # --- shortest-sequence search ------------------------------------------------------
@@ -274,7 +319,8 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     # The target is read from the all-False register state, s = 0.
     rows = (1 << 2**n) - 1
     match_mask = rows | rows << size
-    target = sum(1 << (a if v else size + a) for a, v in enumerate(spec.target.values))
+    out = spec.target.out
+    target = out | (rows & ~out) << size
 
     # A state is the flat tuple (window..., ! count), and it is its own dedup
     # key.  State i puts alphabet[letter[i]] in front of state parent[i];

@@ -415,15 +415,17 @@ def check_length_reduction(f_table, g_table, helpers: list[InstructionSequence],
         )
     if any(psize(h) > l for h in helpers):
         return False
-    n = f_table.arity
-    helper_values: list[tuple[bool, ...]] = []
+    # f's vectors as masks by the argument vector j of g that the helpers so
+    # far give them (first argument most significant); no mask is empty.
+    classes = {0: (1 << 2**f_table.arity) - 1}
     for h in helpers:
-        values = lane_values(h, n)
-        if None in values:
+        out, dead = lane_values(h, f_table.arity)
+        if dead:
             return False
-        helper_values.append(values)
-    for idx in range(2**n):
-        image = tuple(helper_values[m][idx] for m in range(len(helpers)))
-        if f_table.values[idx] != g_table.lookup(image):
+        split = ((2 * j + bit, part) for j, vs in classes.items() for bit, part in ((0, vs & ~out), (1, vs & out)))
+        classes = {j: vs for j, vs in split if vs}
+    for j, vs in classes.items():
+        # Every entry of f on vs is g's entry j.
+        if (f_table.out & vs, f_table.dead & vs) != (vs * (g_table.out >> j & 1), vs * (g_table.dead >> j & 1)):
             return False
     return True

@@ -9,20 +9,19 @@ and returns the residual thread, ``apply`` returns the residual service.
 ``run`` is a program-counter executor over a full register file.  It is
 deliberately independent of the thread-algebra route (extract, use chain,
 apply); the test suite checks the two against each other.  ``lane_values``
-tabulates a sequence on every input vector at once, in one forward sweep
-over its actions (``instr.actions``: its control flow with the jumps
-passed through) with one bit per vector, or per branch of a vector for
-forking code; it is checked against ``run`` and ``queue_runner``, which
-both add up the instructions' offsets one step at a time.  That sweep,
-``lane_sweep``, also runs forking code one vector at a time.
+tabulates a sequence on every input vector at once, as the two masks of a
+``lab.TruthTable``, in one forward sweep over its actions (``instr.actions``:
+its control flow with the jumps passed through) with one bit per vector, or
+per branch of a vector for forking code; it is checked against ``run`` and
+``queue_runner``, which both add up the instructions' offsets one step at a
+time.  That sweep, ``lane_sweep``, also runs forking code one vector at a time.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import compress, count
-from operator import itemgetter
-from typing import Optional, Union
+from typing import Union
 
 from .instr import (
     GET,
@@ -262,16 +261,9 @@ def run_with_steps(x: InstructionSequence, inputs: tuple[bool, ...] | list[bool]
 # --- lane-parallel execution -------------------------------------------------
 
 # The bound on a sweep's lane index space: a table's 2^n input vectors, and
-# the twin lanes that splits add.  At the bound a mask is 2 MB and a table's
-# tuple of 2^24 entries 128 MB.
+# the twin lanes that splits add.  At the bound a mask, and so each of a
+# table's two masks, is 2 MB.
 MAX_TABLE_ARITY = 24
-
-# A table entry from a vector's dead bit, with its out value as the default.
-_DEAD = {"1": None}
-
-# Turns the digits of a binary number into bytes 0 and 1, which index _BOOLS.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_BOOLS = (False, True)
 
 
 def _repeat(pattern: int, period: int, lanes: int) -> int:
@@ -446,12 +438,13 @@ def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[i
     return lanes & ~term, regs[KIND_OUT][0], unserved, steps
 
 
-def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[Optional[bool], ...]:
+def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tuple[int, int]:
     """The outcome of ``x`` on all 2^n input vectors, by one forward sweep.
 
-    Entry idx (first input most significant) is the final ``out`` where the
-    run on that vector terminates and None where it deadlocks or diverges,
-    under ``run``, or under ``run_splitting`` when ``splitting`` is set.
+    Returns the masks ``(out, dead)`` with vector idx (first input most
+    significant) at bit idx: ``dead`` has the vectors where the run deadlocks
+    or diverges, under ``run``, or under ``run_splitting`` when ``splitting``
+    is set, and ``out`` those where it terminates with ``out`` True.
 
     Bit-slicing: a lane is an input vector, or for forking code one branch
     of one; a register or ``at[j]`` (the lanes that reach action j) is an
@@ -485,13 +478,8 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         mask ^= mask >> half
         inputs.append(mask)
     dead, out, _, _ = lane_sweep(x, block, inputs)
-    # Each vector's out bit, lowest vector first, or None where it is dead.  An
-    # itemgetter of one index gives the item, not a tuple.
-    bits = format(_fold(out, block), f"0{block}b").encode().translate(_BITS)[::-1]
-    values = itemgetter(*bits)(_BOOLS) if block > 1 else (_BOOLS[bits[0]],)
-    if dead:
-        values = tuple(map(_DEAD.get, format(_fold(dead, block), f"0{block}b")[::-1], values))
-    return values
+    dead = _fold(dead, block)
+    return _fold(out, block) & ~dead, dead
 
 
 def check_computes(x: InstructionSequence, table) -> bool:
@@ -504,9 +492,9 @@ def check_computes(x: InstructionSequence, table) -> bool:
     """
     if not classify(x).is_isbr:
         raise ValueError("check_computes requires a register-only sequence over in/aux/out")
-    if None in table.values:
+    if table.dead:
         raise ValueError("target table has undefined entries; not a total function")
-    return lane_values(x, table.arity) == tuple(table.values)
+    return lane_values(x, table.arity) == (table.out, 0)
 
 
 def parse_input_bits(text: str) -> tuple[bool, ...]:

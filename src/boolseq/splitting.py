@@ -220,6 +220,6 @@ def check_splitting_computes(x: InstructionSequence, table) -> bool:
     """Does ``x``, under forking execution, compute the tabulated function?"""
     if not classify(x).is_sisbr:
         raise ValueError("check_splitting_computes requires a split/reply vocabulary sequence")
-    if None in table.values:
+    if table.dead:
         raise ValueError("target table has undefined entries; not a total function")
-    return lane_values(x, table.arity, splitting=True) == tuple(table.values)
+    return lane_values(x, table.arity, splitting=True) == (table.out, 0)

@@ -44,9 +44,9 @@ def test_every_short_sequence():
                 runs = [queue_runner(x, v) for v in vectors(n)]
                 for v, expected in zip(vectors(n), runs):
                     assert run_splitting_with_steps(x, v) == expected, f"{x} on {v}"
-                assert lane_values(x, n, splitting=True) == tuple(table_entry(o) for o, _ in runs), f"{x} at n={n}"
+                assert truth_table(x, n, splitting=True).values == tuple(table_entry(o) for o, _ in runs), f"{x} at n={n}"
                 if not classify(x).max_param_index:
-                    assert lane_values(x, n) == tuple(table_entry(run(x, v)) for v in vectors(n)), f"{x} at n={n}"
+                    assert truth_table(x, n).values == tuple(table_entry(run(x, v)) for v in vectors(n)), f"{x} at n={n}"
 
 
 @pytest.mark.parametrize(
@@ -56,7 +56,7 @@ def test_deadlock_before_the_first_action(text, jumps):
     x = parse(text)
     assert actions(x)[2] == 0
     for n in range(3):
-        assert lane_values(x, n, splitting=True) == lane_values(x, n) == (None,) * 2**n
+        assert lane_values(x, n, splitting=True) == lane_values(x, n) == (0, (1 << 2**n) - 1)  # every vector dead
         for v in vectors(n):
             assert run_splitting_with_steps(x, v) == queue_runner(x, v) == (Deadlocked(), 0)
             assert run_with_steps(x, v) == (Deadlocked(), jumps)  # register runs count jumps as steps
@@ -78,9 +78,9 @@ def test_chains_that_end_past_the_end(text, where, targets, values):
     assert rows[-3][3:] == targets  # the test before out.set:T ; !
     for v in vectors(1):
         assert run_splitting_with_steps(x, v) == queue_runner(x, v)
-    assert lane_values(x, 1, splitting=True) == tuple(table_entry(queue_runner(x, v)[0]) for v in vectors(1)) == values
+    assert truth_table(x, 1, splitting=True).values == tuple(table_entry(queue_runner(x, v)[0]) for v in vectors(1)) == values
     if "split" not in text:
-        assert lane_values(x, 1) == tuple(table_entry(run(x, v)) for v in vectors(1)) == values
+        assert truth_table(x, 1).values == tuple(table_entry(run(x, v)) for v in vectors(1)) == values
 
 
 def test_chain_of_ten_thousand_jumps():
@@ -90,5 +90,5 @@ def test_chain_of_ten_thousand_jumps():
     for v, steps in (((True,), 2), ((False,), 1)):
         expected = (Terminated(RegisterFile(v, {}, v[0])), steps)
         assert run_splitting_with_steps(x, v) == queue_runner(x, v) == expected
-    assert lane_values(x, 1, splitting=True) == lane_values(x, 1) == (False, True)
+    assert lane_values(x, 1, splitting=True) == lane_values(x, 1) == (0b10, 0)  # out at vector 1 only
     assert truth_table(x, 1, splitting=True).values == (False, True)

@@ -17,7 +17,7 @@ from boolseq.lab import (
     shortest_sequence_search,
     truth_table,
 )
-from boolseq.services import Terminated, lane_values, run
+from boolseq.services import Terminated, run
 from boolseq.splitting import run_splitting
 
 from util import gen_isbr, gen_sisbr, naive_search
@@ -30,6 +30,11 @@ def test_truth_table_indexing():
     assert table.vector(2) == (True, False)
     assert table.lookup((True, False)) is True
     assert table.render() == "FTTF"
+    # Entry idx at bit idx of each mask; out is clear where dead is set.
+    table = TruthTable(3, (None, False, None, True, True, None, False, True))
+    assert (table.out, table.dead) == (0b10011000, 0b00100101)
+    assert table.render() == "?F?TT?FT" and not table.is_total and table.lookup((True, False, True)) is None
+    assert table == TruthTable.from_masks(3, 0b10011000, 0b00100101)
 
 
 def test_truth_table_rejects_out_of_range_vectors():
@@ -42,6 +47,16 @@ def test_truth_table_rejects_out_of_range_vectors():
             table.vector(idx)
     assert TruthTable(0, (True,)).lookup(()) is True
     assert TruthTable(0, (True,)).vector(0) == ()
+
+
+def test_truth_table_rejects_bad_arities_and_entries():
+    with pytest.raises(ValueError, match="^expected 4 entries, got 3$"):
+        TruthTable(2, (False, True, True))
+    with pytest.raises(ValueError, match="^arity must be >= 0, got -1$"):
+        TruthTable(-1, ())
+    for entries in [("T", "F"), (1, 0), (False, 0.0), (True, "")]:
+        with pytest.raises(ValueError, match="^table entries must be True, False or None$"):
+            TruthTable(1, entries)
 
 
 def test_truth_table_tabulate_orders_first_input_most_significant():
@@ -219,7 +234,7 @@ def test_transfer_fold_matches_lane_values(generate, reg_bits, splitting):
     for _ in range(2000):
         n = rng.randint(0, 3)
         x = generate(rng, n)
-        assert _fold(x, n, reg_bits) == lane_values(x, n, splitting=splitting), render(x)
+        assert _fold(x, n, reg_bits) == truth_table(x, n, splitting=splitting).values, render(x)
 
 
 # Shortest sequences of every arity-2 function at max length 7, recorded from

@@ -1,4 +1,4 @@
-"""Lane-parallel tables (`lane_values`) against the per-vector executors and the algebra."""
+"""Lane-parallel tables (`lane_values`, read through `truth_table`) against the per-vector executors and the algebra."""
 
 import random
 from itertools import product
@@ -24,6 +24,7 @@ from boolseq.splitting import check_splitting_computes, queue_runner, run_splitt
 from util import (
     algebraic_outcome,
     algebraic_splitting_outcome,
+    assert_table_readers,
     first_reads,
     gen_isbr,
     gen_sisbr,
@@ -59,7 +60,7 @@ def algebraic_values(x, n, splitting=False):
 
 
 def assert_agrees(x, n, splitting=False, algebra=True):
-    lanes = lane_values(x, n, splitting)
+    lanes = truth_table(x, n, splitting).values
     assert lanes == per_vector_values(x, n, splitting), f"{x} at n={n}"
     if algebra:
         assert lanes == algebraic_values(x, n, splitting), f"{x} at n={n}"
@@ -126,14 +127,14 @@ def test_seeded_random_sequences(generate, splitting):
 )
 def test_edge_cases(text, n, splitting, values):
     x = parse(text)
-    assert lane_values(x, n, splitting) == values
+    assert truth_table(x, n, splitting).values == values
     assert per_vector_values(x, n, splitting) == values
 
 
 def test_split_parameters_are_lanes_whatever_their_index():
     # Parameter 20 forks a twin lane, as parameter 1 would.
     x = parse("split:20 ; +reply:20 ; -in:1.get ; out.set:T ; !")
-    assert lane_values(x, 1, splitting=True) == per_vector_values(x, 1, splitting=True) == (True, True)
+    assert truth_table(x, 1, splitting=True).values == per_vector_values(x, 1, splitting=True) == (True, True)
 
 
 def test_checks_reject_wrong_and_partial_tables():
@@ -168,7 +169,7 @@ def test_splits_reached_by_disjoint_vectors_share_lanes():
     # so far would need 18 * 2^20.
     n, blocks = 20, 17
     x = parse(" ; ".join(f"-in:{k}.get ; #3 ; split:1 ; !" for k in range(1, blocks + 1)) + " ; out.set:T ; !")
-    values = lane_values(x, n, splitting=True)
+    values = truth_table(x, n, splitting=True).values
     assert values == (True,) * 2 ** (n - blocks) + (False,) * (2**n - 2 ** (n - blocks))
 
 
@@ -177,7 +178,7 @@ def test_unreached_actions_after_every_branch_ends(n):
     # Every branch of every vector terminates at once; the sweep skips the
     # 10^5 empty action slots after them.
     x = parse("+split:1 ; ! ; ! ; " + " ; ".join(["in:1.get"] * 10**5) + " ; !")
-    assert lane_values(x, n, splitting=True) == per_vector_values(x, n, splitting=True) == (False,) * 2**n
+    assert truth_table(x, n, splitting=True).values == per_vector_values(x, n, splitting=True) == (False,) * 2**n
 
 
 # Tables that are all dead, none dead, and dead only at the lowest or the
@@ -197,7 +198,7 @@ ENTRY_CASES = [
 @pytest.mark.parametrize("text, n, values", ENTRY_CASES)
 def test_table_entries(text, n, values):
     x = parse(text)
-    assert lane_values(x, n) == per_vector_values(x, n) == values
+    assert truth_table(x, n).values == per_vector_values(x, n) == values
 
 
 def test_forking_table_with_dead_lanes_at_n_12():
@@ -205,7 +206,7 @@ def test_forking_table_with_dead_lanes_at_n_12():
     # deadlock in one branch.
     n = 12
     x = parse("+in:1.get ; split:1 ; +in:12.get ; #3 ; +reply:1 ; #0 ; -in:6.get ; out.set:T ; !")
-    values = lane_values(x, n, splitting=True)
+    values = truth_table(x, n, splitting=True).values
     assert values == per_vector_values(x, n, splitting=True)
     assert (values.count(None), values.count(True), values.count(False)) == (2048, 1024, 1024)
 
@@ -278,9 +279,11 @@ def reference_values(x, n, splitting=False):
 
 
 def assert_table_as_reference(x, n, splitting=False):
-    values = lane_values(x, n, splitting)
+    table = truth_table(x, n, splitting)
+    values = table.values
     assert type(values) is tuple and all(v is None or type(v) is bool for v in values)
     assert values == reference_values(x, n, splitting), f"{x} at n={n}"
+    assert_table_readers(table, values)
     return values
 
 
@@ -325,7 +328,8 @@ def test_forking_tables_match_the_queue_runner(text, n):
 
 def test_tables_that_are_all_dead():
     for n in range(13):
-        assert lane_values(parse("#0"), n) == lane_values(parse("split:1 ; #0 ; !"), n, True) == (None,) * 2**n
+        assert lane_values(parse("#0"), n) == lane_values(parse("split:1 ; #0 ; !"), n, True) == (0, (1 << 2**n) - 1)
+        assert truth_table(parse("#0"), n).render() == "?" * 2**n
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -85,7 +85,10 @@ def fields(v) -> tuple:
 
 
 def hashed_fields(v) -> tuple:
-    # A profile's ``last_param_use``, a dict, takes no part in its hash.
+    # A profile's ``last_param_use``, a dict, takes no part in its hash; a
+    # truth table hashes its masks, not its entries.
+    if isinstance(v, TruthTable):
+        return v.arity, v.out, v.dead
     return fields(v)[:-1] if isinstance(v, ClassProfile) else fields(v)
 
 
@@ -166,3 +169,5 @@ def test_replace_changes_fields_and_checks_them():
         spec._replace(max_length=0)
     with pytest.raises(TypeError):
         spec._replace(colour="red")
+    table = TruthTable(2, (False, True, None, True))
+    assert table._replace() == table and table._replace(values=(True,) * 4) == TruthTable(2, (True,) * 4)

@@ -64,7 +64,7 @@ from boolseq.instr import (
     classify,
     parse,
 )
-from boolseq.lab import SearchSpec, _search_alphabet, truth_table
+from boolseq.lab import SearchSpec, TruthTable, _search_alphabet, truth_table
 from boolseq.services import (
     DIVERGENT,
     BoolRegister,
@@ -465,6 +465,25 @@ def naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
             if truth_table(x, spec.target.arity, splitting=spec.splitting_mode) == spec.target:
                 return x
     return None
+
+
+def assert_table_readers(table: TruthTable, values: tuple) -> None:
+    """Every reader of ``table`` against its entries ``values``, lowest vector first.
+
+    The masks, ``render``, ``is_total``, ``lookup``, ``==`` and the hash are
+    each checked against what the entries give one at a time, and a table
+    built from the entries must equal the one given.
+    """
+    assert table.values == values
+    assert table.out == sum(1 << idx for idx, v in enumerate(values) if v)
+    assert table.dead == sum(1 << idx for idx, v in enumerate(values) if v is None)
+    assert table.render() == "".join("?" if v is None else "T" if v else "F" for v in values)
+    assert table.is_total == (None not in values)
+    for idx, v in enumerate(values):
+        assert table.lookup(table.vector(idx)) is v
+    rebuilt = TruthTable(table.arity, values)
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert TruthTable(table.arity, (not values[0],) + values[1:]) != table
 
 
 def outcome_matches_service(run_outcome, service_result) -> bool:
