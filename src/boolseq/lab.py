@@ -44,15 +44,13 @@ _SEARCH_STATE_CAP = 3_000_000
 
 
 # A table's entries as the characters of its rendering, and back; those
-# characters as the binary digits of the out and the dead mask; the hex
-# digits out + 2 * dead (see ``render``) as those characters; and the bytes
-# of bools as binary digits.
+# characters as the binary digits of the out and the dead mask; and the hex
+# digits out + 2 * dead (see ``render``) as those characters.
 _CHAR = {True: "T", False: "F", None: "?"}
 _ENTRY = {"T": True, "F": False, "?": None}
 _OUT_DIGITS = str.maketrans("TF?", "100")
-_NONE_DIGITS = str.maketrans("TF?", "001")
+_DEAD_DIGITS = str.maketrans("TF?", "001")
 _RENDER = str.maketrans("012", "FT?")
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class TruthTable(_Value):
@@ -62,25 +60,23 @@ class TruthTable(_Value):
     where execution did not terminate (the entry ``None``: the sequence
     computes no total function), ``out`` those where the value is True.
     ``out`` is clear where ``dead`` is set, so ``==`` and the hash go by the
-    masks.  ``values``, the tuple of entries, is built on each read.
+    masks; ``repr``, ``_replace``, copies and pickles go by ``arity`` and
+    ``values``, the tuple of entries, which is built on each read.
     """
 
     __slots__ = ("arity", "out", "dead")
     __match_args__ = ("arity", "values")
-    _masks, __eq__, __hash__ = _field_methods(__slots__)
+    __eq__, __hash__ = _field_methods(__slots__)[1:]
 
     def __new__(cls, arity: int, values: tuple[Optional[bool], ...]):
         if arity < 0:
             raise ValueError(f"arity must be >= 0, got {arity}")
         if len(values) != 2**arity:
             raise ValueError(f"expected {2**arity} entries, got {len(values)}")
-        kinds = {*map(type, values)}
-        if not kinds <= {bool, type(None)}:
+        if not {*map(type, values)} <= {bool, type(None)}:
             raise ValueError("table entries must be True, False or None")
-        if type(None) not in kinds:  # no dead entry: each bool is a byte 0 or 1
-            return cls.from_masks(arity, int(bytes(values)[::-1].translate(_BINARY), 2))
         chars = "".join(map(_CHAR.__getitem__, reversed(values)))  # the highest vector first
-        return cls.from_masks(arity, int(chars.translate(_OUT_DIGITS), 2), int(chars.translate(_NONE_DIGITS), 2))
+        return cls.from_masks(arity, int(chars.translate(_OUT_DIGITS), 2), int(chars.translate(_DEAD_DIGITS), 2))
 
     @classmethod
     def from_masks(cls, arity: int, out: int, dead: int = 0) -> "TruthTable":
@@ -90,9 +86,6 @@ class TruthTable(_Value):
         _set(table, "out", out)
         _set(table, "dead", dead)
         return table
-
-    def __reduce__(self):
-        return TruthTable.from_masks, self._masks()
 
     @property
     def values(self) -> tuple[Optional[bool], ...]:

@@ -415,17 +415,11 @@ def check_length_reduction(f_table, g_table, helpers: list[InstructionSequence],
         )
     if any(psize(h) > l for h in helpers):
         return False
-    # f's vectors as masks by the argument vector j of g that the helpers so
-    # far give them (first argument most significant); no mask is empty.
-    classes = {0: (1 << 2**f_table.arity) - 1}
+    n = f_table.arity
+    images = [0] * 2**n  # for each vector of f, the argument vector of g that the helpers give it
     for h in helpers:
-        out, dead = lane_values(h, f_table.arity)
+        out, dead = lane_values(h, n)
         if dead:
             return False
-        split = ((2 * j + bit, part) for j, vs in classes.items() for bit, part in ((0, vs & ~out), (1, vs & out)))
-        classes = {j: vs for j, vs in split if vs}
-    for j, vs in classes.items():
-        # Every entry of f on vs is g's entry j.
-        if (f_table.out & vs, f_table.dead & vs) != (vs * (g_table.out >> j & 1), vs * (g_table.dead >> j & 1)):
-            return False
-    return True
+        images = [2 * j + (bit == "1") for j, bit in zip(images, format(out, f"0{2**n}b")[::-1])]
+    return "".join(map(g_table.render().__getitem__, images)) == f_table.render()

@@ -33,8 +33,10 @@ from util import (
     deadlock_placements,
     formula_satisfiable,
     gen_cnf,
+    gen_isbr,
     gen_sisbr,
     gen_sisbr_single_read,
+    reference_length_reduction,
     reference_successors,
 )
 
@@ -496,6 +498,34 @@ def test_check_length_reduction_negation():
     helper = compile_formula(Not(FVar(1)))
     assert psize(helper) == 4
     assert check_length_reduction(f, g, [helper], 4)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_seeded_length_reductions_against_the_per_vector_loop(n):
+    # g has dead entries, and f is g composed with the helpers, with one
+    # entry changed in half the cases; the helpers include projections,
+    # negations, constants and random register code, some of it not total.
+    rng = random.Random(2700 + n)
+    pool = ["out.set:T ; !", "!"] + [
+        text for j in range(1, n + 1) for text in (f"+in:{j}.get ; out.set:T ; !", f"-in:{j}.get ; out.set:T ; !")
+    ]
+    verdicts = set()
+    for _ in range(12):
+        m = rng.randint(2, 3)
+        helpers = [
+            gen_isbr(rng, 8, n) if rng.random() < 0.25 else parse(rng.choice(pool)) for _ in range(m)
+        ]
+        g = TruthTable(m, tuple(rng.choice((True, False, None)) for _ in range(2**m)))
+        entries = [g.lookup(image) for image in zip(*(truth_table(h, n).values for h in helpers))]
+        if rng.random() < 0.5:
+            idx = rng.randrange(2**n)
+            entries[idx] = rng.choice([v for v in (True, False, None) if v is not entries[idx]])
+        f = TruthTable(n, tuple(entries))
+        for l in (max(map(psize, helpers)), 3):
+            verdict = check_length_reduction(f, g, helpers, l)
+            assert verdict == reference_length_reduction(f, g, helpers, l), (n, helpers, f, g, l)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_check_length_reduction_arity_mismatch():

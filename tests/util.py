@@ -63,6 +63,7 @@ from boolseq.instr import (
     _SISBR,
     classify,
     parse,
+    psize,
 )
 from boolseq.lab import SearchSpec, TruthTable, _search_alphabet, truth_table
 from boolseq.services import (
@@ -484,6 +485,21 @@ def assert_table_readers(table: TruthTable, values: tuple) -> None:
     rebuilt = TruthTable(table.arity, values)
     assert rebuilt == table and hash(rebuilt) == hash(table)
     assert TruthTable(table.arity, (not values[0],) + values[1:]) != table
+
+
+def reference_length_reduction(f_table: TruthTable, g_table: TruthTable, helpers: list, l: int) -> bool:
+    """``check_length_reduction`` one vector at a time, on the tables' entries."""
+    if len(helpers) != g_table.arity:
+        raise ValueError(f"need {g_table.arity} helper sequences (one per argument of g), got {len(helpers)}")
+    if any(psize(h) > l for h in helpers):
+        return False
+    helper_values = [truth_table(h, f_table.arity).values for h in helpers]
+    if any(None in values for values in helper_values):
+        return False
+    for idx in range(2**f_table.arity):
+        if f_table.values[idx] != g_table.lookup(tuple(values[idx] for values in helper_values)):
+            return False
+    return True
 
 
 def outcome_matches_service(run_outcome, service_result) -> bool:
