@@ -52,7 +52,7 @@ from .instr import (
     _Value,
     psize,
 )
-from .services import lane_mask, lane_values
+from .services import input_masks, lane_values
 
 MAX_GUESSED_VARS = 20
 
@@ -201,8 +201,7 @@ def _assignments(k: int) -> tuple[int, tuple[int, ...]]:
 
     Built once per k; the cache keeps the last 8 values of k.
     """
-    lanes = 1 << k
-    return (1 << lanes) - 1, (0, *(lane_mask(j, lanes) for j in range(k)))
+    return (1 << (1 << k)) - 1, (0, *input_masks(k, k)[:0:-1])  # v_1 is the last input, the least significant
 
 
 def _satisfiable(k: int, clauses: Iterable[Iterable[Literal]]) -> bool:

@@ -285,10 +285,21 @@ def _fold(mask: int, block: int) -> int:
     return mask & ((1 << block) - 1)
 
 
-def lane_mask(bit: int, lanes: int) -> int:
-    """The lanes, out of ``lanes``, whose index has ``bit`` set."""
-    half = 1 << bit
-    return _repeat(((1 << half) - 1) << half, 2 * half, lanes)
+def input_masks(n: int, count: int) -> list[int]:
+    """``[0, in:1, ..., in:count]``: each input's lanes where it holds True, over 2^n lanes.
+
+    Lane idx runs vector idx, first input most significant: ``in:1`` holds
+    the upper half of the lanes, and each next input the upper half of
+    each half of the one before.
+    """
+    inputs = [0]
+    half = 1 << n
+    mask = (1 << half) - 1
+    for _ in range(count):
+        half >>= 1
+        mask ^= mask >> half
+        inputs.append(mask)
+    return inputs
 
 
 def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[int, int, int, int]:
@@ -455,6 +466,11 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
     order cannot matter: a vector terminates when all its branches do, with
     ``out`` the OR over them.  Raises ``ValueError`` where the lanes would
     exceed 2^MAX_TABLE_ARITY.
+
+    ``x`` keeps its last result with its n, at most two 2^n-bit masks, and
+    a call at that n reads it once the checks pass, in either mode:
+    ``splitting`` only picks the vocabulary they check, and the sweep is the
+    same for both.
     """
     if n < 0:
         raise ValueError(f"arity must be >= 0, got {n}")
@@ -465,21 +481,17 @@ def lane_values(x: InstructionSequence, n: int, splitting: bool = False) -> tupl
         raise ValueError("sequence contains split/reply instructions; use run_splitting")
     if n > MAX_TABLE_ARITY:
         raise ResourceBoundError(f"resource bound exceeded: {n} inputs need 2^{n} lanes, more than 2^{MAX_TABLE_ARITY}")
-    # Lane i runs vector i mod 2^n; folding ORs each vector's branches together.
+    last = x.__dict__.get("_last_table")
+    if last is not None and last[0] == n:
+        return last[1]
+    # Lane i runs vector i mod 2^n; folding ORs each vector's branches
+    # together.  An input slot past n stays unserved.
     block = 1 << n
-    # Each input that x reads over one block of lanes, in:1 (the first input,
-    # most significant) the upper half and each next one the upper half of
-    # each half of the one before; a slot past n stays unserved.
-    inputs = [0]
-    half = block
-    mask = (1 << block) - 1
-    for _ in range(min(n, profile.max_input_index)):
-        half >>= 1
-        mask ^= mask >> half
-        inputs.append(mask)
-    dead, out, _, _ = lane_sweep(x, block, inputs)
+    dead, out, _, _ = lane_sweep(x, block, input_masks(n, min(n, profile.max_input_index)))
     dead = _fold(dead, block)
-    return _fold(out, block) & ~dead, dead
+    table = _fold(out, block) & ~dead, dead
+    _set(x, "_last_table", (n, table))
+    return table
 
 
 def check_computes(x: InstructionSequence, table) -> bool:

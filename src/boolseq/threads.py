@@ -150,21 +150,31 @@ def extract(x: InstructionSequence) -> Thread:
     return threads[1]
 
 
+# ``_vars[i]`` is ``Var(i)``, shared by every term ``extract_compact`` builds.
+# The table grows to the longest sequence compacted so far by rebinding a
+# longer tuple, never in place, so a caller holding an older one still finds
+# ``Var(i)`` at index i.
+_vars: tuple[Var, ...] = ()
+
+
 def extract_compact(x: InstructionSequence) -> XThread:
     """Linear-size thread term with explicit substitution binders.
 
     One binder per position: position i's term refers to positions i+1,
     i+2, ... through variables, and the binder for the last position holds
     that instruction's extraction outright.  Every occurrence of a position
-    up to k + 1 is one shared ``Var``.  Satisfies
+    up to k + 1 is one ``Var`` of the shared table.  Satisfies
     ``tsize(extract_compact(x)) <= 4 * psize(x) + 1``.
     """
+    global _vars
     moves = x._moves
     items = x.items
     k = len(moves)
     if k == 1:
         return extract(x)
-    var = list(map(Var, range(k + 2)))
+    var = _vars
+    if len(var) < k + 2:
+        var = _vars = var + tuple(map(Var, range(len(var), k + 2)))
     body: XThread = var[1]
     for i, u, (kind, _slot, _method, d_true, d_false) in zip(range(1, k), items, moves):
         if kind == KIND_TERM:
@@ -190,7 +200,10 @@ def eval_xthread(t: XThread) -> Thread:
     in the term size.  One explicit stack, so depth is not limited by
     recursion: a node goes back on it as ``(node,)`` below its children,
     and a binder's body above ``(var_index, outer binding)``, which undoes
-    the binding in the one environment once the body is evaluated.  A bound
+    the binding in the one environment once the body is evaluated.  A
+    binder with nothing under it on the stack needs no undo, as nothing
+    reads the environment after its body: the chain of binders at the top
+    of a term, all of ``extract_compact``'s output, leaves none.  A bound
     term that is a leaf, or a ``PostCond`` over two variables (all that
     ``extract_compact`` binds), is evaluated at its binder, without a trip
     through the stack.
@@ -214,7 +227,9 @@ def eval_xthread(t: XThread) -> Thread:
             else:
                 stack += ((node,), bound)
                 continue
-            stack += ((index, env.get(index)), node.body)
+            if stack:
+                stack.append((index, env.get(index)))
+            stack.append(node.body)
             env[index] = value
         elif kind is Var:
             done.append(env.get(node.index, DEAD))
@@ -239,7 +254,9 @@ def eval_xthread(t: XThread) -> Thread:
             elif kind is Tau:
                 done[-1] = Tau(done[-1])
             else:
-                stack += ((node.var_index, env.get(node.var_index)), node.body)
+                if stack:
+                    stack.append((node.var_index, env.get(node.var_index)))
+                stack.append(node.body)
                 env[node.var_index] = done.pop()
     return done[0]
 

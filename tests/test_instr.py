@@ -661,8 +661,9 @@ def test_decoded_rows_are_exact_tuples():
 
 def test_readers_keep_only_the_templates_profile_and_view():
     # Every reader of control flow walks the row templates; a sequence keeps
-    # no other form of it.
-    kept = {"_moves", "_profile", "_actions"}
+    # no other form of it.  Its last truth table's masks are kept too: a
+    # table is not a form of control flow.
+    kept = {"_moves", "_profile", "_actions", "_last_table"}
     register = "+in:1.get ; #3 ; aux:1.set:T ; +aux:1.get ; out.set:T ; #0 ; !"
     forking = "split:1 ; +reply:1 ; #2 ; +in:1.get ; out.set:T ; !"
     readers = [

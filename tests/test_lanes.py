@@ -25,6 +25,7 @@ from util import (
     algebraic_outcome,
     algebraic_splitting_outcome,
     assert_table_readers,
+    ended_and_guarded,
     first_reads,
     gen_isbr,
     gen_sisbr,
@@ -64,6 +65,7 @@ def assert_agrees(x, n, splitting=False, algebra=True):
     assert lanes == per_vector_values(x, n, splitting), f"{x} at n={n}"
     if algebra:
         assert lanes == algebraic_values(x, n, splitting), f"{x} at n={n}"
+    return lanes
 
 
 # Small alphabets for the exhaustive check.  Between them they hold jumps
@@ -95,11 +97,17 @@ def test_every_short_sequence(alphabet, splitting):
 @pytest.mark.parametrize("generate, splitting", [(gen_isbr, False), (gen_sisbr, True)])
 def test_seeded_random_sequences(generate, splitting):
     rng = random.Random(3030)
-    for _ in range(400):
+    mixed = 0
+    for i in range(400):
         n = rng.randint(0, 4)
         x = generate(rng, 14, n + rng.randint(0, 1))
-        # The algebraic route interleaves every branch, so it gets short inputs.
-        assert_agrees(x, n, splitting, algebra=n <= 2 and len(x) <= 8)
+        # The algebraic route interleaves every branch, so it gets short
+        # inputs.  Each draw is also ended and guarded, for tables with dead
+        # and live entries.
+        for y in (x, ended_and_guarded(x, i % 2)):
+            values = assert_agrees(y, n, splitting, algebra=n <= 2 and len(y) <= 8)
+        mixed += None in values and len(set(values)) > 1
+    assert mixed
 
 
 @pytest.mark.parametrize(
@@ -362,10 +370,51 @@ def test_tables_that_widen(text, n):
 
 def test_seeded_tables_that_widen_at_n_10_to_12():
     rng = random.Random(2527)
+    extra = random.Random(2528)  # draws ended and guarded, for tables with dead and live entries
+    mixed_tables = 0
     for n in (10, 11, 12):
         for _ in range(2):
             x = gen_sisbr(rng, 40, n, max_splits=4)
             assert_table_as_reference(x, n, splitting=True)
+        for i in range(4):
+            x = ended_and_guarded(gen_sisbr(extra, 40, n, max_splits=4), i % 2)
+            values = assert_table_as_reference(x, n, splitting=True)
+            mixed_tables += None in values and len(set(values)) > 1
+    assert mixed_tables
+
+
+def test_the_kept_table_follows_arity_and_mode():
+    # Input reads, out.set:T and ! only, so both modes tabulate it; in:3 is
+    # unserved at n = 2.  Each call must give a fresh sequence's masks.
+    text = "-in:1.get ; out.set:T ; +in:2.get ; ! ; +in:3.get ; out.set:T ; !"
+    x = parse(text)
+    for n, splitting in ((2, False), (3, True), (2, True), (3, False), (3, True), (2, False)):
+        table = truth_table(x, n, splitting)
+        fresh = truth_table(parse(text), n, splitting)
+        assert (table.out, table.dead) == (fresh.out, fresh.dead), (n, splitting)
+        assert lane_values(x, n, splitting) == lane_values(parse(text), n, splitting)
+    assert len(set(truth_table(x, 2).values)) == 3 and truth_table(x, 3).is_total
+
+
+def test_a_kept_table_passes_no_check():
+    forking = parse("split:1 ; +reply:1 ; -in:1.get ; out.set:T ; !")
+    assert lane_values(forking, 1, splitting=True) == (0b11, 0)
+    with pytest.raises(ValueError, match="use run_splitting$"):
+        lane_values(forking, 1)
+    assert check_splitting_computes(forking, TruthTable(1, (True, True)))
+    assert not check_splitting_computes(forking, TruthTable(1, (False, True)))
+    register = parse("+in:1.get ; aux:1.set:T ; +aux:1.get ; out.set:T ; !")
+    assert check_computes(register, TruthTable(1, (False, True)))
+    with pytest.raises(ValueError, match="^run_splitting requires "):
+        lane_values(register, 1, splitting=True)
+    with pytest.raises(ResourceBoundError, match=f"more than 2\\^{MAX_TABLE_ARITY}$"):
+        lane_values(register, MAX_TABLE_ARITY + 1)
+    with pytest.raises(ValueError, match="^arity must be >= 0, got -1$"):
+        lane_values(register, -1)
+    assert not check_computes(register, TruthTable(1, (True, True)))
+    with pytest.raises(ValueError, match="undefined entries"):
+        check_computes(register, TruthTable(1, (None, True)))
+    assert check_computes(register, TruthTable(1, (False, True)))
 
 
 def test_aux_bound():

@@ -11,16 +11,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.instr import KIND_JUMP, KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, parse, render
+from boolseq.instr import KIND_JUMP, KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, parse
 from boolseq.lab import truth_table
-from boolseq.satc import build_satc_splitter, ndisj
+from boolseq.satc import _assignments, build_satc_splitter, ndisj
 from boolseq.services import (
     MAX_TABLE_ARITY,
     Deadlocked,
     Divergent,
     RegisterFile,
     Terminated,
-    lane_mask,
+    input_masks,
     lane_sweep,
     run,
 )
@@ -31,9 +31,11 @@ from util import (
     algebraic_splitting_outcome,
     assert_table_readers,
     bench_workloads,
+    ended_and_guarded,
     first_reads,
     gen_isbr,
     gen_sisbr,
+    lane_mask,
     outcome_matches_service,
 )
 
@@ -163,6 +165,17 @@ def _table_steps(x, n):
     return lane_sweep(x, 1 << n, [0, *(lane_mask(n - slot, 1 << n) for slot in range(1, n + 1))])[3]
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_input_masks_against_the_lanes_one_at_a_time(n):
+    # One builder of input lanes serves tables and satisfiability: satc's
+    # v_j is lane bit j - 1, the inputs' masks in reverse order.
+    lanes = 1 << n
+    masks = [lane_mask(bit, lanes) for bit in range(n)]
+    assert input_masks(n, n) == [0, *reversed(masks)]
+    assert input_masks(n, n // 2) == input_masks(n, n)[: n // 2 + 1]
+    assert _assignments(n) == ((1 << lanes) - 1, (0, *masks))
+
+
 REREAD_CASES = (
     "+in:1.get ; in:2.get ; +in:1.get ; out.set:T ; -in:1.get ; ! ; in:1.get ; out.set:T ; !",
     "-in:1.get ; #3 ; +in:2.get ; in:1.get ; +in:1.get ; +in:2.get ; out.set:T ; !",
@@ -185,13 +198,18 @@ def test_seeded_tables_that_reread_inputs():
         n = rng.randint(1, 2)
         x = gen_isbr(rng, 24, n, max_aux=1)
         assert truth_table(x, n).values == run_values(x, n), f"{x} at n={n}"
-    for _ in range(300):
+    mixed = 0
+    for i in range(300):
         n = rng.randint(1, 2)
         x = gen_sisbr(rng, 24, n, max_splits=3, max_params=2)
-        queued = [queue_runner(x, v) for v in vectors(n)]
-        want = tuple(outcome.registers.out if isinstance(outcome, Terminated) else None for outcome, _ in queued)
-        assert truth_table(x, n, splitting=True).values == want, f"{x} at n={n}"
-        assert _table_steps(x, n) == sum(steps for _, steps in queued), f"{x} at n={n}"
+        # Each draw also ended and guarded, for tables with dead and live entries.
+        for y in (x, ended_and_guarded(x, i % 2)):
+            queued = [queue_runner(y, v) for v in vectors(n)]
+            want = tuple(outcome.registers.out if isinstance(outcome, Terminated) else None for outcome, _ in queued)
+            assert truth_table(y, n, splitting=True).values == want, f"{y} at n={n}"
+            assert _table_steps(y, n) == sum(steps for _, steps in queued), f"{y} at n={n}"
+        mixed += None in want and len(set(want)) > 1
+    assert mixed
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -208,8 +226,7 @@ def test_seeded_table_readers_against_the_per_vector_runs(n):
     for i in range(40):
         x = gen_isbr(rng, 16, n + 1, max_aux=1)
         assert_table_readers(truth_table(x, n), run_values(x, n))
-        x = gen_sisbr(rng, 16, n + 1, max_splits=3, max_params=2)
-        x = parse(("+in:1.get ; #0 ; " if i % 2 else "") + render(x) + " ; out.set:T ; !")
+        x = ended_and_guarded(gen_sisbr(rng, 16, n + 1, max_splits=3, max_params=2), i % 2)
         queued = [queue_runner(x, v)[0] for v in vectors(n)]
         want = tuple(outcome.registers.out if isinstance(outcome, Terminated) else None for outcome in queued)
         assert_table_readers(truth_table(x, n, splitting=True), want)

@@ -140,6 +140,20 @@ def test_extract_compact_golden_past_the_end():
     assert render_thread(compact) == "[S/x3] [(in:1.get ? x3 : x4)/x2] [x6/x1] x1"
 
 
+def test_compact_terms_share_one_growing_var_table(monkeypatch):
+    # A long sequence, then short ones, then a longer one: every term equals
+    # the one built with fresh variables, and the table holds Var(i) at i.
+    monkeypatch.setattr(threads, "_vars", ())
+    rng = random.Random(2700)
+    for length in (40, 2, 3, 5, 70):
+        x = InstructionSequence(tuple(rng.choice(MIXED_LETTERS) for _ in range(length)))
+        compact, fresh = extract_compact(x), reference_extract_compact(x)
+        assert compact == fresh
+        assert tsize(compact) == tsize(fresh) and render_thread(compact) == render_thread(fresh)
+    assert len(threads._vars) == 72
+    assert all(v.index == i and v == Var(i) for i, v in enumerate(threads._vars))
+
+
 def test_extract_compact_singleton_base_case():
     assert extract_compact(parse("!")) == STOP
 

@@ -64,6 +64,7 @@ from boolseq.instr import (
     classify,
     parse,
     psize,
+    render,
 )
 from boolseq.lab import SearchSpec, TruthTable, _search_alphabet, truth_table
 from boolseq.services import (
@@ -188,6 +189,11 @@ def reference_run(x: InstructionSequence, inputs) -> tuple:
         bank[slot] = reply
         pc = on_true if reply else on_false
     return Deadlocked(), steps
+
+
+def lane_mask(bit: int, lanes: int) -> int:
+    """The lanes, out of ``lanes``, whose index has ``bit`` set, one lane at a time."""
+    return sum(1 << i for i in range(lanes) if i >> bit & 1)
 
 
 def reference_extract(x: InstructionSequence):
@@ -636,6 +642,16 @@ def gen_sisbr(
         else:
             items.append(_random_form(rng, rng.choice(basics)))
     return InstructionSequence(tuple(items))
+
+
+def ended_and_guarded(x: InstructionSequence, guard: bool) -> InstructionSequence:
+    """``x`` then ``out.set:T ; !``, led by ``+in:1.get ; #0`` where ``guard`` is set.
+
+    Branches that fall off the end of ``x`` terminate, and the guard
+    deadlocks every vector where in:1 is True, so tables of these sequences
+    mix dead and live entries where those of ``gen_sisbr`` mostly do not.
+    """
+    return parse(("+in:1.get ; #0 ; " if guard else "") + render(x) + " ; out.set:T ; !")
 
 
 def gen_sisbr_single_read(
