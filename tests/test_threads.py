@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 import time
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -152,6 +154,36 @@ def test_compact_terms_share_one_growing_var_table(monkeypatch):
         assert tsize(compact) == tsize(fresh) and render_thread(compact) == render_thread(fresh)
     assert len(threads._vars) == 72
     assert all(v.index == i and v == Var(i) for i, v in enumerate(threads._vars))
+
+
+def test_the_var_table_grows_safely_under_threads(monkeypatch):
+    # Four threads compact sequences of growing lengths at once, with the
+    # interpreter switching threads as often as it can: a table that lost a
+    # race is regrown, but no term may read a variable at the wrong index.
+    monkeypatch.setattr(threads, "_vars", ())
+    rng = random.Random(2701)
+    work = [[InstructionSequence(tuple(rng.choice(MIXED_LETTERS) for _ in range(length))) for length in range(2, 60, 3)]
+            for _ in range(4)]
+    failures = []
+
+    def compact_all(xs):
+        for x in xs:
+            if extract_compact(x) != reference_extract_compact(x):
+                failures.append(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=compact_all, args=(xs,)) for xs in work]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not failures
+    assert all(v.index == i for i, v in enumerate(threads._vars))
 
 
 def test_extract_compact_singleton_base_case():
