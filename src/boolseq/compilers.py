@@ -387,9 +387,12 @@ def _compile_formula_block(
     ``or`` puts ``#(r + 1)`` and ``and`` puts ``#2 ; #(r + 2)`` between its
     operands' blocks, r being the right one's length.  The block is emitted
     back to front from one explicit stack, so the right operand's block is
-    complete, and r known, when the jump before it is emitted.
+    complete, and r known, when the jump before it is emitted.  Each
+    variable's test is made once and shared by its occurrences, so ``leaf``
+    is called once per distinct variable.
     """
     items: list[PrimitiveInstruction] = []  # the block, back to front
+    tests: dict[int, PosTest] = {}  # variable index -> its test, made at its first occurrence
     # A pair (start, gap) stands for the jump before a right operand whose block began at ``start``.
     stack: list[BoolFormula | tuple[int, int]] = [phi]
     while stack:
@@ -400,7 +403,10 @@ def _compile_formula_block(
             if gap == 2:
                 items.append(Jump(2))
         elif isinstance(node, FVar):
-            items.append(PosTest(leaf(node.index)))
+            test = tests.get(node.index)
+            if test is None:
+                test = tests[node.index] = PosTest(leaf(node.index))
+            items.append(test)
         elif isinstance(node, Not):
             items.append(Jump(2))
             stack.append(node.operand)
@@ -418,7 +424,8 @@ def compile_formula(
     ``leaf`` maps a variable index to the basic instruction that tests it
     (default: read the input register of the same index); the true path
     falls into ``+out.set:T ; !`` and the false path skips straight to the
-    final ``!``.
+    final ``!``.  ``leaf`` is called once per distinct variable: every
+    occurrence of a variable shares its one test.
     """
     if leaf is None:
         leaf = lambda k: RegisterOp(InReg(k), GET)

@@ -302,6 +302,14 @@ def input_masks(n: int, count: int) -> list[int]:
     return inputs
 
 
+# ``_slots[j]`` is j: the action indices ``lane_sweep`` walks, shared by every
+# sweep so that the walk makes no int per slot.  The first sweep builds it;
+# it grows to twice the slot count of the sweep that finds it too short, by
+# rebinding a longer tuple, never in place, so a sweep holding an older one
+# still finds j at index j.
+_slots: tuple[int, ...] = ()
+
+
 def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[int, int, int, int]:
     """One forward sweep of ``x``'s actions, one lane per branch of one vector.
 
@@ -342,6 +350,7 @@ def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[i
     go forward, so every action the chase does not pass still sees the same
     lanes, before the sweep gets to it.
     """
+    global _slots
     profile = classify(x)
     if profile.max_aux_index > MAX_AUX_INDEX:
         raise _aux_bound_error(profile.max_aux_index)
@@ -352,6 +361,9 @@ def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[i
     last_use = profile.last_param_use
     at = [0] * (len(rows) + 1)  # at[j]: the lanes at action j; at[0] collects those that deadlock
     at[entry] = lanes
+    slots = _slots
+    if len(slots) < len(at):
+        slots = _slots = tuple(range(2 * len(at)))
     width = block  # every lane so far is below width
     # By register kind, then slot: the lanes where the register holds True.
     regs = [inputs, [0] * (profile.max_aux_index + 1), [0]]
@@ -360,8 +372,9 @@ def lane_sweep(x: InstructionSequence, block: int, inputs: list[int]) -> tuple[i
     term = unserved = steps = 0
     # compress reads at[j] when the sweep gets to action j, after every lane
     # that moves there, and skips the empty slots; at[0] is still empty when
-    # read.
-    for j in compress(count(), at):
+    # read.  ``slots`` is at least as long as ``at``, so the walk reaches
+    # every slot.
+    for j in compress(slots, at):
         m = at[j]
         at[j] = 0
         kind, slot, method, on_true, on_false = rows[j - 1]

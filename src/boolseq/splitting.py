@@ -18,8 +18,8 @@ the algebraic route is asserted by the test suite, not assumed.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from operator import neg
 
 from .instr import (
     GET,
@@ -48,6 +48,10 @@ from .services import (
 from .threads import DEAD, STOP, Dead, PostCond, Stop, Tau, Thread
 
 ThreadVector = tuple[Thread, ...]
+
+# Byte b to a one-lane input mask: 0 to no lane, any other byte to -1 (0xff
+# as a signed byte), every lane at any width.
+_LANE_BYTES = b"\x00" + b"\xff" * 255
 
 
 def instantiate(param: int, value: bool, t: Thread) -> Thread:
@@ -147,8 +151,11 @@ def run_splitting_with_steps(
     if not classify(x).is_sisbr:
         raise ValueError("run_splitting requires input reads, out.set:T, split, and reply only")
     inputs = tuple(inputs)
-    # One lane: in:slot holds True on every lane (-1) or on none (0), at any width.
-    dead, out, unserved, steps = lane_sweep(x, 1, [0, *map(neg, inputs)])
+    # One lane: in:slot holds True on every lane (-1) or on none (0), at any
+    # width.  The list is built in C, through signed bytes; the sweep indexes
+    # a list faster than it does an array.
+    lanes = array("b", b"\x00" + bytes(inputs).translate(_LANE_BYTES)).tolist()
+    dead, out, unserved, steps = lane_sweep(x, 1, lanes)
     if unserved:
         return queue_runner(x, inputs)
     if dead:

@@ -381,6 +381,25 @@ def test_compile_formula_goldens():
     )
 
 
+def test_compile_formula_makes_each_variable_test_once():
+    # Three variables at six occurrences: leaf is called once per variable,
+    # and each occurrence holds the test made for its variable.
+    phi = parse_formula("(and (or v1 (not v2)) (and (or v2 v3) (not (and v1 v3))))")
+    calls = []
+
+    def leaf(k):
+        calls.append(k)
+        return RegisterOp(InReg(k), GET)
+
+    x = compile_formula(phi, leaf)
+    assert sorted(calls) == [1, 2, 3]
+    assert render(x) == (
+        "+in:1.get ; #3 ; +in:2.get ; #2 ; #2 ; #12 ; +in:2.get ; #2 ; +in:3.get ; #2 ; #7 ; "
+        "+in:1.get ; #2 ; #3 ; +in:3.get ; #2 ; +out.set:T ; !"
+    )
+    assert x == compile_formula(phi)
+
+
 def test_compile_formula_size_law():
     rng = random.Random(67)
     for _ in range(200):

@@ -29,6 +29,7 @@ from util import (
     first_reads,
     gen_isbr,
     gen_sisbr,
+    reaches_split,
     reference_run,
 )
 
@@ -373,14 +374,27 @@ def test_seeded_tables_that_widen_at_n_10_to_12():
     extra = random.Random(2528)  # draws ended and guarded, for tables with dead and live entries
     mixed_tables = 0
     for n in (10, 11, 12):
+        kept = []
         for _ in range(2):
             x = gen_sisbr(rng, 40, n, max_splits=4)
             assert_table_as_reference(x, n, splitting=True)
+            kept.append(x)
         for i in range(4):
             x = ended_and_guarded(gen_sisbr(extra, 40, n, max_splits=4), i % 2)
             values = assert_table_as_reference(x, n, splitting=True)
             mixed_tables += None in values and len(set(values)) > 1
+            kept.append(x)
+        # The lanes widen past 2^n where some vector's run takes a split.
+        assert any(reaches_split(x, v) for x in kept for v in product((False, True), repeat=n)), n
     assert mixed_tables
+
+
+def test_reaches_split_on_the_vectors_whose_run_splits():
+    # in:1 True jumps over the split.  A re-split deadlocks with no turn,
+    # as the #0 put in the first split's place does, one turn sooner.
+    x = parse("+in:1.get ; #3 ; split:1 ; split:1 ; in:1.get ; !")
+    assert not reaches_split(x, (True,)) and reaches_split(x, (False,))
+    assert reaches_split(parse("split:1 ; split:1 ; in:1.get ; #0"), ())
 
 
 def test_the_kept_table_follows_arity_and_mode():

@@ -1,5 +1,6 @@
 """Literal-set enumeration, bit-vector encoded satisfiability, and reductions."""
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -302,6 +303,26 @@ def test_build_satc_splitter_structure():
     z = build_satc_splitter(3)
     assert z.items[0] == Plain(SplitOp(1))
     assert not any(isinstance(u, Plain) and isinstance(u.basic, SplitOp) for u in z.items[1:])
+
+
+# The splitters' renderings for k = 1..4, as (length, sha256 of the text).
+SPLITTER_RENDERINGS = {
+    1: (23, "5ef2b9b8df9fc4207c9c05e6338f39e5862094e3a0f88dcd27a2c095ca058fca"),
+    2: (128, "9f5786631179e010eb0babfc78537ba2802bbc3edaea421fa41ba674d661bc76"),
+    3: (407, "ee4db0da3ffb34f2a2a0d863533a4f8d272763fbea4d998543d66fb634cd72b5"),
+    4: (952, "573d162c2df113f78b81aa262e103bdded5dd44f5fb5c70b407dc12460663713"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SPLITTER_RENDERINGS))
+def test_build_satc_splitter_renderings(k):
+    z = build_satc_splitter(ndisj(k))
+    assert (len(z), hashlib.sha256(render(z).encode()).hexdigest()) == SPLITTER_RENDERINGS[k]
+    if k == 1:
+        assert render(z) == (
+            "split:1 ; +in:1.get ; #2 ; #2 ; +reply:1 ; #2 ; #16 ; +in:2.get ; #2 ; #3 ; +reply:1 ; #2 ; #2 ; "
+            "#9 ; +in:3.get ; #2 ; #2 ; +reply:1 ; #3 ; +reply:1 ; #2 ; +out.set:T ; !"
+        )
 
 
 def test_build_satc_splitter_golden_run():

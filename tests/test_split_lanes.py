@@ -6,12 +6,15 @@ action turns over all branches.  The lane runner must give the same
 """
 
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolseq.instr import KIND_JUMP, KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, classify, parse
+from boolseq import services
+from boolseq.instr import KIND_JUMP, KIND_OUT, KIND_SPLIT, SET_TRUE, ResourceBoundError, actions, classify, parse
 from boolseq.lab import truth_table
 from boolseq.satc import _assignments, build_satc_splitter, ndisj
 from boolseq.services import (
@@ -103,6 +106,78 @@ def test_family_splitters(k):
     batch += [(False,) * n, (True,) * n]
     batch += [tuple(rng.random() < d for _ in range(n)) for d in (0.01, 0.05, 0.2, 0.5) * 3]
     assert_runs_agree(x, batch)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_one_vector_runs_in_every_input_form(k):
+    # The lane runner builds its input lanes from the vector's bytes: a
+    # tuple, a list and 0/1 ints must all run as the queue runs the tuple.
+    rng = random.Random(2800 + k)
+    n = ndisj(k)
+    x = build_satc_splitter(n)
+    for density in (0, 0.01, 0.1, 0.5, 1):
+        for _ in range(3):
+            bits = tuple(rng.random() < density for _ in range(n))
+            want = queue_runner(x, bits)
+            assert isinstance(want[0], Terminated)
+            for inputs in (bits, list(bits), tuple(map(int, bits)), list(map(int, bits))):
+                assert run_splitting_with_steps(x, inputs) == want, (density, type(inputs), bits)
+    # With every clause deselected the run reads every selector, so a vector
+    # one short reads past n, and the queue runner takes the run over.
+    short = (False,) * (n - 1)
+    assert lane_sweep(x, 1, [0] * n)[2]
+    got = run_splitting_with_steps(x, short)
+    assert got == queue_runner(x, short) and got[0] == Divergent(f"unserved focus in:{n}")
+
+
+def test_the_index_tuple_grows_to_the_longest_sweep(monkeypatch):
+    # From an empty tuple: a short sweep builds it, a longer one regrows it,
+    # and a shorter one after both reuses it.  Every run is the reference's.
+    monkeypatch.setattr(services, "_slots", ())
+    rng = random.Random(2801)
+    splitters = {k: build_satc_splitter(ndisj(k)) for k in (2, 4, 3)}
+    for k, x in splitters.items():
+        for density in (0, 0.05, 0.5):
+            bits = tuple(rng.random() < density for _ in range(ndisj(k)))
+            assert run_splitting_with_steps(x, bits) == queue_runner(x, bits), (k, bits)
+    slot_count = len(actions(splitters[4])[0]) + 1
+    assert slot_count > 256
+    assert services._slots == tuple(range(2 * slot_count))
+
+
+def test_the_index_tuple_grows_safely_under_threads(monkeypatch):
+    # Two threads run sequences of different lengths from an empty tuple at
+    # once, with the interpreter switching threads as often as it can: a
+    # sweep that sees another's shorter tuple regrows it, but none may walk
+    # past a slot or read a slot under the wrong index.
+    rng = random.Random(2802)
+    work = [
+        [(x, bits) for x in (build_satc_splitter(ndisj(k)) for k in (1, 2, 3, 4))
+         for bits in (tuple(rng.random() < d for _ in range(ndisj(4))) for d in (0, 0.05))],
+        [(x, tuple(rng.random() < 0.5 for _ in range(4))) for x in (gen_sisbr(rng, length, 4) for length in range(4, 400, 12))],
+    ]
+    want = [[queue_runner(x, bits) for x, bits in pairs] for pairs in work]
+    monkeypatch.setattr(services, "_slots", ())
+    failures = []
+
+    def run_all(pairs, expected):
+        for (x, bits), outcome in zip(pairs, expected):
+            if run_splitting_with_steps(x, bits) != outcome:
+                failures.append((x, bits))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run_all, args=args) for args in zip(work, want)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not failures
+    assert services._slots == tuple(range(len(services._slots)))
 
 
 # The chase follows one reply through up to 10^4 reads in a row, and each

@@ -78,7 +78,7 @@ from boolseq.services import (
     apply,
     use,
 )
-from boolseq.splitting import csi
+from boolseq.splitting import csi, queue_runner
 from boolseq.threads import DEAD, STOP, PostCond, Subst, Tau, Var, extract
 
 
@@ -189,6 +189,17 @@ def reference_run(x: InstructionSequence, inputs) -> tuple:
         bank[slot] = reply
         pc = on_true if reply else on_false
     return Deadlocked(), steps
+
+
+def reaches_split(x: InstructionSequence, inputs) -> bool:
+    """Whether some branch of ``x``'s forking run on ``inputs`` takes a split, by ``queue_runner``.
+
+    Up to its first split a run has one branch.  With every split made a
+    ``#0``, that branch deadlocks there instead, one action turn short of
+    the run; a run that takes no split is the same with or without them.
+    """
+    blocked = tuple(Jump(0) if type(getattr(u, "basic", None)) is SplitOp else u for u in x.items)
+    return queue_runner(x, inputs) != queue_runner(InstructionSequence(blocked), inputs)
 
 
 def lane_mask(bit: int, lanes: int) -> int:
