@@ -195,8 +195,9 @@ def reaches_split(x: InstructionSequence, inputs) -> bool:
     """Whether some branch of ``x``'s forking run on ``inputs`` takes a split, by ``queue_runner``.
 
     Up to its first split a run has one branch.  With every split made a
-    ``#0``, that branch deadlocks there instead, one action turn short of
-    the run; a run that takes no split is the same with or without them.
+    ``#0``, that branch deadlocks there instead, without the turn the split
+    takes, so the two runs differ; a run that takes no split is the same
+    with or without them.
     """
     blocked = tuple(Jump(0) if type(getattr(u, "basic", None)) is SplitOp else u for u in x.items)
     return queue_runner(x, inputs) != queue_runner(InstructionSequence(blocked), inputs)
