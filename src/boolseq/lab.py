@@ -5,13 +5,15 @@ exhaustive shortest-sequence search under syntactic restrictions.  The
 search enumerates sequences in length-lexicographic order but collapses
 behaviourally identical suffixes, which keeps desk-scale bounds feasible
 while returning exactly the sequence plain enumeration would return first.
+Each length is tested against the target before its dedup keys are built,
+so the length that holds the answer, and the last length, build none.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress, count, product
-from operator import add, itemgetter, not_
+from itertools import compress, count, product, repeat
+from operator import add, and_, itemgetter, not_
 from typing import Callable, Optional
 
 from .instr import (
@@ -285,6 +287,13 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     summaries of the suffix and its tails up to the maximum jump distance.
     Sequences are enumerated first-instruction-major, so the first match is
     the length-lex least.
+
+    Each length first computes every letter's summaries and tests them
+    against the target, stopping at the first match.  A seen key was tested
+    when it was added, so the first match is never a seen key and it is the
+    answer; keys are built only for a later length to extend, or where
+    ``len(seen)`` plus the summaries scanned could pass the state cap, so
+    the cap error names the same length and count as with every key built.
     """
     # A jump of max_length or more can only land past the end, as #0 does.
     # #0 comes first, so such a letter adds no state, and no window needs
@@ -329,40 +338,56 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
         # The first state of each head, in frontier order: the reversed
         # pairs leave each head with its first position.
         firsts = sorted(dict(zip(reversed(heads), reversed(range(len(frontier))))).values())
-        views = {(False, 0): (range(len(frontier)), frontier, heads)}
-        new_frontier: list[tuple[int, ...]] = []
+        views = {(False, 0): (range(len(frontier)), frontier)}
+        # Each letter's summaries over its view, in letter order, up to the
+        # first that matches the target.
+        batches, match = [], None
         for index, step, transfer, head_only in letters:
-            if (head_only, step) not in views:
+            view = head_only, step
+            if view not in views:
                 positions = firsts if head_only else range(len(frontier))
                 if step:  # a second ! only follows states with none
                     positions = [p for p in positions if not heads[p][keep]]
-                views[head_only, step] = (
-                    positions,
-                    [frontier[p] for p in positions],
-                    [heads[p][:keep] + (heads[p][keep] + step,) for p in positions],
-                )
-            positions, states, new_heads = views[head_only, step]
-            keys = list(map(add, zip(map(transfer, states)), new_heads))
-            # Lazily, so a key repeated later in the same letter is seen by then.
-            for i in compress(count(), map(not_, map(seen.__contains__, keys))):
-                key = keys[i]
-                seen.add(key)
-                if len(seen) > _SEARCH_STATE_CAP:
-                    raise ResourceBoundError(
-                        f"resource bound exceeded in behaviour search at length {length}: "
-                        f"{len(seen)} states seen, cap {_SEARCH_STATE_CAP}"
-                    )
-                parent.append(base + positions[i])
-                letter.append(index)
-                new_frontier.append(key)
-                if key[0] & match_mask == target:
-                    items = []
-                    state = len(parent) - 1
-                    while state:
-                        items.append(alphabet[letter[state]])
-                        state = parent[state]
-                    return InstructionSequence(tuple(items))
-        frontier = new_frontier
-        if not frontier:
+                views[view] = positions, [frontier[p] for p in positions]
+            positions, states = views[view]
+            summaries = list(map(transfer, states))
+            batches.append((index, view, summaries))
+            if target in map(and_, summaries, repeat(match_mask)):
+                end = [*map(and_, summaries, repeat(match_mask))].index(target)
+                del summaries[end + 1:]
+                match = index, base + positions[end]
+                break
+        # The length that holds the answer, like the last length, needs its
+        # keys only where they could pass the cap, to raise its error.
+        done = match is not None or length == spec.max_length
+        if not done or len(seen) + sum(len(batch[2]) for batch in batches) > _SEARCH_STATE_CAP:
+            new_frontier: list[tuple[int, ...]] = []
+            new_heads = {(False, 0): heads}
+            for index, view, summaries in batches:
+                positions = views[view][0]
+                if view not in new_heads:
+                    new_heads[view] = [heads[p][:keep] + (heads[p][keep] + view[1],) for p in positions]
+                keys = list(map(add, zip(summaries), new_heads[view]))
+                # Lazily, so a key repeated later in the same letter is seen by then.
+                for i in compress(count(), map(not_, map(seen.__contains__, keys))):
+                    key = keys[i]
+                    seen.add(key)
+                    if len(seen) > _SEARCH_STATE_CAP:
+                        raise ResourceBoundError(
+                            f"resource bound exceeded in behaviour search at length {length}: "
+                            f"{len(seen)} states seen, cap {_SEARCH_STATE_CAP}"
+                        )
+                    parent.append(base + positions[i])
+                    letter.append(index)
+                    new_frontier.append(key)
+            frontier = new_frontier
+        if done or not frontier:
             break
-    return None
+    if match is None:
+        return None
+    index, state = match
+    items = [alphabet[index]]
+    while state:
+        items.append(alphabet[letter[state]])
+        state = parent[state]
+    return InstructionSequence(tuple(items))

@@ -370,7 +370,8 @@ def test_search_pinned_bench_answers():
 
 
 # C_L, the states seen through each length L = 1, 2, ..., recorded from the
-# same engine as BENCH_ANSWERS (the last case finds its answer at length 6).
+# same engine as BENCH_ANSWERS (the third case finds its answer at length 6,
+# the last one its answer at length 5).
 # The cap error always reads cap + 1 states, so a cap of C_L - 1 stops at
 # length L and a cap of C_L at length L + 1: the search keeps no more and no
 # fewer states than it did.
@@ -387,6 +388,7 @@ SEEN_THROUGH_LENGTH = [
         [2, 12, 112, 1032, 9538],
     ),
     ("FTTF", dict(max_length=5, splitting_mode=True), [2, 17, 212, 2300, 20334]),
+    ("FFFT", dict(max_length=5), [2, 9, 44, 149]),
 ]
 
 
@@ -400,6 +402,33 @@ def test_search_state_cap_pins_the_work_per_length(monkeypatch, table, restricti
             monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", cap)
             with pytest.raises(ResourceBoundError, match=rf"at length {stop}: {cap + 1} states seen, cap {cap}$"):
                 shortest_sequence_search(spec)
+
+
+# The states seen when the answer is found at length L: C_(L-1) from
+# SEEN_THROUGH_LENGTH plus the new keys kept at length L up to and including
+# the answer's, recorded from the engine that built every key of a length.
+# The search builds keys at that length only when they could pass the cap,
+# so a cap of exactly this many returns the answer and one less stops there.
+SEEN_AT_ANSWER = [
+    (
+        "FFFFFFFT",
+        dict(max_length=14, allow_jumps=True, max_jump=5, allow_out_set_false=True),
+        6,
+        9538 + 48650,
+        "+in:1.get ; out.set:T ; +in:2.get ; -in:3.get ; out.set:F ; !",
+    ),
+    ("FFFT", dict(max_length=5), 5, 149 + 105, "+in:1.get ; -in:2.get ; ! ; out.set:T ; !"),
+]
+
+
+@pytest.mark.parametrize("table, restrictions, length, seen, answer", SEEN_AT_ANSWER, ids=["before-max", "at-max"])
+def test_search_state_cap_at_the_length_of_the_answer(monkeypatch, table, restrictions, length, seen, answer):
+    spec = SearchSpec(target=_table(table), **restrictions)
+    monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", seen)
+    assert render(shortest_sequence_search(spec)) == answer
+    monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", seen - 1)
+    with pytest.raises(ResourceBoundError, match=rf"at length {length}: {seen} states seen, cap {seen - 1}$"):
+        shortest_sequence_search(spec)
 
 
 @pytest.mark.parametrize("splitting_mode, length", [(False, 3), (True, 2)], ids=["plain", "splitting"])
