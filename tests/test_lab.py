@@ -418,10 +418,14 @@ SEEN_AT_ANSWER = [
         "+in:1.get ; out.set:T ; +in:2.get ; -in:3.get ; out.set:F ; !",
     ),
     ("FFFT", dict(max_length=5), 5, 149 + 105, "+in:1.get ; -in:2.get ; ! ; out.set:T ; !"),
+    # The answer is the first key: every state scanned is new.
+    ("F", dict(max_length=1), 1, 1, "!"),
 ]
 
 
-@pytest.mark.parametrize("table, restrictions, length, seen, answer", SEEN_AT_ANSWER, ids=["before-max", "at-max"])
+@pytest.mark.parametrize(
+    "table, restrictions, length, seen, answer", SEEN_AT_ANSWER, ids=["before-max", "at-max", "first-key"]
+)
 def test_search_state_cap_at_the_length_of_the_answer(monkeypatch, table, restrictions, length, seen, answer):
     spec = SearchSpec(target=_table(table), **restrictions)
     monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", seen)
