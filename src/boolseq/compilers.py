@@ -104,7 +104,7 @@ class FVar(_Value):
     def __init__(self, index: int):
         if index < 1:
             raise ValueError("formula variable index must be >= 1")
-        _set(self, "index", index)
+        _set_fvar_index(self, index)
 
 
 # The connectives nest to any depth: ``_Tree`` compares, hashes and writes
@@ -115,24 +115,28 @@ class Not(_Tree):
     __slots__ = __match_args__ = ("operand",)
 
     def __init__(self, operand: "BoolFormula"):
-        _set(self, "operand", operand)
+        _set_operand(self, operand)
 
 
 class Or(_Tree):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: "BoolFormula", right: "BoolFormula"):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_or_left(self, left)
+        _set_or_right(self, right)
 
 
 class And(_Tree):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: "BoolFormula", right: "BoolFormula"):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_and_left(self, left)
+        _set_and_right(self, right)
 
+
+# Each field is filled through its slot's setter, as in the thread nodes.
+_set_fvar_index, _set_operand = FVar.index.__set__, Not.operand.__set__
+_set_or_left, _set_or_right, _set_and_left, _set_and_right = Or.left.__set__, Or.right.__set__, And.left.__set__, And.right.__set__
 
 BoolFormula = Union[FVar, Not, Or, And]
 
@@ -323,9 +327,23 @@ def _occurrences(phi: BoolFormula) -> Iterator[BoolFormula]:
 # --- CNF compilers ------------------------------------------------------------
 
 
-def _literal_test(lit: Literal) -> PrimitiveInstruction:
-    op = RegisterOp(InReg(lit.var), GET)
-    return NegTest(op) if lit.negated else PosTest(op)
+def _clause_chains(phi: Cnf, link: PrimitiveInstruction, reject: tuple) -> InstructionSequence:
+    """Per clause, each literal's test followed by ``link``, then ``reject``;
+    then ``+out.set:T ; !``.  Each literal's test is made once per call."""
+    items: list[PrimitiveInstruction] = []
+    append = items.append
+    tests: dict[tuple, PrimitiveInstruction] = {}  # (var, negated) -> the literal's test
+    for clause in phi.clauses:
+        for lit in clause:
+            test = tests.get(key := (lit.var, lit.negated))
+            if test is None:
+                op = RegisterOp(InReg(lit.var), GET)
+                test = tests[key] = NegTest(op) if lit.negated else PosTest(op)
+            append(test)
+            append(link)
+        items += reject
+    items += (PosTest(RegisterOp(OUT, SET_TRUE)), TERM)
+    return InstructionSequence(tuple(items))
 
 
 def compile_cnf(phi: Cnf) -> InstructionSequence:
@@ -335,19 +353,9 @@ def compile_cnf(phi: Cnf) -> InstructionSequence:
     ``+out.set:F ; #2 ; !``.  A satisfied literal enters a chain of ``#2``
     hops that lands on the start of the next clause; an unsatisfied clause
     falls through, writes False, and terminates.  A trailing
-    ``+out.set:T ; !`` accepts.
+    ``+out.set:T ; !`` accepts.  Each literal's test is made once per call.
     """
-    items: list[PrimitiveInstruction] = []
-    for clause in phi.clauses:
-        for lit in clause:
-            items.append(_literal_test(lit))
-            items.append(Jump(2))
-        items.append(PosTest(RegisterOp(OUT, SET_FALSE)))
-        items.append(Jump(2))
-        items.append(TERM)
-    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
-    items.append(TERM)
-    return InstructionSequence(tuple(items))
+    return _clause_chains(phi, Jump(2), (PosTest(RegisterOp(OUT, SET_FALSE)), Jump(2), TERM))
 
 
 def compile_cnf_jumpfree(phi: Cnf) -> InstructionSequence:
@@ -357,16 +365,9 @@ def compile_cnf_jumpfree(phi: Cnf) -> InstructionSequence:
     always skips, and whose spurious write is overwritten by the accepting
     tail) and each clause-final reject block shrinks to a bare ``!`` (the
     output register is still False when it is reached by falling through).
+    Each literal's test is made once per call.
     """
-    items: list[PrimitiveInstruction] = []
-    for clause in phi.clauses:
-        for lit in clause:
-            items.append(_literal_test(lit))
-            items.append(PosTest(RegisterOp(OUT, SET_FALSE)))
-        items.append(TERM)
-    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
-    items.append(TERM)
-    return InstructionSequence(tuple(items))
+    return _clause_chains(phi, PosTest(RegisterOp(OUT, SET_FALSE)), (TERM,))
 
 
 def cnf_compiled_size(phi: Cnf) -> int:
@@ -389,29 +390,34 @@ def _compile_formula_block(
     back to front from one explicit stack, so the right operand's block is
     complete, and r known, when the jump before it is emitted.  Each
     variable's test is made once and shared by its occurrences, so ``leaf``
-    is called once per distinct variable.
+    is called once per distinct variable.  Nodes are dispatched on their
+    exact class.
     """
     items: list[PrimitiveInstruction] = []  # the block, back to front
+    append = items.append
+    hop = Jump(2)
     tests: dict[int, PosTest] = {}  # variable index -> its test, made at its first occurrence
     # A pair (start, gap) stands for the jump before a right operand whose block began at ``start``.
     stack: list[BoolFormula | tuple[int, int]] = [phi]
+    pop = stack.pop
     while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            start, gap = node
-            items.append(Jump(len(items) - start + gap))
-            if gap == 2:
-                items.append(Jump(2))
-        elif isinstance(node, FVar):
+        node = pop()
+        kind = type(node)
+        if kind is FVar:
             test = tests.get(node.index)
             if test is None:
                 test = tests[node.index] = PosTest(leaf(node.index))
-            items.append(test)
-        elif isinstance(node, Not):
-            items.append(Jump(2))
+            append(test)
+        elif kind is tuple:
+            start, gap = node
+            append(Jump(len(items) - start + gap))
+            if gap == 2:
+                append(hop)
+        elif kind is Not:
+            append(hop)
             stack.append(node.operand)
         else:
-            stack += (node.left, (len(items), 2 if isinstance(node, And) else 1), node.right)
+            stack += (node.left, (len(items), 2 if kind is And else 1), node.right)
     items.reverse()
     return items
 
@@ -455,22 +461,20 @@ def _gate_preds(gate: Gate) -> tuple[Node, ...]:
 
 
 def topological_gate_order(circuit: Circuit) -> list[int]:
-    """Stable topological order of gate indices (lowest ready index first)."""
+    """Stable topological order of gate indices (lowest ready index first); one pass checks and counts the references."""
     m = len(circuit.gates)
-    for k, gate in enumerate(circuit.gates, start=1):
-        for node in _gate_preds(gate):
-            if isinstance(node, GateRef) and not 1 <= node.index <= m:
-                raise ValueError(f"dangling gate reference g{node.index} in g{k}")
-            if isinstance(node, InputRef) and node.index > circuit.num_inputs:
-                raise ValueError(f"dangling input reference in{node.index} in g{k}")
     # Kahn's algorithm; a min-heap of the ready gates keeps the lowest first.
     waiting = [0] * (m + 1)  # per gate, the references to gates not yet placed
     users: list[list[int]] = [[] for _ in range(m + 1)]
     for k, gate in enumerate(circuit.gates, start=1):
         for node in _gate_preds(gate):
             if isinstance(node, GateRef):
+                if not 1 <= node.index <= m:
+                    raise ValueError(f"dangling gate reference g{node.index} in g{k}")
                 waiting[k] += 1
                 users[node.index].append(k)
+            elif isinstance(node, InputRef) and node.index > circuit.num_inputs:
+                raise ValueError(f"dangling input reference in{node.index} in g{k}")
     ready = [k for k in range(1, m + 1) if not waiting[k]]
     order: list[int] = []
     while ready:
@@ -485,12 +489,6 @@ def topological_gate_order(circuit: Circuit) -> list[int]:
     return order
 
 
-def _node_test(node: Node) -> PrimitiveInstruction:
-    if isinstance(node, InputRef):
-        return PosTest(RegisterOp(InReg(node.index), GET))
-    return PosTest(RegisterOp(AuxReg(node.index), GET))
-
-
 def compile_circuit(circuit: Circuit) -> InstructionSequence:
     """Sequence computing a circuit, one auxiliary register per gate.
 
@@ -498,23 +496,31 @@ def compile_circuit(circuit: Circuit) -> InstructionSequence:
     ``+aux:k.set:T`` (3 instructions for not, 4 for or, 5 for and); the
     tail reads the output gate's register into ``out``.  Gates are emitted
     in topological order but keep their own register numbers, so shared
-    fan-out is compiled once.
+    fan-out is compiled once.  Gates are dispatched on their exact class,
+    and each node's test is made once per call.
     """
     items: list[PrimitiveInstruction] = []
+    hop, skip = Jump(2), Jump(3)
+    tests: dict[tuple, PrimitiveInstruction] = {}  # (class, index) -> the node's test
+
+    def test(node: Node) -> PrimitiveInstruction:
+        found = tests.get(key := (type(node), node.index))
+        if found is None:
+            reg = InReg(node.index) if isinstance(node, InputRef) else AuxReg(node.index)
+            found = tests[key] = PosTest(RegisterOp(reg, GET))
+        return found
+
     for k in topological_gate_order(circuit):
         gate = circuit.gates[k - 1]
         set_gate = PosTest(RegisterOp(AuxReg(k), SET_TRUE))
-        if isinstance(gate, NotGate):
-            items.extend([_node_test(gate.pred), Jump(2), set_gate])
-        elif isinstance(gate, OrGate):
-            items.extend([_node_test(gate.left), Jump(2), _node_test(gate.right), set_gate])
+        kind = type(gate)
+        if kind is NotGate:
+            items += (test(gate.pred), hop, set_gate)
+        elif kind is OrGate:
+            items += (test(gate.left), hop, test(gate.right), set_gate)
         else:
-            items.extend(
-                [_node_test(gate.left), Jump(2), Jump(3), _node_test(gate.right), set_gate]
-            )
-    items.append(PosTest(RegisterOp(AuxReg(circuit.output_gate), GET)))
-    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
-    items.append(TERM)
+            items += (test(gate.left), hop, skip, test(gate.right), set_gate)
+    items += (PosTest(RegisterOp(AuxReg(circuit.output_gate), GET)), PosTest(RegisterOp(OUT, SET_TRUE)), TERM)
     return InstructionSequence(tuple(items))
 
 

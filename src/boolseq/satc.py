@@ -268,7 +268,10 @@ def build_satc_splitter(n: int) -> InstructionSequence:
     "every selected disjunction holds", where clause i's selector is read
     from input register i and guessed variable j from parameter j.  Some
     branch accepts exactly when some assignment satisfies the selected
-    clauses.
+    clauses.  The formula is built with one ``FVar(j)`` and one
+    ``Not(FVar(j))`` per guessed variable, shared by all the clauses: the
+    compiler walks occurrences, so sharing changes the work, not the output.
+    Nothing is cached across calls.
     """
     if n < 0:
         raise ValueError("arity must be a natural number")
@@ -286,13 +289,13 @@ def build_satc_splitter(n: int) -> InstructionSequence:
             return ReplyOp(index)
         return RegisterOp(InReg(index - k), GET)
 
+    terms = {(j, negated): Not(FVar(j)) if negated else FVar(j) for j in range(1, k + 1) for negated in (False, True)}
     conjuncts: list[BoolFormula] = []
     _, sorted_literals = _tables(k)
     for i, literals in enumerate(sorted_literals, start=1):
         disjunction: BoolFormula = Not(FVar(k + i))
         for lit in literals:
-            term: BoolFormula = Not(FVar(lit.var)) if lit.negated else FVar(lit.var)
-            disjunction = Or(disjunction, term)
+            disjunction = Or(disjunction, terms[lit.var, lit.negated])
         conjuncts.append(disjunction)
     psi = conjuncts[-1]
     for phi in reversed(conjuncts[:-1]):

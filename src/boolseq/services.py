@@ -162,16 +162,21 @@ class RegisterFile(_Value):
     __slots__ = __match_args__ = ("inputs", "aux", "out")
 
     def __init__(self, inputs: tuple[bool, ...], aux: dict[int, bool] | None = None, out: bool = False):
-        _set(self, "inputs", inputs)
-        _set(self, "aux", {} if aux is None else aux)
-        _set(self, "out", out)
+        _set_inputs(self, inputs)
+        _set_aux(self, {} if aux is None else aux)
+        _set_out(self, out)
 
 
 class Terminated(_Value):
     __slots__ = __match_args__ = ("registers",)
 
     def __init__(self, registers: RegisterFile):
-        _set(self, "registers", registers)
+        _set_registers(self, registers)
+
+
+# Every run's outcome builds both: each field is filled through its slot's setter.
+_set_inputs, _set_aux, _set_out = RegisterFile.inputs.__set__, RegisterFile.aux.__set__, RegisterFile.out.__set__
+_set_registers = Terminated.registers.__set__
 
 
 class Deadlocked(_Value):

@@ -52,7 +52,20 @@ from boolseq.instr import (
 )
 from boolseq.lab import TruthTable, truth_table
 
-from util import MAX_FORMULA_VARS, formula_satisfiable, formula_vars, gen_circuit, gen_cnf, gen_formula
+from util import (
+    MAX_FORMULA_VARS,
+    bench_workloads,
+    formula_satisfiable,
+    formula_vars,
+    gen_circuit,
+    gen_cnf,
+    gen_formula,
+    reference_compile_circuit,
+    reference_compile_cnf,
+    reference_compile_cnf_jumpfree,
+    reference_compile_formula,
+    reference_topological_gate_order,
+)
 
 EXAMPLE_CNF = Cnf(2, ((Literal(1), Literal(2, negated=True)), (Literal(2),)))
 
@@ -533,6 +546,89 @@ def test_compile_circuit_dangling_rejected():
     circuit = Circuit(1, (NotGate(GateRef(5)),), 1)
     with pytest.raises(ValueError):
         compile_circuit(circuit)
+
+
+def _seeded_sources(seed: int):
+    """Sources at the benchmark's sizes, from its generators, and small ones from the test generators.
+
+    Tabulate compiles CNFs of n clauses, formulas of 2n leaves and circuits
+    of n + 4 gates over n = 8, 10, 12 inputs; rewrite compiles CNFs of 11 to
+    777 clauses over 20 variables and circuits of 100 to 2000 gates.
+    """
+    bench = bench_workloads()
+    rng = random.Random(seed)
+    cnfs = [bench.random_cnf(rng, n, n) for n in (8, 10, 12)]
+    cnfs += [bench.random_cnf(rng, 20, m) for m in (11, 33, 111, 333, 777)]
+    cnfs += [gen_cnf(rng, 6, 12) for _ in range(30)]
+    formulas = [bench.random_formula(rng, n, 2 * n) for n in (8, 10, 12) for _ in range(3)]
+    formulas += [gen_formula(rng, 5, rng.randint(1, 40)) for _ in range(30)]
+    circuits = [bench.random_circuit(rng, n, n + 4) for n in (8, 10, 12)]
+    circuits += [bench.random_circuit(rng, 16, gates) for gates in (100, 200, 2000)]
+    circuits += [gen_circuit(rng, 4, 30) for _ in range(30)]
+    return cnfs, formulas, circuits
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403])
+def test_compilers_match_per_node_reference(seed):
+    # The compilers make each test once per call; the reference makes one per occurrence.
+    cnfs, formulas, circuits = _seeded_sources(seed)
+    for phi in cnfs:
+        assert compile_cnf(phi).items == reference_compile_cnf(phi).items
+        assert compile_cnf_jumpfree(phi).items == reference_compile_cnf_jumpfree(phi).items
+    for phi in formulas:
+        assert compile_formula(phi).items == reference_compile_formula(phi).items
+    for circuit in _renumbered_all(random.Random(seed), circuits):
+        assert topological_gate_order(circuit) == reference_topological_gate_order(circuit)
+        assert compile_circuit(circuit).items == reference_compile_circuit(circuit).items
+
+
+def _renumbered_all(rng, circuits):
+    for circuit in circuits:
+        yield circuit
+        yield _renumbered(rng, circuit)
+
+
+def _first_error(f, circuit) -> str:
+    with pytest.raises(ValueError) as info:
+        f(circuit)
+    return str(info.value)
+
+
+def test_circuit_errors_name_the_first_bad_gate():
+    # Gate 2 has a dangling input, gate 3 a dangling gate, and gates 4 and 5 form a cycle.
+    gates = [NotGate(InputRef(1)), OrGate(GateRef(1), InputRef(3)), AndGate(InputRef(9), GateRef(7))]
+    gates += [NotGate(GateRef(5)), NotGate(GateRef(4))]
+    cases = [
+        (Circuit(2, tuple(gates), 1), "dangling input reference in3 in g2"),
+        (Circuit(3, tuple(gates), 1), "dangling input reference in9 in g3"),  # in9 comes before g7 in g3
+        (Circuit(9, tuple(gates), 1), "dangling gate reference g7 in g3"),
+        (Circuit(9, tuple(gates[:2] + gates[3:]), 1), "dangling gate reference g5 in g3"),
+        (Circuit(9, tuple(gates[:2]) + (NotGate(GateRef(4)), NotGate(GateRef(3))), 1), "cyclic circuit"),
+        (Circuit(1, (OrGate(GateRef(0), InputRef(2)),), 1), "dangling gate reference g0 in g1"),
+    ]
+    for circuit, message in cases:
+        for f in (topological_gate_order, compile_circuit, reference_topological_gate_order):
+            assert _first_error(f, circuit) == message
+
+
+def test_circuit_errors_match_the_reference_on_corrupted_circuits():
+    rng = random.Random(137)
+    for _ in range(300):
+        circuit = _renumbered(rng, gen_circuit(rng, 4, 20))
+        gates = list(circuit.gates)
+        m = len(gates)
+        for _ in range(rng.randint(1, 3)):  # dangling references and cycles, in random gates
+            k = rng.randint(1, m)
+            bad = rng.choice((GateRef(rng.choice((0, m + 1, m + 5))), InputRef(circuit.num_inputs + 1), GateRef(k)))
+            good = rng.choice((InputRef(1), GateRef(rng.randint(1, m))))
+            gates[k - 1] = rng.choice((OrGate(bad, good), AndGate(good, bad), NotGate(bad)))
+        circuit = Circuit(circuit.num_inputs, tuple(gates), circuit.output_gate)
+        try:
+            expected = reference_compile_circuit(circuit).items
+        except ValueError as exc:
+            assert _first_error(compile_circuit, circuit) == str(exc)
+        else:
+            assert compile_circuit(circuit).items == expected
 
 
 def test_compile_circuit_matches_oracle():

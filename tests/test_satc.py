@@ -7,8 +7,20 @@ from itertools import product
 
 import pytest
 
-from boolseq.compilers import Cnf, Literal, eval_cnf, render_formula
-from boolseq.instr import InstructionSequence, Plain, ResourceBoundError, SplitOp, parse, psize, render
+from boolseq.compilers import And, Cnf, FVar, Literal, Not, Or, compile_formula, eval_cnf, render_formula
+from boolseq.instr import (
+    GET,
+    InReg,
+    InstructionSequence,
+    Plain,
+    RegisterOp,
+    ReplyOp,
+    ResourceBoundError,
+    SplitOp,
+    parse,
+    psize,
+    render,
+)
 from boolseq.lab import TruthTable, truth_table
 from boolseq.satc import (
     MAX_GUESSED_VARS,
@@ -311,6 +323,8 @@ SPLITTER_RENDERINGS = {
     2: (128, "9f5786631179e010eb0babfc78537ba2802bbc3edaea421fa41ba674d661bc76"),
     3: (407, "ee4db0da3ffb34f2a2a0d863533a4f8d272763fbea4d998543d66fb634cd72b5"),
     4: (952, "573d162c2df113f78b81aa262e103bdded5dd44f5fb5c70b407dc12460663713"),
+    5: (1855, "5dd15fcc8101054cbdd61aadfe3cd375f917a031cccf7ada730653ed1d80c78f"),
+    6: (3208, "dc578163cb59cbde7cd8633f7855982184138c9669545652a2462faa1e8d11cc"),
 }
 
 
@@ -323,6 +337,28 @@ def test_build_satc_splitter_renderings(k):
             "split:1 ; +in:1.get ; #2 ; #2 ; +reply:1 ; #2 ; #16 ; +in:2.get ; #2 ; #3 ; +reply:1 ; #2 ; #2 ; "
             "#9 ; +in:3.get ; #2 ; #2 ; +reply:1 ; #3 ; +reply:1 ; #2 ; +out.set:T ; !"
         )
+
+
+def _splitter_with_fresh_literals(k: int) -> InstructionSequence:
+    """The family splitter at k guessed variables, its formula built with a fresh node per literal occurrence."""
+    conjuncts = []
+    for i in range(1, ndisj(k) + 1):
+        disjunction = Not(FVar(k + i))
+        for lit in alpha(i).sorted_literals():
+            disjunction = Or(disjunction, Not(FVar(lit.var)) if lit.negated else FVar(lit.var))
+        conjuncts.append(disjunction)
+    psi = conjuncts[-1]
+    for phi in reversed(conjuncts[:-1]):
+        psi = And(phi, psi)
+    leaf = lambda j: ReplyOp(j) if j <= k else RegisterOp(InReg(j - k), GET)
+    body = compile_formula(psi, leaf)
+    return InstructionSequence(tuple(Plain(SplitOp(j)) for j in range(1, k + 1)) + body.items)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_build_satc_splitter_matches_fresh_literal_formula(k):
+    # The builder shares one node per literal across the clauses; the compiled sequence is the same.
+    assert build_satc_splitter(ndisj(k)).items == _splitter_with_fresh_literals(k).items
 
 
 def test_build_satc_splitter_golden_run():

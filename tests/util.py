@@ -18,6 +18,11 @@ compact extraction builds each position's term from its instruction, and
 the reference evaluator takes every binding through its stack, where
 ``threads.extract_compact`` walks the row templates and
 ``threads.eval_xthread`` evaluates the leaf-like bindings at their binders.
+The reference compilers make every literal, variable and node test afresh
+at each occurrence and dispatch through ``isinstance`` chains, where the
+compilers of ``boolseq.compilers`` make each test once per call and
+dispatch on the exact class; the reference gate order checks the
+references in one pass and counts them in another.
 """
 
 from __future__ import annotations
@@ -26,11 +31,23 @@ import importlib.util
 import random
 import sys
 from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from itertools import product
 from pathlib import Path
 from typing import Optional
 
-from boolseq.compilers import BoolFormula, FVar, _occurrences, eval_formula
+from boolseq.compilers import (
+    And,
+    BoolFormula,
+    FVar,
+    GateRef,
+    InputRef,
+    Not,
+    NotGate,
+    OrGate,
+    _occurrences,
+    eval_formula,
+)
 from boolseq.instr import (
     GET,
     KIND_AUX,
@@ -528,6 +545,121 @@ def outcome_matches_service(run_outcome, service_result) -> bool:
             and (service_result.state is RegState.TRUE) == run_outcome.registers.out
         )
     return service_result is DIVERGENT
+
+
+# --- reference compilers -----------------------------------------------------------
+
+
+def _reference_literal_test(lit):
+    op = RegisterOp(InReg(lit.var), GET)
+    return NegTest(op) if lit.negated else PosTest(op)
+
+
+def reference_compile_cnf(phi) -> InstructionSequence:
+    items = []
+    for clause in phi.clauses:
+        for lit in clause:
+            items.append(_reference_literal_test(lit))
+            items.append(Jump(2))
+        items.append(PosTest(RegisterOp(OUT, SET_FALSE)))
+        items.append(Jump(2))
+        items.append(TERM)
+    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
+    items.append(TERM)
+    return InstructionSequence(tuple(items))
+
+
+def reference_compile_cnf_jumpfree(phi) -> InstructionSequence:
+    items = []
+    for clause in phi.clauses:
+        for lit in clause:
+            items.append(_reference_literal_test(lit))
+            items.append(PosTest(RegisterOp(OUT, SET_FALSE)))
+        items.append(TERM)
+    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
+    items.append(TERM)
+    return InstructionSequence(tuple(items))
+
+
+def reference_compile_formula(phi: BoolFormula, leaf=None) -> InstructionSequence:
+    """The formula's test block emitted back to front, then ``+out.set:T ; !``."""
+    if leaf is None:
+        leaf = lambda k: RegisterOp(InReg(k), GET)
+    items = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            start, gap = node
+            items.append(Jump(len(items) - start + gap))
+            if gap == 2:
+                items.append(Jump(2))
+        elif isinstance(node, FVar):
+            items.append(PosTest(leaf(node.index)))
+        elif isinstance(node, Not):
+            items.append(Jump(2))
+            stack.append(node.operand)
+        else:
+            stack += (node.left, (len(items), 2 if isinstance(node, And) else 1), node.right)
+    items.reverse()
+    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
+    items.append(TERM)
+    return InstructionSequence(tuple(items))
+
+
+def _reference_gate_preds(gate) -> tuple:
+    return (gate.pred,) if isinstance(gate, NotGate) else (gate.left, gate.right)
+
+
+def reference_topological_gate_order(circuit) -> list[int]:
+    """Kahn's algorithm after a separate pass that checks every reference."""
+    m = len(circuit.gates)
+    for k, gate in enumerate(circuit.gates, start=1):
+        for node in _reference_gate_preds(gate):
+            if isinstance(node, GateRef) and not 1 <= node.index <= m:
+                raise ValueError(f"dangling gate reference g{node.index} in g{k}")
+            if isinstance(node, InputRef) and node.index > circuit.num_inputs:
+                raise ValueError(f"dangling input reference in{node.index} in g{k}")
+    waiting = [0] * (m + 1)
+    users = [[] for _ in range(m + 1)]
+    for k, gate in enumerate(circuit.gates, start=1):
+        for node in _reference_gate_preds(gate):
+            if isinstance(node, GateRef):
+                waiting[k] += 1
+                users[node.index].append(k)
+    ready = [k for k in range(1, m + 1) if not waiting[k]]
+    order = []
+    while ready:
+        k = heappop(ready)
+        order.append(k)
+        for user in users[k]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                heappush(ready, user)
+    if len(order) < m:
+        raise ValueError("cyclic circuit")
+    return order
+
+
+def reference_compile_circuit(circuit) -> InstructionSequence:
+    def node_test(node):
+        reg = InReg(node.index) if isinstance(node, InputRef) else AuxReg(node.index)
+        return PosTest(RegisterOp(reg, GET))
+
+    items = []
+    for k in reference_topological_gate_order(circuit):
+        gate = circuit.gates[k - 1]
+        set_gate = PosTest(RegisterOp(AuxReg(k), SET_TRUE))
+        if isinstance(gate, NotGate):
+            items.extend([node_test(gate.pred), Jump(2), set_gate])
+        elif isinstance(gate, OrGate):
+            items.extend([node_test(gate.left), Jump(2), node_test(gate.right), set_gate])
+        else:
+            items.extend([node_test(gate.left), Jump(2), Jump(3), node_test(gate.right), set_gate])
+    items.append(PosTest(RegisterOp(AuxReg(circuit.output_gate), GET)))
+    items.append(PosTest(RegisterOp(OUT, SET_TRUE)))
+    items.append(TERM)
+    return InstructionSequence(tuple(items))
 
 
 def bench_workloads():
