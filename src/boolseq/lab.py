@@ -6,11 +6,15 @@ search enumerates sequences in length-lexicographic order but collapses
 behaviourally identical suffixes, which keeps desk-scale bounds feasible
 while returning exactly the sequence plain enumeration would return first.
 Each length is tested against the target before its dedup keys are built,
-so the length that holds the answer, and the last length, build none.
+so the length that holds the answer, and the last length, build none.  A
+letter that reads or writes a register computes its summaries over a large
+frontier with a few big-int operations on window entries packed across the
+states, not with one call per state.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from itertools import compress, count, product, repeat
 from operator import add, and_, itemgetter, not_
@@ -43,6 +47,16 @@ from .instr import (
 from .services import lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
+# A view of at least this many states computes its get and write letters on
+# packed window columns (``_PackedColumns``); a smaller one calls each
+# letter's map once per state.  On the benchmark's 44 searches, packing every
+# view made the arity-2 plain ones 19% slower in the median, 16 to 64 states
+# left the worst 8-9% slower, and 128 left it within 4% with the total among
+# the lowest (BENCH_31.json, "threshold").
+_PACK_MIN_STATES = 128
+# Summaries wider than this many bits stay per state: a path through bytes
+# for them was slower than the per-state maps (BENCH_31.json, "wide_path").
+_PACK_MAX_BITS = 64
 
 
 # A table's entries as the characters of its rendering, and back; those
@@ -278,6 +292,63 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, in
     return ("set:F", f, fails, distance), f + 1, lambda window: (kept := window[f] & fails) | kept << distance
 
 
+def _field_code(size: int) -> Optional[str]:
+    """The ``array`` type code whose items hold a ``2 * size``-bit summary, or None past ``_PACK_MAX_BITS``."""
+    bits = 2 * size
+    if bits > _PACK_MAX_BITS:
+        return None
+    return next(code for code in "BHILQ" if array(code).itemsize * 8 >= bits)
+
+
+class _PackedColumns(dict):
+    """One view's window entries, each packed across the view's states into one int.
+
+    ``self[t]`` holds entry t of state k in field k, ``itemsize`` bytes wide
+    in native byte order; it is packed on first use and kept while the
+    object lives.
+    """
+
+    def __init__(self, states: list[tuple[int, ...]], code: str):
+        self.states, self.code = states, code
+        self.itemsize = array(code).itemsize
+
+    def __missing__(self, t: int) -> int:
+        column = self[t] = int.from_bytes(array(self.code, map(itemgetter(t), self.states)).tobytes(), sys.byteorder)
+        return column
+
+    def spread(self, mask: int) -> int:
+        """``mask`` in every field."""
+        return int.from_bytes(mask.to_bytes(self.itemsize, sys.byteorder) * len(self.states), sys.byteorder)
+
+    def unpack(self, packed: int) -> array:
+        fields = array(self.code)
+        fields.frombytes(packed.to_bytes(self.itemsize * len(self.states), sys.byteorder))
+        return fields
+
+
+def _view_summaries(shape: tuple, transfer: Callable, states: list, columns: Optional[_PackedColumns]):
+    """A letter's summaries over a view's states, in their order.
+
+    With ``columns``, a get or write letter is a few operations on packed
+    columns and gives an ``array``; otherwise, and for a split, it is
+    ``transfer`` per state.  No bit crosses from one field to the next: a
+    read only masks, and a write moves only states that hold (or lack) its
+    bit, by that bit's distance, to the state without (with) it in the same
+    plane of the same summary.
+    """
+    kind = shape[0]
+    if kind == "const":
+        return [shape[1]] * len(states)
+    if columns is None or kind in ("read", "split"):
+        return list(map(transfer, states))
+    if kind == "get":
+        _, t, f, holds, fails = shape
+        return columns.unpack(columns[t] & columns.spread(holds) | columns[f] & columns.spread(fails))
+    _, t, mask, distance = shape
+    kept = columns[t] & columns.spread(mask)
+    return columns.unpack(kept | kept >> distance if kind == "set:T" else kept | kept << distance)
+
+
 def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     """Length-lex enumeration with behaviourally identical suffixes merged.
 
@@ -289,7 +360,11 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     the length-lex least.
 
     Each length first computes every letter's summaries and tests them
-    against the target, stopping at the first match.  A seen key was tested
+    against the target, stopping at the first match.  On a view of at least
+    ``_PACK_MIN_STATES`` states with summaries of at most ``_PACK_MAX_BITS``
+    bits, a get or write letter's summaries come from packed columns
+    (``_view_summaries``) and are held as an ``array`` until the keys are
+    built.  A seen key was tested
     when it was added, so the first match is never a seen key and it is the
     answer; keys are built only for a later length to extend, or where
     ``len(seen)`` plus the summaries scanned could pass the state cap, so
@@ -316,7 +391,8 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
         shape, reach, transfer = _transfer(u, n, reg_bits)
         if (shape, step) not in shapes:
             shapes.add((shape, step))
-            letters.append((index, step, transfer, reach <= keep))
+            letters.append((index, step, shape, transfer, reach <= keep))
+    code = _field_code(size)
 
     # The target is read from the all-False register state, s = 0.
     rows = (1 << 2**n) - 1
@@ -338,19 +414,21 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
         # The first state of each head, in frontier order: the reversed
         # pairs leave each head with its first position.
         firsts = sorted(dict(zip(reversed(heads), reversed(range(len(frontier))))).values())
-        views = {(False, 0): (range(len(frontier)), frontier)}
+        views: dict = {}
         # Each letter's summaries over its view, in letter order, up to the
         # first that matches the target.
         batches, match = [], None
-        for index, step, transfer, head_only in letters:
+        for index, step, shape, transfer, head_only in letters:
             view = head_only, step
             if view not in views:
                 positions = firsts if head_only else range(len(frontier))
                 if step:  # a second ! only follows states with none
                     positions = [p for p in positions if not heads[p][keep]]
-                views[view] = positions, [frontier[p] for p in positions]
-            positions, states = views[view]
-            summaries = list(map(transfer, states))
+                states = [frontier[p] for p in positions] if head_only or step else frontier
+                packed = _PackedColumns(states, code) if code and len(states) >= _PACK_MIN_STATES else None
+                views[view] = positions, states, packed
+            positions, states, packed = views[view]
+            summaries = _view_summaries(shape, transfer, states, packed)
             batches.append((index, view, summaries))
             if target in map(and_, summaries, repeat(match_mask)):
                 end = [*map(and_, summaries, repeat(match_mask))].index(target)

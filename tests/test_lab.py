@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,11 @@ from boolseq.instr import Jump, ResourceBoundError, parse, psize, render
 from boolseq.lab import (
     SearchSpec,
     TruthTable,
+    _field_code,
+    _PackedColumns,
     _search_alphabet,
     _transfer,
+    _view_summaries,
     shortest_sequence_search,
     truth_table,
 )
@@ -21,6 +26,14 @@ from boolseq.services import Terminated, run
 from boolseq.splitting import run_splitting
 
 from util import gen_isbr, gen_sisbr, naive_search
+
+# The search computes a letter over packed columns only on views of at least
+# ``_PACK_MIN_STATES`` states, which the small specs checked against plain
+# enumeration rarely reach.  Tests marked with this run both with the
+# constant and with every view packed.
+PACKING = pytest.mark.parametrize(
+    "pack_min_states", [lab._PACK_MIN_STATES, 1], ids=["pack-from-constant", "pack-every-view"]
+)
 
 
 def test_truth_table_indexing():
@@ -123,7 +136,9 @@ def test_search_rejects_negative_max_jump(allow_jumps):
         SearchSpec(target=TruthTable(1, (True, False)), max_length=3, allow_jumps=allow_jumps, max_jump=-3)
 
 
-def test_search_agrees_with_naive_enumeration():
+@PACKING
+def test_search_agrees_with_naive_enumeration(monkeypatch, pack_min_states):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     cases = [
         SearchSpec(target=TruthTable(1, (True, False)), max_length=3),
         SearchSpec(target=TruthTable(1, (False, True)), max_length=3),
@@ -180,9 +195,11 @@ def _naive_length(spec: SearchSpec, budget: int = 10000) -> int:
     return length
 
 
+@PACKING
 @pytest.mark.parametrize("splitting_mode", [False, True])
 @pytest.mark.parametrize("max_length", [1, 2, 3, 4])
-def test_jumps_of_max_length_or_more_change_no_answer(max_length, splitting_mode):
+def test_jumps_of_max_length_or_more_change_no_answer(monkeypatch, max_length, splitting_mode, pack_min_states):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     # A jump of max_length or more can only land past the end, as #0 does.
     for n in (0, 1, 2):
         for spec in _every_restriction(n, splitting_mode):
@@ -198,15 +215,19 @@ def test_jumps_of_max_length_or_more_change_no_answer(max_length, splitting_mode
                 assert naive_search(past) == answer, past
 
 
+@PACKING
 @pytest.mark.parametrize("n", [0, 1])
-def test_search_agrees_with_naive_under_every_restriction(n):
+def test_search_agrees_with_naive_under_every_restriction(monkeypatch, n, pack_min_states):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     for spec in _every_restriction(n):
         bounded = spec._replace(max_length=_naive_length(spec))
         assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
 
 
+@PACKING
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_splitting_search_agrees_with_naive_under_every_restriction(n):
+def test_splitting_search_agrees_with_naive_under_every_restriction(monkeypatch, n, pack_min_states):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     for spec in _every_restriction(n, splitting_mode=True):
         bounded = spec._replace(max_length=_naive_length(spec))
         assert shortest_sequence_search(bounded) == naive_search(bounded), bounded
@@ -235,6 +256,49 @@ def test_transfer_fold_matches_lane_values(generate, reg_bits, splitting):
         n = rng.randint(0, 3)
         x = generate(rng, n)
         assert _fold(x, n, reg_bits) == truth_table(x, n, splitting=splitting).values, render(x)
+
+
+# (arity, reg_bits, splitting, summary bits): every field width packing uses.
+PACKED_WIDTHS = [(0, 1, False, 4), (1, 1, False, 8), (2, 1, False, 16), (3, 1, False, 32), (2, 3, False, 64), (0, 5, True, 64)]
+
+
+@pytest.mark.parametrize("n, reg_bits, splitting, bits", PACKED_WIDTHS)
+def test_packed_summaries_match_per_state(n, reg_bits, splitting, bits):
+    # Random windows, with all-ones entries and entries with the field's top
+    # bit set, so that a bit moved into a neighbouring field shows.
+    size = 2**reg_bits * 2**n
+    assert 2 * size == bits
+    code = _field_code(size)
+    assert array(code).itemsize == max(1, bits // 8)
+    spec = SearchSpec(
+        target=TruthTable(n, (False,) * 2**n), max_length=5, allow_jumps=True, max_jump=4,
+        allow_aux=reg_bits == 3, allow_out_set_false=not splitting, splitting_mode=splitting,
+    )
+    ones, top = (1 << bits) - 1, 1 << bits - 1
+    rng = random.Random(bits * 10 + n)
+    kinds = set()
+    for u in _search_alphabet(spec):
+        shape, _, transfer = _transfer(u, n, reg_bits)
+        kinds.add(shape[0])
+        for count in (lab._PACK_MIN_STATES - 1, lab._PACK_MIN_STATES):
+            states = [
+                tuple(rng.choice((ones, top | rng.getrandbits(bits - 1), rng.getrandbits(bits), 0)) for _ in range(4))
+                + (rng.randint(0, 1),)
+                for _ in range(count)
+            ]
+            expected = list(map(transfer, states))
+            assert _view_summaries(shape, transfer, states, None) == expected, u
+            packed = _view_summaries(shape, transfer, states, _PackedColumns(states, code))
+            assert list(packed) == expected, u
+            # Gets and writes run on the packed columns, the others per state.
+            assert isinstance(packed, array) == (shape[0] in ("get", "set:T", "set:F")), u
+    # Plain mode at arity 0 has nothing to read; a reply is a get.
+    assert kinds == {"const", "read", "set:T", "split" if splitting else "set:F"} | ({"get"} if n or reg_bits > 1 else set())
+
+
+def test_wide_summaries_are_not_packed():
+    assert _field_code(2**3 * 2**3) is None  # arity 3 with aux: 128 bits
+    assert _field_code(2**5 * 2**1) is None  # splitting at arity 1: 128 bits
 
 
 # Shortest sequences of every arity-2 function at max length 7, recorded from
@@ -292,7 +356,10 @@ def test_search_pinned_and3_with_jumps():
     multiple_term=st.booleans(),
     max_length=st.integers(1, 3),
 )
-def test_search_equals_naive_property(n, bits, jumps, max_jump, aux, out_set_false, multiple_term, max_length):
+@PACKING
+def test_search_equals_naive_property(
+    n, bits, jumps, max_jump, aux, out_set_false, multiple_term, max_length, pack_min_states
+):
     target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
     spec = SearchSpec(
         target=target,
@@ -303,7 +370,8 @@ def test_search_equals_naive_property(n, bits, jumps, max_jump, aux, out_set_fal
         allow_out_set_false=out_set_false,
         allow_multiple_term=multiple_term,
     )
-    assert shortest_sequence_search(spec) == naive_search(spec)
+    with mock.patch.object(lab, "_PACK_MIN_STATES", pack_min_states):
+        assert shortest_sequence_search(spec) == naive_search(spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,7 +383,8 @@ def test_search_equals_naive_property(n, bits, jumps, max_jump, aux, out_set_fal
     multiple_term=st.booleans(),
     max_length=st.integers(1, 3),
 )
-def test_splitting_search_equals_naive_property(n, bits, jumps, max_jump, multiple_term, max_length):
+@PACKING
+def test_splitting_search_equals_naive_property(n, bits, jumps, max_jump, multiple_term, max_length, pack_min_states):
     target = TruthTable(n, tuple((bits >> i) & 1 == 1 for i in range(2**n)))
     spec = SearchSpec(
         target=target,
@@ -325,7 +394,8 @@ def test_splitting_search_equals_naive_property(n, bits, jumps, max_jump, multip
         allow_multiple_term=multiple_term,
         splitting_mode=True,
     )
-    assert shortest_sequence_search(spec) == naive_search(spec)
+    with mock.patch.object(lab, "_PACK_MIN_STATES", pack_min_states):
+        assert shortest_sequence_search(spec) == naive_search(spec)
 
 
 def _table(text: str) -> TruthTable:
@@ -392,8 +462,10 @@ SEEN_THROUGH_LENGTH = [
 ]
 
 
+@PACKING
 @pytest.mark.parametrize("table, restrictions, seen", SEEN_THROUGH_LENGTH)
-def test_search_state_cap_pins_the_work_per_length(monkeypatch, table, restrictions, seen):
+def test_search_state_cap_pins_the_work_per_length(monkeypatch, table, restrictions, seen, pack_min_states):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     spec = SearchSpec(target=_table(table), **restrictions)
     for length, total in enumerate(seen, start=1):
         for cap, stop in ((total - 1, length), (total, length + 1)):
@@ -423,10 +495,14 @@ SEEN_AT_ANSWER = [
 ]
 
 
+@PACKING
 @pytest.mark.parametrize(
     "table, restrictions, length, seen, answer", SEEN_AT_ANSWER, ids=["before-max", "at-max", "first-key"]
 )
-def test_search_state_cap_at_the_length_of_the_answer(monkeypatch, table, restrictions, length, seen, answer):
+def test_search_state_cap_at_the_length_of_the_answer(
+    monkeypatch, table, restrictions, length, seen, answer, pack_min_states
+):
+    monkeypatch.setattr(lab, "_PACK_MIN_STATES", pack_min_states)
     spec = SearchSpec(target=_table(table), **restrictions)
     monkeypatch.setattr(lab, "_SEARCH_STATE_CAP", seen)
     assert render(shortest_sequence_search(spec)) == answer
