@@ -9,7 +9,8 @@ Each length is tested against the target before its dedup keys are built,
 so the length that holds the answer, and the last length, build none.  A
 letter that reads or writes a register computes its summaries over a large
 frontier with a few big-int operations on window entries packed across the
-states, not with one call per state.
+states, not with one call per state, and is tested against the target on
+that packed word before it is unpacked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import compress, count, product, repeat
-from operator import add, and_, itemgetter, not_
+from operator import and_, itemgetter, not_
 from typing import Callable, Optional
 
 from .instr import (
@@ -44,7 +45,7 @@ from .instr import (
     _Value,
     _field_methods,
 )
-from .services import lane_values
+from .services import _repeat, input_masks, lane_values
 
 _SEARCH_STATE_CAP = 3_000_000
 # A view of at least this many states computes its get and write letters on
@@ -238,13 +239,14 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, in
     size = (2**reg_bits) * shift
     plane = (1 << size) - 1
 
-    def states(holds: Callable[[int, int], int]) -> int:
-        # The states where ``holds(s, a)``, on both planes.
-        low = sum(1 << i for i in range(size) if holds(i >> n, i % shift))
+    def states(holds: Callable[[int], int]) -> int:
+        # The states whose register state s has ``holds(s)``, on both planes:
+        # the whole block of 2^n vector bits of each such s.
+        low = sum(((1 << shift) - 1) << s * shift for s in range(2**reg_bits) if holds(s))
         return low | (low << size)
 
     if isinstance(u, Term):
-        halts_true = states(lambda s, a: s & 1)
+        halts_true = states(lambda s: s & 1)
         summary = halts_true & plane | ~halts_true & plane << size
         return ("const", summary), 0, lambda window: summary
     on_true, on_false = u.offsets
@@ -255,11 +257,12 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, in
     t, f = on_true - 1, on_false - 1
     if isinstance(u.basic, RegisterOp):
         focus, method = u.basic.focus, u.basic.method
-        if isinstance(focus, InReg):  # the alphabet only reads inputs
-            holds = states(lambda s, a: a >> (n - focus.index) & 1)
+        if isinstance(focus, InReg):  # the alphabet only reads inputs: their lanes, in every register state
+            low = _repeat(input_masks(n, focus.index)[focus.index], shift, size)
+            holds = low | (low << size)
         else:
             bit = 1 << focus.index if isinstance(focus, AuxReg) else 1
-            holds = states(lambda s, a: s & bit)
+            holds = states(lambda s: s & bit)
         fails = (plane | plane << size) ^ holds
         if method == GET and t == f:
             return ("read", t), t + 1, itemgetter(t)
@@ -269,7 +272,7 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, in
         if isinstance(u.basic, SplitOp):
             # The branches halt when both do, with out = T when either does
             # (they cannot affect each other).  A re-split never halts.
-            fresh = states(lambda s, a: not s & both) & plane
+            fresh = states(lambda s: not s & both) & plane
             to_true, to_false = both * shift, inst * shift
 
             def split(window: tuple[int, ...]) -> int:
@@ -280,8 +283,8 @@ def _transfer(u: PrimitiveInstruction, n: int, reg_bits: int) -> tuple[tuple, in
             return ("split", t, f, to_true, to_false), max(t, f) + 1, split
         # A reply reads the parameter's value; it never halts where the parameter is fresh.
         method = GET
-        holds = states(lambda s, a: s & both == both)
-        fails = states(lambda s, a: s & both == inst)
+        holds = states(lambda s: s & both == both)
+        fails = states(lambda s: s & both == inst)
     if method == GET:
         return ("get", t, f, holds, fails), max(t, f) + 1, lambda window: (window[t] & holds) | (window[f] & fails)
     # A write replies True (False), continuing from the state with the bit set (clear);
@@ -305,12 +308,27 @@ class _PackedColumns(dict):
 
     ``self[t]`` holds entry t of state k in field k, ``itemsize`` bytes wide
     in native byte order; it is packed on first use and kept while the
-    object lives.
+    object lives.  ``goal`` is ``(match_mask, target)``, which ``first_match``
+    tests each field against.
     """
 
-    def __init__(self, states: list[tuple[int, ...]], code: str):
+    def __init__(self, states: list[tuple[int, ...]], code: str, goal: tuple[int, int]):
         self.states, self.code = states, code
         self.itemsize = array(code).itemsize
+        self.goal = (*map(self.spread, goal), self.spread(1), self.spread(1 << 8 * self.itemsize - 1))
+
+    def first_match(self, packed: int) -> Optional[int]:
+        """The first field k with ``packed``'s field k & match_mask == target, or None.
+
+        The broadword zero-field test (Knuth, TAOCP 4A 7.1.3) on x, the
+        fields' differences from the target: ``(x - ones) & ~x & tops`` flags
+        each zero field in its top bit.  A borrow out of a zero field may
+        flag higher fields too, so only the lowest flag is exact.
+        """
+        mask, target, ones, tops = self.goal
+        x = packed & mask ^ target
+        flags = (x - ones) & ~x & tops
+        return ((flags & -flags).bit_length() - 1) // (8 * self.itemsize) if flags else None
 
     def __missing__(self, t: int) -> int:
         column = self[t] = int.from_bytes(array(self.code, map(itemgetter(t), self.states)).tobytes(), sys.byteorder)
@@ -326,27 +344,35 @@ class _PackedColumns(dict):
         return fields
 
 
-def _view_summaries(shape: tuple, transfer: Callable, states: list, columns: Optional[_PackedColumns]):
-    """A letter's summaries over a view's states, in their order.
+def _view_summaries(shape: tuple, transfer: Callable, states: list, columns: Optional[_PackedColumns], goal: tuple):
+    """A letter's summaries over a view's states, in their order, and the index of the first that matches, or None.
 
     With ``columns``, a get or write letter is a few operations on packed
-    columns and gives an ``array``; otherwise, and for a split, it is
-    ``transfer`` per state.  No bit crosses from one field to the next: a
+    columns, tested by ``first_match`` and unpacked into an ``array``;
+    otherwise, and for a split, it is ``transfer`` per state, tested one
+    summary at a time.  No bit crosses from one field to the next: a
     read only masks, and a write moves only states that hold (or lack) its
     bit, by that bit's distance, to the state without (with) it in the same
     plane of the same summary.
     """
     kind = shape[0]
     if kind == "const":
-        return [shape[1]] * len(states)
-    if columns is None or kind in ("read", "split"):
-        return list(map(transfer, states))
-    if kind == "get":
-        _, t, f, holds, fails = shape
-        return columns.unpack(columns[t] & columns.spread(holds) | columns[f] & columns.spread(fails))
-    _, t, mask, distance = shape
-    kept = columns[t] & columns.spread(mask)
-    return columns.unpack(kept | kept >> distance if kind == "set:T" else kept | kept << distance)
+        summaries = [shape[1]] * len(states)
+    elif columns is None or kind in ("read", "split"):
+        summaries = list(map(transfer, states))
+    else:
+        if kind == "get":
+            _, t, f, holds, fails = shape
+            packed = columns[t] & columns.spread(holds) | columns[f] & columns.spread(fails)
+        else:
+            _, t, mask, distance = shape
+            kept = columns[t] & columns.spread(mask)
+            packed = kept | kept >> distance if kind == "set:T" else kept | kept << distance
+        return columns.unpack(packed), columns.first_match(packed)
+    match_mask, target = goal
+    if target not in map(and_, summaries, repeat(match_mask)):
+        return summaries, None
+    return summaries, [*map(and_, summaries, repeat(match_mask))].index(target)
 
 
 def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
@@ -363,8 +389,10 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     against the target, stopping at the first match.  On a view of at least
     ``_PACK_MIN_STATES`` states with summaries of at most ``_PACK_MAX_BITS``
     bits, a get or write letter's summaries come from packed columns
-    (``_view_summaries``) and are held as an ``array`` until the keys are
-    built.  A seen key was tested
+    (``_view_summaries``), are tested on the packed word
+    (``_PackedColumns.first_match``) and are held as an ``array`` until the
+    keys are built, which one ``zip`` makes from them and the view's head
+    columns.  A seen key was tested
     when it was added, so the first match is never a seen key and it is the
     answer; keys are built only for a later length to extend, or where
     ``len(seen)`` plus the summaries scanned could pass the state cap, so
@@ -398,7 +426,7 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     rows = (1 << 2**n) - 1
     match_mask = rows | rows << size
     out = spec.target.out
-    target = out | (rows & ~out) << size
+    goal = match_mask, out | (rows & ~out) << size
 
     # A state is the flat tuple (window..., ! count), and it is its own dedup
     # key.  State i puts alphabet[letter[i]] in front of state parent[i];
@@ -407,13 +435,13 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
     frontier = [(0,) * (lookahead + 1)]
     parent, letter = array("q", [-1]), array("B", [0])
     seen: set = set()
-    head_of = itemgetter(*range(keep), lookahead)
     for length in range(1, spec.max_length + 1):
         base = len(parent) - len(frontier)
-        heads = list(map(head_of, frontier))
+        # The frontier's heads as columns: window entries 0..keep-1, then the ! count.
+        heads = [list(map(itemgetter(j), frontier)) for j in (*range(keep), lookahead)]
         # The first state of each head, in frontier order: the reversed
         # pairs leave each head with its first position.
-        firsts = sorted(dict(zip(reversed(heads), reversed(range(len(frontier))))).values())
+        firsts = sorted(dict(zip(zip(*map(reversed, heads)), reversed(range(len(frontier))))).values())
         views: dict = {}
         # Each letter's summaries over its view, in letter order, up to the
         # first that matches the target.
@@ -423,15 +451,14 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
             if view not in views:
                 positions = firsts if head_only else range(len(frontier))
                 if step:  # a second ! only follows states with none
-                    positions = [p for p in positions if not heads[p][keep]]
+                    positions = [p for p in positions if not heads[keep][p]]
                 states = [frontier[p] for p in positions] if head_only or step else frontier
-                packed = _PackedColumns(states, code) if code and len(states) >= _PACK_MIN_STATES else None
+                packed = _PackedColumns(states, code, goal) if code and len(states) >= _PACK_MIN_STATES else None
                 views[view] = positions, states, packed
             positions, states, packed = views[view]
-            summaries = _view_summaries(shape, transfer, states, packed)
+            summaries, end = _view_summaries(shape, transfer, states, packed, goal)
             batches.append((index, view, summaries))
-            if target in map(and_, summaries, repeat(match_mask)):
-                end = [*map(and_, summaries, repeat(match_mask))].index(target)
+            if end is not None:
                 del summaries[end + 1:]
                 match = index, base + positions[end]
                 break
@@ -440,12 +467,14 @@ def _behaviour_search(spec: SearchSpec) -> Optional[InstructionSequence]:
         done = match is not None or length == spec.max_length
         if not done or len(seen) + sum(len(batch[2]) for batch in batches) > _SEARCH_STATE_CAP:
             new_frontier: list[tuple[int, ...]] = []
-            new_heads = {(False, 0): heads}
+            # Each view's head columns; a step view's states have no !, so each key counts one.
+            head_columns: dict = {}
             for index, view, summaries in batches:
                 positions = views[view][0]
-                if view not in new_heads:
-                    new_heads[view] = [heads[p][:keep] + (heads[p][keep] + view[1],) for p in positions]
-                keys = list(map(add, zip(summaries), new_heads[view]))
+                if view not in head_columns:
+                    columns = heads if view == (False, 0) else [[*map(c.__getitem__, positions)] for c in heads]
+                    head_columns[view] = columns[:keep] + [repeat(1) if view[1] else columns[keep]]
+                keys = list(zip(summaries, *head_columns[view]))
                 # Lazily, so a key repeated later in the same letter is seen by then.
                 for i in compress(count(), map(not_, map(seen.__contains__, keys))):
                     key = keys[i]

@@ -25,7 +25,7 @@ from boolseq.lab import (
 from boolseq.services import Terminated, run
 from boolseq.splitting import run_splitting
 
-from util import gen_isbr, gen_sisbr, naive_search
+from util import gen_isbr, gen_sisbr, naive_search, reference_transfer
 
 # The search computes a letter over packed columns only on views of at least
 # ``_PACK_MIN_STATES`` states, which the small specs checked against plain
@@ -258,8 +258,46 @@ def test_transfer_fold_matches_lane_values(generate, reg_bits, splitting):
         assert _fold(x, n, reg_bits) == truth_table(x, n, splitting=splitting).values, render(x)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_transfer_matches_reference_masks(n):
+    # Every letter of every alphabet (jumps, aux, out.set:F and splitting
+    # mode on and off) at register widths 1, 3 and 5: the same shape and
+    # reach, and the same map on seeded windows, all-ones and zero ones included.
+    rng = random.Random(100 + n)
+    target = TruthTable(n, (False,) * 2**n)
+    specs = [
+        SearchSpec(target=target, max_length=5, allow_jumps=jumps, max_jump=4, allow_aux=aux, allow_out_set_false=out_f)
+        for jumps, aux, out_f in itertools.product((False, True), repeat=3)
+    ]
+    specs += [
+        SearchSpec(target=target, max_length=5, allow_jumps=jumps, max_jump=4, splitting_mode=True) for jumps in (False, True)
+    ]
+    letters = list(dict.fromkeys(u for spec in specs for u in _search_alphabet(spec)))
+    for reg_bits in (1, 3, 5):
+        bits = 2 * 2**reg_bits * 2**n
+        windows = [(0,) * 5, ((1 << bits) - 1,) * 5]
+        windows += [tuple(rng.getrandbits(bits) for _ in range(5)) for _ in range(20)]
+        for u in letters:
+            shape, reach, transfer = _transfer(u, n, reg_bits)
+            ref_shape, ref_reach, ref_transfer = reference_transfer(u, n, reg_bits)
+            assert (shape, reach) == (ref_shape, ref_reach), (u, reg_bits)
+            assert [*map(transfer, windows)] == [*map(ref_transfer, windows)], (u, reg_bits)
+
+
 # (arity, reg_bits, splitting, summary bits): every field width packing uses.
 PACKED_WIDTHS = [(0, 1, False, 4), (1, 1, False, 8), (2, 1, False, 16), (3, 1, False, 32), (2, 3, False, 64), (0, 5, True, 64)]
+
+
+def _goal(n: int, size: int, out: int) -> tuple[int, int]:
+    """The search's ``(match_mask, target)`` for the table with mask ``out``."""
+    rows = (1 << 2**n) - 1
+    return rows | rows << size, out | (rows & ~out) << size
+
+
+def _scan_first_match(fields, goal) -> int | None:
+    """The first field that matches the target, one field at a time."""
+    match_mask, target = goal
+    return next((k for k, field in enumerate(fields) if field & match_mask == target), None)
 
 
 @pytest.mark.parametrize("n, reg_bits, splitting, bits", PACKED_WIDTHS)
@@ -286,14 +324,52 @@ def test_packed_summaries_match_per_state(n, reg_bits, splitting, bits):
                 + (rng.randint(0, 1),)
                 for _ in range(count)
             ]
+            goal = _goal(n, size, rng.getrandbits(2**n))
             expected = list(map(transfer, states))
-            assert _view_summaries(shape, transfer, states, None) == expected, u
-            packed = _view_summaries(shape, transfer, states, _PackedColumns(states, code))
-            assert list(packed) == expected, u
+            first = _scan_first_match(expected, goal)
+            assert _view_summaries(shape, transfer, states, None, goal) == (expected, first), u
+            packed, packed_first = _view_summaries(shape, transfer, states, _PackedColumns(states, code, goal), goal)
+            assert list(packed) == expected and packed_first == first, u
             # Gets and writes run on the packed columns, the others per state.
             assert isinstance(packed, array) == (shape[0] in ("get", "set:T", "set:F")), u
     # Plain mode at arity 0 has nothing to read; a reply is a get.
     assert kinds == {"const", "read", "set:T", "split" if splitting else "set:F"} | ({"get"} if n or reg_bits > 1 else set())
+
+
+@pytest.mark.parametrize("n, reg_bits, splitting, bits", PACKED_WIDTHS)
+def test_packed_goal_test_matches_per_state_scan(n, reg_bits, splitting, bits):
+    # ``first_match`` on a packed column against the scan of its fields: a
+    # match in the first, the last and two fields, no match, near misses
+    # (one bit off, the field's top bit flipped, only the F plane off), and
+    # all-ones and zero fields, which read as zero or with a borrow.
+    # Goals of the search, and one that masks no bit, where a field's top
+    # bit takes part in the comparison.
+    size = 2**reg_bits * 2**n
+    width = 8 * array(_field_code(size)).itemsize
+    rng = random.Random(7 * bits + n)
+    goals = [_goal(n, size, out) for out in sorted({0, (1 << 2**n) - 1, rng.getrandbits(2**n)})]
+    for goal in goals + [((1 << width) - 1, 1 << width - 1 | rng.getrandbits(width - 1))]:
+        match_mask, target = goal
+        unmasked = ((1 << width) - 1) ^ match_mask
+        mask_bits = [1 << b for b in range(width) if match_mask >> b & 1]
+        f_plane = ((1 << 2**n) - 1) << size & match_mask
+        near = [target ^ bit for bit in mask_bits]
+        near += [target ^ f_plane, 0, (1 << width) - 1, target ^ 1 << width - 1 ^ mask_bits[0]]
+        matches = [target, target | unmasked, target ^ 1 << width - 1 & unmasked]
+        matches.append(target | rng.getrandbits(width) & unmasked)
+        assert _scan_first_match(near, goal) is None and all(field & match_mask == target for field in matches)
+        for count in (lab._PACK_MIN_STATES - 1, lab._PACK_MIN_STATES):
+            lower, upper = sorted(rng.sample(range(count), 2))
+            planted = [[], [0], [count - 1], [lower, upper], [upper, lower], [0, count - 1]]
+            for places in planted * 3:
+                fields = [rng.choice(near) for _ in range(count)]
+                for place in places:
+                    fields[place] = rng.choice(matches)
+                columns = _PackedColumns([(field,) for field in fields], _field_code(size), goal)
+                assert columns.first_match(columns[0]) == _scan_first_match(fields, goal) == min(places, default=None)
+            fields = [rng.choice((0, (1 << width) - 1)) for _ in range(count)]
+            columns = _PackedColumns([(field,) for field in fields], _field_code(size), goal)
+            assert columns.first_match(columns[0]) is None
 
 
 def test_wide_summaries_are_not_packed():

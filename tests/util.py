@@ -18,6 +18,9 @@ compact extraction builds each position's term from its instruction, and
 the reference evaluator takes every binding through its stack, where
 ``threads.extract_compact`` walks the row templates and
 ``threads.eval_xthread`` evaluates the leaf-like bindings at their binders.
+The reference transfer builds a search letter's masks one (register
+state, input vector) bit at a time, where ``lab._transfer`` builds them per
+register state and from the lane masks of ``boolseq.services``.
 The reference compilers make every literal, variable and node test afresh
 at each occurrence and dispatch through ``isinstance`` chains, where the
 compilers of ``boolseq.compilers`` make each test once per call and
@@ -33,6 +36,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -501,6 +505,65 @@ def naive_search(spec: SearchSpec) -> Optional[InstructionSequence]:
             if truth_table(x, spec.target.arity, splitting=spec.splitting_mode) == spec.target:
                 return x
     return None
+
+
+def reference_transfer(u, n: int, reg_bits: int) -> tuple:
+    """``lab._transfer`` with every mask built one (register state, input vector) bit at a time.
+
+    ``lab._transfer`` builds a register condition from whole blocks of 2^n
+    vector bits and an input read from ``services.input_masks``.
+    """
+    shift = 2**n
+    size = (2**reg_bits) * shift
+    plane = (1 << size) - 1
+
+    def states(holds) -> int:
+        # The states where ``holds(s, a)``, on both planes.
+        low = sum(1 << i for i in range(size) if holds(i >> n, i % shift))
+        return low | (low << size)
+
+    if isinstance(u, Term):
+        halts_true = states(lambda s, a: s & 1)
+        summary = halts_true & plane | ~halts_true & plane << size
+        return ("const", summary), 0, lambda window: summary
+    on_true, on_false = u.offsets
+    if isinstance(u, Jump):
+        if not on_true:
+            return ("const", 0), 0, lambda window: 0
+        return ("read", on_true - 1), on_true, itemgetter(on_true - 1)
+    t, f = on_true - 1, on_false - 1
+    if isinstance(u.basic, RegisterOp):
+        focus, method = u.basic.focus, u.basic.method
+        if isinstance(focus, InReg):
+            holds = states(lambda s, a: a >> (n - focus.index) & 1)
+        else:
+            bit = 1 << focus.index if isinstance(focus, AuxReg) else 1
+            holds = states(lambda s, a: s & bit)
+        fails = (plane | plane << size) ^ holds
+        if method == GET and t == f:
+            return ("read", t), t + 1, itemgetter(t)
+    else:
+        inst = 1 << 2 * u.basic.param - 1
+        both = inst | inst << 1
+        if isinstance(u.basic, SplitOp):
+            fresh = states(lambda s, a: not s & both) & plane
+            to_true, to_false = both * shift, inst * shift
+
+            def split(window):
+                yes, no = window[t] >> to_true, window[f] >> to_false
+                halts = (yes | yes >> size) & (no | no >> size) & fresh
+                return (yes | no) & halts | yes & no & fresh << size
+
+            return ("split", t, f, to_true, to_false), max(t, f) + 1, split
+        method = GET
+        holds = states(lambda s, a: s & both == both)
+        fails = states(lambda s, a: s & both == inst)
+    if method == GET:
+        return ("get", t, f, holds, fails), max(t, f) + 1, lambda window: (window[t] & holds) | (window[f] & fails)
+    distance = bit * shift
+    if method == SET_TRUE:
+        return ("set:T", t, holds, distance), t + 1, lambda window: (kept := window[t] & holds) | kept >> distance
+    return ("set:F", f, fails, distance), f + 1, lambda window: (kept := window[f] & fails) | kept << distance
 
 
 def assert_table_readers(table: TruthTable, values: tuple) -> None:
